@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -216,9 +215,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("KOSZUL_THREADS")
-    if threads and threads != "1":
-        print("note: KOSZUL_THREADS set; execution is sequential", file=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()

@@ -5,19 +5,26 @@ found inside the certified or capped window recorded with each case.  Reports
 serialize to canonical JSON that is byte-identical for identical inputs, so
 wall-clock timing is reported separately and never embedded.
 
-Unless a field is forced, regularity suites run over GF(32003) as an
-accelerator and recheck every candidate violation over the rationals; a
-nonzero Tor dimension over the rationals forces one mod p, so a zero mod p
-certifies the rational zero and verdicts stay exact.
+A suite is data: a case generator, a default size and a characteristic floor
+(see `Suite`).  One driver, `_run`, validates the request, seeds the RNG,
+pulls and indexes the cases and counts redraws for every suite and for
+`probe_q1`.
+
+Unless a field is forced, Tor checks run over GF(32003) as an accelerator and
+recheck every candidate violation over the rationals (`_tor_check`); a nonzero
+Tor dimension over the rationals forces one mod p, so a zero mod p certifies
+the rational zero and verdicts stay exact.  Every other computation of the
+auto field is over the rationals.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
-from math import comb
+from typing import Callable
 
 from .cycles import Multi2Checker, gen2_families, z1_power_component
 from .exterior import (
@@ -63,6 +70,9 @@ DEFAULT_CAPS = {
     "component_ceiling": 4000,
     "surge_degree": 10,
 }
+
+# characteristic floor of the suites that reject every prime field
+QQ_ONLY = math.inf
 
 
 class UnknownSuiteError(ValueError):
@@ -122,6 +132,51 @@ class SuiteReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+@dataclass(frozen=True)
+class Suite:
+    """A verification suite as data.
+
+    cases(rng, caps, field) yields (params, verdict, window, details) for each
+    case, or None to ask for a redraw.  A prime field of characteristic
+    <= char_floor is rejected.  Under the auto field an accelerated suite gets
+    field None and hands it to `_tor_check`; every other suite gets QQ.
+    """
+
+    cases: Callable
+    size: int
+    char_floor: float = 3
+    accelerated: bool = False
+
+
+def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
+    """Validate the request, pull up to `size` cases and build the report."""
+    size = suite.size if size is None else size
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    unknown = sorted(set(caps or {}) - set(DEFAULT_CAPS))
+    if unknown:
+        raise ValueError(f"unknown caps {unknown}; valid keys are {sorted(DEFAULT_CAPS)}")
+    caps = {**DEFAULT_CAPS, **(caps or {})}
+    if field is not None and 0 < field.characteristic <= suite.char_floor:
+        needs = "0" if suite.char_floor == QQ_ONLY else f"0 or > {suite.char_floor}"
+        raise ValueError(f"suite {name} needs characteristic {needs}, got {field.name}")
+    work_field = field if field is not None or suite.accelerated else QQ
+    cases, redrawn = [], 0
+    for case in suite.cases(random.Random(seed), caps, work_field):
+        if case is None:
+            redrawn += 1
+        else:
+            cases.append(CaseRecord(len(cases), *case))
+        if len(cases) >= size or redrawn >= 80 * size:
+            break
+    field_name = "auto" if field is None else field.name
+    return SuiteReport(name, seed, size, caps, field_name, cases, {"redrawn": redrawn})
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "violation"
+
+
 def ideal_params(I: MonomialIdeal) -> dict:
     return {
         "blocks": list(I.ring.blocks),
@@ -153,35 +208,12 @@ def artinianize(I: MonomialIdeal, power: int, skip=()) -> MonomialIdeal:
     return MonomialIdeal(ring, gens)
 
 
-def _resolve_field(field, floor: int):
-    """(working field, recheck-over-QQ flag) honoring a characteristic floor."""
-    if field is None:
-        return PrimeField(ACCEL_PRIME), True
-    if 0 < field.characteristic <= floor:
-        raise ValueError(f"field {field.name} violates characteristic floor > {floor}")
-    return field, False
-
-
-def _checked_tor_violations(module_factory, bound, slack, work_field, recheck):
-    """Tor entries above the bound, confirmed over the rationals if accelerated."""
-    cand = tor_violations(module_factory(work_field), bound, slack)
-    if not cand or not recheck:
-        return cand
-    Mq = module_factory(QQ)
-    out = []
-    for i, j, _ in cand:
-        d = tor_dims(Mq, i, j)
-        if d > 0:
-            out.append((i, j, d))
-    return out
-
-
 def _estimate_component(I: MonomialIdeal, t: int, q: int) -> int:
     if t > I.r:
         return 0
     degs = sorted(total_deg(g) for g in I.gens)
     base = sum(degs[:t])
-    return comb(I.r, t) * component_dim(I.ring, max(q - base, 0))
+    return math.comb(I.r, t) * component_dim(I.ring, max(q - base, 0))
 
 
 def _feasible(I, t, qmax, caps) -> bool:
@@ -198,11 +230,12 @@ def _random_t(rng, caps, r):
 # ---------------------------------------------------------------------------
 
 
-def _suite_signs(seed, size, caps, field):
-    checked = 0
+def _signs(rng, caps, field):
+    """Associativity and graded anticommutativity of the wedge sign."""
     failures = []
     # every assignment of {1..6} to (unused, A, B, C)
-    for slots in product(range(4), repeat=6):
+    assignments = list(product(range(4), repeat=6))
+    for slots in assignments:
         parts = ([], [], [])
         for x, s in zip(range(1, 7), slots):
             if s:
@@ -210,21 +243,14 @@ def _suite_signs(seed, size, caps, field):
         A, B, C = (tuple(p) for p in parts)
         AB = tuple(sorted(A + B))
         BC = tuple(sorted(B + C))
-        checked += 1
         # associativity of e_A ^ e_B ^ e_C
         if sign(A, B) * sign(AB, C) != sign(B, C) * sign(A, BC):
             failures.append([list(A), list(B), list(C), "associativity"])
         # graded anticommutativity
         if sign(A, B) != (-1) ** (len(A) * len(B)) * sign(B, A):
             failures.append([list(A), list(B), list(C), "anticommutativity"])
-    case = CaseRecord(
-        0,
-        {"universe": 6, "checked": checked},
-        "pass" if not failures else "violation",
-        window={"exhaustive": True},
-        details={"failures": failures},
-    )
-    return [case], {"checked": checked}
+    params = {"universe": 6, "checked": len(assignments)}
+    yield params, _verdict(not failures), {"exhaustive": True}, {"failures": failures}
 
 
 def _random_chain(rng, kz, t, max_extra=2):
@@ -261,39 +287,36 @@ def _formal_equal(left: dict, right: dict) -> bool:
     return True
 
 
-def _suite_maps(seed, size, caps, field):
-    rng = random.Random(seed)
-    cases = []
-    idx = 0
-    while idx < size:
+def _maps(rng, caps, field):
+    """phi^2 = 0, the Leibniz rule and the gamma/alpha maps on random chains.
+
+    The chain arithmetic is over the integers, so the suite runs over QQ only.
+    """
+    while True:
         n = rng.choice([2, 3])
-        ring = RingConfig((n,))
-        I = random_monomial_ideal(rng, ring, max_deg=3, max_gens=8)
+        I = random_monomial_ideal(rng, RingConfig((n,)), max_deg=3, max_gens=8)
         if I.r < 2:
+            yield None
             continue
         kz = KoszulComplex(I)
         t = rng.randint(1, min(3, I.r))
         s = rng.randint(1, min(3, I.r - 1))
         f, alpha = _random_chain(rng, kz, t)
         a, _ = _random_chain(rng, kz, s)
-        details = {}
-        ok = True
+        failed = {}
 
         if t >= 2 and not boundary(boundary(f)).is_zero():
-            ok = False
-            details["phi_squared"] = "nonzero"
+            failed["phi_squared"] = "nonzero"
         lhs = boundary(wedge(a, f))
         rhs = wedge(boundary(a), f) + wedge(a, boundary(f)).scale((-1) ** s)
         if lhs != rhs:
-            ok = False
-            details["leibniz"] = "failed"
+            failed["leibniz"] = "failed"
         if t >= 2:
             gsize = rng.randint(0, t - 1)
             gb = gamma_map(boundary(f), gsize)
             # outer differential: phi o gamma_{s+1} = gamma_s o phi
             if not _formal_equal(formal_boundary(gamma_map(f, gsize + 1), I), gb):
-                ok = False
-                details["gamma_outer"] = "failed"
+                failed["gamma_outer"] = "failed"
             # inner differential commutes up to (-1)^s
             inner = {
                 T: boundary(b).scale((-1) ** gsize)
@@ -301,41 +324,70 @@ def _suite_maps(seed, size, caps, field):
             }
             inner = {T: b for T, b in inner.items() if not b.is_zero()}
             if not _formal_equal(inner, gb):
-                ok = False
-                details["gamma_inner"] = "failed"
+                failed["gamma_inner"] = "failed"
             # binomial recombination: sum e_I . b_I = C(t, s) f
-            if alpha_map(gamma_map(f, gsize), I, t) != f.scale(comb(t, gsize)):
-                ok = False
-                details["binomial_recombination"] = "failed"
+            if alpha_map(gamma_map(f, gsize), I, t) != f.scale(math.comb(t, gsize)):
+                failed["binomial_recombination"] = "failed"
         cyc = kz.cycle_space(t, alpha)
         if cyc.vectors:
             vec = cyc.vectors[rng.randrange(len(cyc.vectors))]
             z = kz.vector_chain(t, alpha, vec)
             gsize = rng.randint(1, t)
             gm = gamma_map(z, gsize)
-            for b in gm.values():
-                if not boundary(b).is_zero():
-                    ok = False
-                    details["cycle_parts"] = "failed"
-            if alpha_map(gm, I, t) != z.scale(comb(t, gsize)):
-                ok = False
-                details["alpha_beta"] = "failed"
-        cases.append(
-            CaseRecord(
-                idx,
-                {"ideal": ideal_params(I), "t": t, "s": s, "degree": list(alpha)},
-                "pass" if ok else "violation",
-                window={"random": True},
-                details=details,
-            )
-        )
-        idx += 1
-    return cases, {}
+            if any(not boundary(b).is_zero() for b in gm.values()):
+                failed["cycle_parts"] = "failed"
+            if alpha_map(gm, I, t) != z.scale(math.comb(t, gsize)):
+                failed["alpha_beta"] = "failed"
+        params = {"ideal": ideal_params(I), "t": t, "s": s, "degree": list(alpha)}
+        yield params, _verdict(not failed), {"random": True}, failed
 
 
 # ---------------------------------------------------------------------------
 # regularity falsification suites
 # ---------------------------------------------------------------------------
+
+
+def _tor_check(module_factory, bound, slack, i_max, field):
+    """Nonzero Tor_i(M, K)_j with bound < j - i <= bound + slack and i <= i_max.
+
+    module_factory(field) builds M.  The auto field (None) scans in
+    GF(ACCEL_PRIME) and keeps an entry only if it is nonzero over QQ too,
+    with its rational dimension; a forced field scans in that field alone.
+    """
+    if field is not None:
+        return tor_violations(module_factory(field), bound, slack, i_max)
+    found = tor_violations(module_factory(PrimeField(ACCEL_PRIME)), bound, slack, i_max)
+    if not found:
+        return found
+    Mq = module_factory(QQ)
+    return [(i, j, d) for i, j, _ in found if (d := tor_dims(Mq, i, j)) > 0]
+
+
+def _tor_suite(build, size=50, found="violation") -> Suite:
+    """A suite whose cases are Tor checks.
+
+    build(rng, caps, field) -> (params, checks, window), or None to redraw,
+    gets the exact field (QQ under auto).  checks are (label, module_factory,
+    bound, i_max) tuples; a case with an entry found gets the verdict `found`.
+    """
+
+    def cases(rng, caps, field):
+        exact = QQ if field is None else field
+        while True:
+            built = build(rng, caps, exact)
+            if built is None:
+                yield None
+                continue
+            params, checks, window = built
+            violations = [
+                {"check": label, "i": i, "j": j, "dim": d, "bound": bound}
+                for label, factory, bound, i_max in checks
+                for i, j, d in _tor_check(factory, bound, caps["slack"], i_max, field)
+            ]
+            verdict = found if violations else "pass"
+            yield params, verdict, window, {"violations": violations}
+
+    return Suite(cases, size, accelerated=True)
 
 
 def _smallest_power_degree(I: MonomialIdeal) -> int:
@@ -348,216 +400,132 @@ def _smallest_power_degree(I: MonomialIdeal) -> int:
     return c
 
 
-def _reg_suite(seed, size, caps, field, build_case):
-    """Shared driver.  build_case(rng) -> (params, checks, window) or None
-    to redraw; checks is a list of (label, module_factory, bound)."""
-    slack = caps["slack"]
-    rng = random.Random(seed)
-    cases = []
-    redrawn = 0
-    work_field, recheck = _resolve_field(field, caps["char_floor"])
-    while len(cases) < size and redrawn < 80 * size:
-        built = build_case(rng)
-        if built is None:
-            redrawn += 1
-            continue
-        params, checks, window = built
-        violations = []
-        for label, factory, bound in checks:
-            found = _checked_tor_violations(factory, bound, slack, work_field, recheck)
-            for i, j, d in found:
-                violations.append(
-                    {"check": label, "i": i, "j": j, "dim": d, "bound": bound}
-                )
-        cases.append(
-            CaseRecord(
-                len(cases),
-                params,
-                "pass" if not violations else "violation",
-                window=window,
-                details={"violations": violations},
-            )
-        )
-    return cases, {"redrawn": redrawn}
-
-
-def _zh_factories(I, t):
+def _zh_factories(I, t, coeffs=None):
     """Factories for Z_t and H_t sharing one complex per field."""
     cache = {}
 
     def get(f):
         if f not in cache:
-            cache[f] = KoszulComplex(I, f)
+            cache[f] = KoszulComplex(I, f, coeffs)
         return cache[f]
 
     return (lambda f: cycle_module(get(f), t)), (lambda f: homology_module(get(f), t))
 
 
-def _suite_regb(seed, size, caps, field):
-    def build(rng):
-        n = rng.choice([2, 2, 3])
-        ring = RingConfig((n,))
-        I = artinianize(random_monomial_ideal(rng, ring, 3, 3), rng.randint(2, 3))
-        c = _smallest_power_degree(I)
-        t = _random_t(rng, caps, I.r)
-        bound_z = t * (c + 1)
-        bound_h = bound_z + c - 1
-        if not _feasible(I, t, bound_h + caps["slack"] + 1, caps):
-            return None
-        fz, fh = _zh_factories(I, t)
-        params = {"ideal": ideal_params(I), "t": t, "c": c}
-        window = {
-            "bound_z": bound_z,
-            "bound_h": bound_h,
-            "slack": caps["slack"],
-            "certified": True,
-        }
-        return params, [("Z", fz, bound_z), ("H", fh, bound_h)], window
-
-    return _reg_suite(seed, size, caps, field, build)
+def _regb(rng, caps, field):
+    n = rng.choice([2, 2, 3])
+    I = artinianize(random_monomial_ideal(rng, RingConfig((n,)), 3, 3), rng.randint(2, 3))
+    c = _smallest_power_degree(I)
+    t = _random_t(rng, caps, I.r)
+    bound_z = t * (c + 1)
+    bound_h = bound_z + c - 1
+    if not _feasible(I, t, bound_h + caps["slack"] + 1, caps):
+        return None
+    fz, fh = _zh_factories(I, t)
+    params = {"ideal": ideal_params(I), "t": t, "c": c}
+    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": True}
+    return params, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
 
 
-def _suite_thm1(seed, size, caps, field):
-    def build(rng):
-        n = rng.choice([2, 3])
-        ring = RingConfig((n,))
-        I = random_monomial_ideal(rng, ring, 3, 3)
-        if monomial_quotient_dim(I) > 1:
-            I = artinianize(I, 3, skip=(rng.randrange(n),))
-        regI, _ = reg_monomial_ideal(I)
-        t = _random_t(rng, caps, I.r)
-        bound = t * (regI + 1)
-        if not _feasible(I, t, bound + caps["slack"] + 1, caps):
-            return None
-        fz, _ = _zh_factories(I, t)
-        params = {
-            "ideal": ideal_params(I),
-            "t": t,
-            "reg_I": regI,
-            "dim": monomial_quotient_dim(I),
-        }
-        window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
-        return params, [("Z", fz, bound)], window
-
-    return _reg_suite(seed, size, caps, field, build)
+def _thm1(rng, caps, field):
+    n = rng.choice([2, 3])
+    I = random_monomial_ideal(rng, RingConfig((n,)), 3, 3)
+    if monomial_quotient_dim(I) > 1:
+        I = artinianize(I, 3, skip=(rng.randrange(n),))
+    reg_I = reg_monomial_ideal(I, field)
+    t = _random_t(rng, caps, I.r)
+    bound = t * (reg_I + 1)
+    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
+        return None
+    params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": monomial_quotient_dim(I)}
+    window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
+    return params, [("Z", _zh_factories(I, t)[0], bound, None)], window
 
 
-def _suite_greeny(seed, size, caps, field):
-    def build(rng):
-        n = rng.choice([2, 2, 3])
-        ring = RingConfig((n,))
-        I = artinianize(random_monomial_ideal(rng, ring, 3, 3), rng.randint(2, 3))
-        c = I.max_gen_degree()
-        v = quotient_component_dim(I, c)
-        t = _random_t(rng, caps, I.r)
-        bound_z = t * (c + 1) + v
-        bound_h = bound_z + c - 1
-        if not _feasible(I, t, bound_h + caps["slack"] + 1, caps):
-            return None
-        fz, fh = _zh_factories(I, t)
-        params = {"ideal": ideal_params(I), "t": t, "c": c, "v": v}
-        window = {
-            "bound_z": bound_z,
-            "bound_h": bound_h,
-            "slack": caps["slack"],
-            "certified": True,
-        }
-        return params, [("Z", fz, bound_z), ("H", fh, bound_h)], window
-
-    return _reg_suite(seed, size, caps, field, build)
+def _greeny(rng, caps, field):
+    n = rng.choice([2, 2, 3])
+    I = artinianize(random_monomial_ideal(rng, RingConfig((n,)), 3, 3), rng.randint(2, 3))
+    c = I.max_gen_degree()
+    v = quotient_component_dim(I, c)
+    t = _random_t(rng, caps, I.r)
+    bound_z = t * (c + 1) + v
+    bound_h = bound_z + c - 1
+    if not _feasible(I, t, bound_h + caps["slack"] + 1, caps):
+        return None
+    fz, fh = _zh_factories(I, t)
+    params = {"ideal": ideal_params(I), "t": t, "c": c, "v": v}
+    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": True}
+    return params, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
 
 
-def _suite_remark_b(seed, size, caps, field):
-    rng = random.Random(seed)
-    cases = []
-    while len(cases) < size:
+def _remark_b(rng, caps, field):
+    """m^(c + v) lies in I; a power-containment fact, so no field is used."""
+    while True:
         n = rng.choice([2, 2, 3])
         ring = RingConfig((n,))
         I = artinianize(random_monomial_ideal(rng, ring, 3, 3), rng.randint(2, 3))
         c = I.max_gen_degree()
         v = quotient_component_dim(I, c)
+        params = {"ideal": ideal_params(I), "c": c, "v": v}
         ok = power_containment(I, c + v)
-        cases.append(
-            CaseRecord(
-                len(cases),
-                {"ideal": ideal_params(I), "c": c, "v": v},
-                "pass" if ok else "violation",
-                window={"exact": True, "certified": True},
-                details={"power": c + v},
-            )
-        )
-    return cases, {}
+        yield params, _verdict(ok), {"exact": True, "certified": True}, {"power": c + v}
 
 
-def _suite_piper(seed, size, caps, field):
-    """Generation degrees of Z_t for strongly stable ideals."""
-    rng = random.Random(seed)
-    cases = []
-    redrawn = 0
-    work_field, recheck = _resolve_field(field, caps["char_floor"])
-    while len(cases) < size and redrawn < 80 * size:
-        n = rng.choice([2, 3])
-        ring = RingConfig((n,))
-        seeds = [
-            random_monomial_ideal(rng, ring, 3, 2).gens[0]
-            for _ in range(rng.randint(1, 2))
-        ]
-        I = borel_closure(ring, seeds)
-        c = I.max_gen_degree()
-        t = _random_t(rng, caps, I.r)
-        bound = t * (c + 1)
-        if not _feasible(I, t, bound + caps["slack"] + 1, caps):
-            redrawn += 1
-            continue
-        M = cycle_module(KoszulComplex(I, work_field), t)
-        high = []
-        for j in range(bound + 1, bound + caps["slack"] + 1):
-            d = tor_dims(M, 0, j)
-            if d > 0 and recheck:
-                d = tor_dims(cycle_module(KoszulComplex(I, QQ), t), 0, j)
-            if d > 0:
-                high.append({"j": j, "dim": d})
-        cases.append(
-            CaseRecord(
-                len(cases),
-                {"ideal": ideal_params(I), "t": t, "reg_I": c},
-                "pass" if not high else "violation",
-                window={"bound_gen": bound, "slack": caps["slack"], "certified": False},
-                details={"generators_above_bound": high},
-            )
-        )
-    return cases, {"redrawn": redrawn}
+def _piper(rng, caps, field):
+    """Generation degrees of Z_t for strongly stable ideals: Tor_0 only."""
+    n = rng.choice([2, 3])
+    ring = RingConfig((n,))
+    seeds = [random_monomial_ideal(rng, ring, 3, 2).gens[0] for _ in range(rng.randint(1, 2))]
+    I = borel_closure(ring, seeds)
+    c = I.max_gen_degree()
+    t = _random_t(rng, caps, I.r)
+    bound = t * (c + 1)
+    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
+        return None
+    params = {"ideal": ideal_params(I), "t": t, "reg_I": c}
+    window = {"bound_gen": bound, "slack": caps["slack"], "certified": False}
+    return params, [("Z", _zh_factories(I, t)[0], bound, 0)], window
 
 
-def _suite_sato(seed, size, caps, field):
+def _sato(rng, caps, field):
     """Cycle regularity with quotient coefficients S/J for strongly stable I, J."""
+    n = rng.choice([2, 3])
+    ring = RingConfig((n,))
+    I = borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0]])
+    J = borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0]])
+    reg_I = I.max_gen_degree()
+    reg_SJ = J.max_gen_degree() - 1
+    t = _random_t(rng, caps, I.r)
+    bound = t * (reg_I + 1) + reg_SJ
+    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
+        return None
+    factory = _zh_factories(I, t, Coefficients(ring, J))[0]
+    params = {
+        "ideal": ideal_params(I),
+        "coeff_ideal": ideal_params(J),
+        "t": t,
+        "reg_I": reg_I,
+        "reg_SJ": reg_SJ,
+    }
+    window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
+    return params, [("Z(I;S/J)", factory, bound, None)], window
 
-    def build(rng):
-        n = rng.choice([2, 3])
-        ring = RingConfig((n,))
-        I = borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0]])
-        J = borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0]])
-        reg_I = I.max_gen_degree()
-        reg_SJ = J.max_gen_degree() - 1
-        t = _random_t(rng, caps, I.r)
-        bound = t * (reg_I + 1) + reg_SJ
-        if not _feasible(I, t, bound + caps["slack"] + 1, caps):
-            return None
 
-        def factory(f):
-            return cycle_module(KoszulComplex(I, f, Coefficients(ring, J)), t)
-
-        params = {
-            "ideal": ideal_params(I),
-            "coeff_ideal": ideal_params(J),
-            "t": t,
-            "reg_I": reg_I,
-            "reg_SJ": reg_SJ,
-        }
-        window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
-        return params, [("Z(I;S/J)", factory, bound)], window
-
-    return _reg_suite(seed, size, caps, field, build)
+def _probe_q1_case(rng, caps, field):
+    """reg Z_t against t(reg(I) + 1) for an ideal of positive dimension."""
+    n = rng.choice([2, 3])
+    I = random_monomial_ideal(rng, RingConfig((n,)), 3, 3)
+    dim = monomial_quotient_dim(I)
+    if dim == 0:
+        return None
+    reg_I = reg_monomial_ideal(I, field)
+    t = _random_t(rng, caps, I.r)
+    bound = t * (reg_I + 1)
+    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
+        return None
+    params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": dim}
+    window = {"bound": bound, "slack": caps["slack"], "certified": False}
+    return params, [("Z", _zh_factories(I, t)[0], bound, None)], window
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +541,13 @@ def _cycle_basis_chains(kz, t, alpha):
 MULTI_SPECS = [((2, 2), (1, 1)), ((2, 2), (2, 1)), ((2, 2), (1, 2))]
 
 
-def _suite_multi(seed, size, caps, field):
-    cases = []
-    for idx, (blocks, cvec) in enumerate(MULTI_SPECS[:size] if size else MULTI_SPECS):
+def _multi(rng, caps, field):
+    """Z_1 and Z_2 of m^c generated by low-degree cycles and one-cycle wedges.
+
+    The candidates are integer chains built from kernel vectors, so the suite
+    runs over QQ only.
+    """
+    for blocks, cvec in MULTI_SPECS:
         ring = RingConfig(blocks)
         ideal = power_ideal(ring, cvec)
         kz = KoszulComplex(ideal)
@@ -587,7 +559,6 @@ def _suite_multi(seed, size, caps, field):
             udeg = tuple(ci + (1 if b == blk else 0) for b, ci in enumerate(cvec))
             pool.extend(_cycle_basis_chains(kz, 1, udeg))
         results = {}
-        ok = True
         for t in (1, 2):
             bound = tuple(t * ci + (t - 1) for ci in cvec)
             candidates = []
@@ -606,17 +577,8 @@ def _suite_multi(seed, size, caps, field):
                 "window": list(D),
                 "first_fail": list(first_fail) if first_fail else None,
             }
-            ok = ok and generated
-        cases.append(
-            CaseRecord(
-                idx,
-                {"blocks": list(blocks), "c": list(cvec)},
-                "pass" if ok else "violation",
-                window={"capped": True},
-                details=results,
-            )
-        )
-    return cases, {}
+        ok = all(r["generated"] for r in results.values())
+        yield {"blocks": list(blocks), "c": list(cvec)}, _verdict(ok), {"capped": True}, results
 
 
 MULTI2_CONFIGS = [
@@ -625,10 +587,9 @@ MULTI2_CONFIGS = [
 ]
 
 
-def _suite_multi2(seed, size, caps, field):
-    cases = []
-    for idx, cfg in enumerate(MULTI2_CONFIGS):
-        checker = Multi2Checker(RingConfig(cfg["blocks"]), cfg["c"], cfg["block"], QQ)
+def _multi2(rng, caps, field):
+    for cfg in MULTI2_CONFIGS:
+        checker = Multi2Checker(RingConfig(cfg["blocks"]), cfg["c"], cfg["block"], field)
         failures = []
         count = 0
         for a_mons, y_pairs, a_extra in checker.enumerate_trials():
@@ -642,119 +603,75 @@ def _suite_multi2(seed, size, caps, field):
                         "extra": list(a_extra),
                     }
                 )
-        cases.append(
-            CaseRecord(
-                idx,
-                {
-                    "blocks": list(cfg["blocks"]),
-                    "c": list(cfg["c"]),
-                    "block": cfg["block"],
-                    "factor": checker.u + 1,
-                },
-                "pass" if not failures else "violation",
-                window={"exhaustive_trials": count, "certified": True},
-                details={"failures": failures},
-            )
-        )
-    return cases, {}
+        params = {
+            "blocks": list(cfg["blocks"]),
+            "c": list(cfg["c"]),
+            "block": cfg["block"],
+            "factor": checker.u + 1,
+        }
+        window = {"exhaustive_trials": count, "certified": True}
+        yield params, _verdict(not failures), window, {"failures": failures}
 
 
 MAINCYC_COMBOS = [(n, c, t) for n in (2, 3) for c in (1, 2) for t in (1, 2, 3)]
 
 
-def _suite_maincyc(seed, size, caps, field):
+def _maincyc(rng, caps, field):
     """Z_t = Z_1^t in the generating window for powers of the maximal ideal."""
-    cases = []
-    for idx, (n, c, t) in enumerate(MAINCYC_COMBOS):
-        ring = RingConfig((n,))
-        ideal = power_ideal(ring, c)
+    for n, c, t in MAINCYC_COMBOS:
+        params = {"n": n, "c": c, "t": t}
+        ideal = power_ideal(RingConfig((n,)), c)
         if t > ideal.r:
-            cases.append(
-                CaseRecord(
-                    idx,
-                    {"n": n, "c": c, "t": t},
-                    "pass",
-                    window={"rank_zero": True},
-                    details={"note": "exterior power vanishes"},
-                )
-            )
+            yield params, "pass", {"rank_zero": True}, {"note": "exterior power vanishes"}
             continue
-        kz = KoszulComplex(ideal)
+        kz = KoszulComplex(ideal, field)
         start = t * (c + 1)
         mismatches = []
         dims = {}
         for j in range(start, start + caps["slack"] + 1):
             dz = len(kz.cycle_space(t, j).vectors)
-            dp = len(z1_power_component(ideal, t, j).vectors)
+            dp = len(z1_power_component(ideal, t, j, field).vectors)
             dims[str(j)] = {"Z": dz, "Z1_power": dp}
             if dz != dp:
                 mismatches.append(j)
-        cases.append(
-            CaseRecord(
-                idx,
-                {"n": n, "c": c, "t": t},
-                "pass" if not mismatches else "violation",
-                window={"degrees": [start, start + caps["slack"]], "certified": True},
-                details={"dims": dims, "mismatch_degrees": mismatches},
-            )
-        )
-    return cases, {}
+        window = {"degrees": [start, start + caps["slack"]], "certified": True}
+        details = {"dims": dims, "mismatch_degrees": mismatches}
+        yield params, _verdict(not mismatches), window, details
 
 
 GEN2_SPECS = [(2, 2), (2, 3), (3, 2)]
 
 
-def _suite_gen2(seed, size, caps, field):
-    cases = []
-    for idx, (n, c) in enumerate(GEN2_SPECS[:size] if size else GEN2_SPECS):
+def _gen2(rng, caps, field):
+    for n, c in GEN2_SPECS:
         ideal = power_ideal(RingConfig((n,)), c)
-        families = gen2_families(n, c)
+        families = gen2_families(n, c, field)
         D = 2 * c + 2
-        generated, first_fail = generates_up_to(
-            [f.chain for f in families], ideal, 2, D
-        )
-        cases.append(
-            CaseRecord(
-                idx,
-                {"n": n, "c": c, "families": len(families)},
-                "pass" if generated else "violation",
-                window={"degree_bound": D, "certified": True},
-                details={"first_fail": list(first_fail) if first_fail else None},
-            )
-        )
-    return cases, {}
+        generated, first_fail = generates_up_to([f.chain for f in families], ideal, 2, D, field)
+        params = {"n": n, "c": c, "families": len(families)}
+        details = {"first_fail": list(first_fail) if first_fail else None}
+        yield params, _verdict(generated), {"degree_bound": D, "certified": True}, details
 
 
 CHECK_SPECS = [((3,), (2,)), ((2, 2), (1, 1))]
 
 
-def _suite_check(seed, size, caps, field):
-    cases = []
-    for idx, (blocks, cvec) in enumerate(CHECK_SPECS):
+def _check(rng, caps, field):
+    for blocks, cvec in CHECK_SPECS:
         spec = SegreVeroneseSpec(blocks, cvec)
+        params = {"blocks": list(blocks), "c": list(cvec)}
         target = spec.min_c + 1
         try:
-            res = green_lazarsfeld_index(spec, target, QQ)
+            res = green_lazarsfeld_index(spec, target, field)
         except InfeasibleError as exc:
-            cases.append(
-                CaseRecord(
-                    idx,
-                    {"blocks": list(blocks), "c": list(cvec)},
-                    "infeasible",
-                    details={"estimate": exc.estimate},
-                )
-            )
+            yield params, "infeasible", None, {"estimate": exc.estimate}
             continue
-        cases.append(
-            CaseRecord(
-                idx,
-                {"blocks": list(blocks), "c": list(cvec), "target": target},
-                "pass" if res.satisfies(target) else "violation",
-                window={"i_max": target, "certified": True},
-                details={"index": res.describe(), "betti": res.table.to_dict()},
-            )
+        yield (
+            {**params, "target": target},
+            _verdict(res.satisfies(target)),
+            {"i_max": target, "certified": True},
+            {"index": res.describe(), "betti": res.table.to_dict()},
         )
-    return cases, {}
 
 
 def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
@@ -814,15 +731,15 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
     return dim_p - rel_rank - mu_rank
 
 
-def _suite_surge(seed, size, caps, field):
+def _surge(rng, caps, field):
     """Tor_1(S/I, Z_1)_j = 0 iff one-cycle products span (Z_2)_j, for I = m^2."""
     ideal = power_ideal(RingConfig((2,)), 2)
-    kz = KoszulComplex(ideal)
+    kz = KoszulComplex(ideal, field)
     mismatches = []
     table = {}
     for j in range(0, caps["surge_degree"] + 1):
         dz2 = len(kz.cycle_space(2, j).vectors)
-        prods = Echelon(QQ)
+        prods = Echelon(field)
         prod_rank = 0
         for a in range(0, j + 1):
             for f in _cycle_basis_chains(kz, 1, a):
@@ -838,42 +755,29 @@ def _suite_surge(seed, size, caps, field):
         table[str(j)] = {"dim_Z2": dz2, "product_rank": prod_rank, "tor1": tor1}
         if (tor1 == 0) != surjective:
             mismatches.append(j)
-    cases = [
-        CaseRecord(
-            0,
-            {"n": 2, "c": 2, "s": 1, "t": 1},
-            "pass" if not mismatches else "violation",
-            window={"degrees": [0, caps["surge_degree"]], "certified": True},
-            details={"by_degree": table, "mismatch_degrees": mismatches},
-        )
-    ]
-    return cases, {}
+    window = {"degrees": [0, caps["surge_degree"]], "certified": True}
+    details = {"by_degree": table, "mismatch_degrees": mismatches}
+    yield {"n": 2, "c": 2, "s": 1, "t": 1}, _verdict(not mismatches), window, details
 
 
 SUITES = {
-    "signs": (_suite_signs, 1),
-    "maps": (_suite_maps, 200),
-    "regb": (_suite_regb, 50),
-    "thm1": (_suite_thm1, 50),
-    "greeny": (_suite_greeny, 50),
-    "remark_b": (_suite_remark_b, 50),
-    "piper": (_suite_piper, 50),
-    "sato": (_suite_sato, 50),
-    "multi": (_suite_multi, len(MULTI_SPECS)),
-    "multi2": (_suite_multi2, len(MULTI2_CONFIGS)),
-    "maincyc": (_suite_maincyc, len(MAINCYC_COMBOS)),
-    "gen2": (_suite_gen2, len(GEN2_SPECS)),
-    "check": (_suite_check, len(CHECK_SPECS)),
-    "surge": (_suite_surge, 1),
+    "signs": Suite(_signs, 1, QQ_ONLY),
+    "maps": Suite(_maps, 200, QQ_ONLY),
+    "regb": _tor_suite(_regb),
+    "thm1": _tor_suite(_thm1),
+    "greeny": _tor_suite(_greeny),
+    "remark_b": Suite(_remark_b, 50, QQ_ONLY),
+    "piper": _tor_suite(_piper),
+    "sato": _tor_suite(_sato),
+    "multi": Suite(_multi, len(MULTI_SPECS), QQ_ONLY),
+    "multi2": Suite(_multi2, len(MULTI2_CONFIGS)),
+    "maincyc": Suite(_maincyc, len(MAINCYC_COMBOS)),
+    "gen2": Suite(_gen2, len(GEN2_SPECS), char_floor=2),
+    "check": Suite(_check, len(CHECK_SPECS)),
+    "surge": Suite(_surge, 1),
 }
 
-SUITE_CHAR_FLOORS = {
-    "thm1": 3,
-    "maincyc": 3,
-    "multi2": 3,
-    "check": 3,
-    "gen2": 2,
-}
+_PROBE_Q1 = _tor_suite(_probe_q1_case, size=20, found="candidate")
 
 
 def run_suite(name, seed=1, size=None, caps=None, field=None) -> SuiteReport:
@@ -881,77 +785,18 @@ def run_suite(name, seed=1, size=None, caps=None, field=None) -> SuiteReport:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         )
-    fn, default_size = SUITES[name]
-    size = default_size if size is None else size
-    merged = dict(DEFAULT_CAPS)
-    merged.update(caps or {})
-    merged.setdefault("char_floor", SUITE_CHAR_FLOORS.get(name, merged["t_max"]))
-    if field is not None and 0 < field.characteristic <= merged["char_floor"]:
-        raise ValueError(
-            f"suite {name} needs characteristic 0 or > {merged['char_floor']}"
-        )
-    cases, summary = fn(seed, size, merged, field)
-    field_name = "auto" if field is None else field.name
-    return SuiteReport(name, seed, size, merged, field_name, cases, summary)
+    return _run(name, SUITES[name], seed, size, caps, field)
 
 
-def probe_q1(seed=1, size=20, caps=None, field=None) -> SuiteReport:
+def probe_q1(seed=1, size=None, caps=None, field=None) -> SuiteReport:
     """Capped scans of reg Z_t for ideals of positive dimension.
 
     Entries above t(reg(I) + 1) are flagged as candidates, never refutations:
     the window is capped, not certified.
     """
-    merged = dict(DEFAULT_CAPS)
-    merged.update(caps or {})
-    merged.setdefault("char_floor", merged["t_max"])
-    rng = random.Random(seed)
-    work_field, recheck = _resolve_field(field, merged["char_floor"])
-    cases = []
-    redrawn = 0
-    max_excess = None
-    while len(cases) < size and redrawn < 80 * size:
-        n = rng.choice([2, 3])
-        ring = RingConfig((n,))
-        I = random_monomial_ideal(rng, ring, 3, 3)
-        if monomial_quotient_dim(I) == 0:
-            redrawn += 1
-            continue
-        regI, _ = reg_monomial_ideal(I)
-        t = _random_t(rng, merged, I.r)
-        bound = t * (regI + 1)
-        if not _feasible(I, t, bound + merged["slack"] + 1, merged):
-            redrawn += 1
-            continue
-
-        def factory(f, I=I, t=t):
-            return cycle_module(KoszulComplex(I, f), t)
-
-        found = _checked_tor_violations(
-            factory, bound, merged["slack"], work_field, recheck
-        )
-        excess = max((j - i - bound for i, j, _ in found), default=None)
-        if excess is not None:
-            max_excess = excess if max_excess is None else max(max_excess, excess)
-        cases.append(
-            CaseRecord(
-                len(cases),
-                {
-                    "ideal": ideal_params(I),
-                    "t": t,
-                    "reg_I": regI,
-                    "dim": monomial_quotient_dim(I),
-                },
-                "candidate" if found else "pass",
-                window={"bound": bound, "slack": merged["slack"], "certified": False},
-                details={"entries_above_bound": [list(f) for f in found]},
-            )
-        )
-    return SuiteReport(
-        "probe_q1",
-        seed,
-        size,
-        merged,
-        "auto" if field is None else field.name,
-        cases,
-        {"max_observed_excess": max_excess, "redrawn": redrawn},
-    )
+    report = _run("probe_q1", _PROBE_Q1, seed, size, caps, field)
+    excess = [
+        v["j"] - v["i"] - v["bound"] for c in report.cases for v in c.details["violations"]
+    ]
+    report.summary["max_observed_excess"] = max(excess, default=None)
+    return report

@@ -374,33 +374,6 @@ def tor_dims(M: GradedModule, i: int, j: int) -> int:
     return dim_src - rk_out - rk_in
 
 
-@dataclass
-class RegScan:
-    value: int | None  # max j - i with nonzero Tor, None if no Tor found
-    witnesses: list  # (i, j, dim)
-    certified: bool
-    cap: int
-
-
-def reg_scan(M: GradedModule, cap: int, certified_bound=None) -> RegScan:
-    """Scan Tor_i(M, K)_j for 0 <= i <= n, j <= cap + i.
-
-    The result is certified when a caller-supplied vanishing bound fits inside
-    the cap; otherwise it is a lower bound (capped).
-    """
-    n = M.ring.n
-    witnesses = []
-    value = None
-    for q in range(0, cap + 1):
-        for i in range(0, n + 1):
-            d = tor_dims(M, i, i + q)
-            if d > 0:
-                witnesses.append((i, i + q, d))
-                value = q if value is None else max(value, q)
-    certified = certified_bound is not None and certified_bound <= cap
-    return RegScan(value, witnesses, certified, cap)
-
-
 def tor_violations(M: GradedModule, bound: int, slack: int = 2, i_max=None):
     """Nonzero Tor entries with j - i in (bound, bound + slack].
 

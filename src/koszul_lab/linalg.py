@@ -9,18 +9,12 @@ from __future__ import annotations
 
 
 class SparseMatrix:
-    """Immutable-ish sparse matrix with optional row/column basis labels."""
+    """Immutable-ish sparse matrix with entries {(row, col): scalar}."""
 
-    def __init__(self, nrows, ncols, entries=None, row_labels=None, col_labels=None):
+    def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
         self.ncols = ncols
         self.entries = dict(entries or {})
-        if row_labels is not None and len(row_labels) != nrows:
-            raise ValueError("row label count mismatch")
-        if col_labels is not None and len(col_labels) != ncols:
-            raise ValueError("column label count mismatch")
-        self.row_labels = row_labels
-        self.col_labels = col_labels
 
     def rows(self):
         out = [dict() for _ in range(self.nrows)]
@@ -33,15 +27,6 @@ class SparseMatrix:
         for (i, j), v in self.entries.items():
             out[j][i] = v
         return out
-
-    def transpose(self):
-        return SparseMatrix(
-            self.ncols,
-            self.nrows,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
 
     def apply(self, vec: dict, field) -> dict:
         """Matrix times sparse column vector."""
@@ -96,11 +81,6 @@ class Echelon:
                     else:
                         combo[tag] = newv
         return row, combo, None
-
-    def reduce(self, row):
-        """Remainder of row modulo the current span (no insertion)."""
-        rem, _, _ = self._reduce(self._clean(row), None)
-        return rem
 
     def express(self, row):
         """Coefficients {tag: coeff} with row = sum coeff * added-row, or None."""
@@ -179,13 +159,6 @@ def kernel_basis(M: SparseMatrix, field) -> list:
                 vec[p] = field.neg(row[free])
         basis.append(vec)
     return basis
-
-
-def span_rank(vectors, field) -> int:
-    ech = Echelon(field)
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
 
 
 def in_span(vectors, target, field):

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
 
+from .fields import QQ
+
 
 @dataclass(frozen=True)
 class RingConfig:
@@ -312,6 +314,8 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
     {"blocks": [...], "generators": [[e, ...], ...]} or
     {"blocks": [...], "power": [c1, ..., cd]}.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"ideal must be a JSON object, got {type(data).__name__}")
     ring = RingConfig(tuple(data["blocks"]))
     if "power" in data:
         return power_ideal(ring, tuple(data["power"]))
@@ -320,8 +324,8 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
     raise ValueError("ideal dict needs 'generators' or 'power'")
 
 
-def reg_monomial_ideal(I: MonomialIdeal):
-    """(reg(I), certified).  Strongly stable: max generator degree.
+def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
+    """reg(I) over `field`.  Strongly stable: max generator degree.
 
     Otherwise reg(S/I) is computed from Tor_i(S/I, K) scanned up to the Taylor
     caps, which certify vanishing beyond; reg(I) = reg(S/I) + 1.
@@ -329,15 +333,13 @@ def reg_monomial_ideal(I: MonomialIdeal):
     if I.ring.d != 1:
         raise ValueError("regularity over the standard grading only")
     if is_strongly_stable(I):
-        return I.max_gen_degree(), True
+        return I.max_gen_degree()
     from .homology import quotient_ring_module, tor_dims
-    from .fields import QQ
 
-    M = quotient_ring_module(I.ring, I, QQ)
-    caps = taylor_caps(I)
+    M = quotient_ring_module(I.ring, I, field)
     reg = 0
-    for i, cap in caps.items():
+    for i, cap in taylor_caps(I).items():
         for j in range(i, cap + 1):
             if tor_dims(M, i, j) > 0:
                 reg = max(reg, j - i)
-    return reg + 1, True
+    return reg + 1

@@ -104,3 +104,30 @@ def test_infeasible_exit(capsys):
     # a huge spec trips the component ceiling through the CLI
     code = main(["betti", "--blocks", "6", "--c", "6", "--imax", "4"])
     assert code == EXIT_INFEASIBLE
+
+
+def test_bad_size_exits_usage(capsys):
+    for size in ("0", "-3"):
+        assert run_cli(capsys, "verify", "regb", "--size", size)[0] == EXIT_USAGE
+    assert run_cli(capsys, "verify", "multi", "--size", "0")[0] == EXIT_USAGE
+
+
+def test_size_limits_fixed_suites(capsys):
+    code, out = run_cli(capsys, "verify", "maincyc", "--size", "3")
+    assert code == EXIT_PASS
+    assert len(json.loads(out)["cases"]) == 3
+
+
+def test_unknown_cap_exits_usage(capsys):
+    code = main(["verify", "regb", "--cap", "bogus=3"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "bogus" in err and "slack" in err and "component_ceiling" in err
+    assert main(["probe-q1", "--cap", "bogus=3"]) == EXIT_USAGE
+    code = main(["verify", "maincyc", "--cap", "char_floor=1", "--field", "p=3"])
+    assert code == EXIT_USAGE
+
+
+def test_ideal_must_be_object(capsys):
+    argv = ["homology", "--ideal", "[1,2]", "-t", "1", "--degree", "2"]
+    assert run_cli(capsys, *argv)[0] == EXIT_USAGE

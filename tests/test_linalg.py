@@ -10,7 +10,6 @@ from koszul_lab.linalg import (
     in_span,
     kernel_basis,
     rank,
-    span_rank,
     vec_add,
     vec_scale,
 )
@@ -63,7 +62,8 @@ def test_kernel_vectors_annihilate():
         assert len(ker) == M.ncols - rank(M, QQ)
         for v in ker:
             assert M.apply(v, QQ) == {}
-        assert span_rank(ker, QQ) == len(ker)
+        entries = {(r, c): x for r, v in enumerate(ker) for c, x in v.items()}
+        assert rank(SparseMatrix(len(ker), M.ncols, entries), QQ) == len(ker)
 
 
 def test_rank_nullity_gfp():
@@ -133,7 +133,7 @@ def test_echelon_incremental_add():
     assert not ech.add({0: Fraction(2), 1: Fraction(4)})
     assert ech.add({1: Fraction(1)})
     assert ech.rank == 2
-    assert ech.reduce({0: Fraction(5), 1: Fraction(-1)}) == {}
+    assert not ech.add({0: Fraction(5), 1: Fraction(-1)})
 
 
 def test_express_requires_tracking():
@@ -145,7 +145,5 @@ def test_express_requires_tracking():
 
 def test_sparse_matrix_shape_ops():
     M = SparseMatrix(2, 3, {(0, 1): Fraction(2), (1, 2): Fraction(-1)})
-    assert M.transpose().entries == {(1, 0): Fraction(2), (2, 1): Fraction(-1)}
+    assert M.columns() == [{}, {0: Fraction(2)}, {1: Fraction(-1)}]
     assert M.apply({1: Fraction(3)}, QQ) == {0: Fraction(6)}
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, {}, row_labels=["a"])

@@ -132,16 +132,14 @@ def test_taylor_caps():
 def test_reg_strongly_stable():
     ring = RingConfig((3,))
     B = borel_closure(ring, [(1, 0, 2)])
-    val, certified = reg_monomial_ideal(B)
-    assert certified and val == B.max_gen_degree() == 3
+    assert reg_monomial_ideal(B) == B.max_gen_degree() == 3
 
 
 def test_reg_complete_intersection():
     # I = (x^2, y^3): Koszul resolution, reg(S/I) = 3, so reg(I) = 4
     ring = RingConfig((2,))
     I = MonomialIdeal(ring, [(2, 0), (0, 3)])
-    val, certified = reg_monomial_ideal(I)
-    assert certified and val == 4
+    assert reg_monomial_ideal(I) == 4
 
 
 def test_reg_random_vs_taylor_bound():
@@ -156,8 +154,7 @@ def test_reg_random_vs_taylor_bound():
                 exps[rng.randrange(n)] += 1
             gens.add(tuple(exps))
         I = MonomialIdeal(ring, gens)
-        val, certified = reg_monomial_ideal(I)
-        assert certified
+        val = reg_monomial_ideal(I)
         caps = taylor_caps(I)
         # reg(I) <= max over i of cap_i - i + 1
         assert val <= max(c - i for i, c in caps.items()) + 1
@@ -171,6 +168,8 @@ def test_ideal_from_dict():
     assert J == power_ideal(RingConfig((2, 2)), (1, 1))
     with pytest.raises(ValueError):
         ideal_from_dict({"blocks": [2]})
+    with pytest.raises(ValueError):
+        ideal_from_dict([1, 2])
 
 
 def test_lcm_subsets_consistent():
