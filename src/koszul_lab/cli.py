@@ -13,14 +13,9 @@ import time
 
 from .fields import FieldError, parse_field
 from .harness import SUITES, probe_q1, run_suite
-from .homology import KoszulComplex
+from .homology import InfeasibleError, KoszulComplex
 from .rings import ideal_from_dict
-from .veronese import (
-    InfeasibleError,
-    SegreVeroneseSpec,
-    green_lazarsfeld_index,
-    veronese_betti,
-)
+from .veronese import SegreVeroneseSpec, green_lazarsfeld_index, veronese_betti
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1

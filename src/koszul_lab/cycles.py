@@ -251,12 +251,6 @@ class Multi2Checker:
                 yield a_monomials, y_pairs, a_extra
 
 
-def multi2_membership(ring: RingConfig, c, block: int, trial, field=QQ):
-    """One-shot wrapper around Multi2Checker for a single trial."""
-    a_monomials, y_pairs, a_extra = trial
-    return Multi2Checker(ring, c, block, field).check(a_monomials, y_pairs, a_extra)
-
-
 def _normalized_terms(chain: KoszulChain):
     from fractions import Fraction
 

@@ -134,10 +134,6 @@ class KoszulChain:
             deg = [a + b for a, b in zip(deg, g)]
         return tuple(deg)
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.term_degree(k) for k in self.terms}
-        return len(degs) <= 1
-
     def multidegree(self):
         """Common internal multidegree; None for the zero chain."""
         degs = {self.term_degree(k) for k in self.terms}

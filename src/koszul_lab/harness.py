@@ -39,6 +39,7 @@ from .exterior import (
 from .fields import QQ, PrimeField
 from .homology import (
     Coefficients,
+    InfeasibleError,
     KoszulComplex,
     cycle_module,
     degrees_upto,
@@ -60,7 +61,7 @@ from .rings import (
     reg_monomial_ideal,
     total_deg,
 )
-from .veronese import InfeasibleError, SegreVeroneseSpec, green_lazarsfeld_index
+from .veronese import SegreVeroneseSpec, green_lazarsfeld_index
 
 ACCEL_PRIME = 32003
 
@@ -423,7 +424,7 @@ def _regb(rng, caps, field):
         return None
     fz, fh = _zh_factories(I, t)
     params = {"ideal": ideal_params(I), "t": t, "c": c}
-    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": True}
+    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
     return params, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
 
 
@@ -454,7 +455,7 @@ def _greeny(rng, caps, field):
         return None
     fz, fh = _zh_factories(I, t)
     params = {"ideal": ideal_params(I), "t": t, "c": c, "v": v}
-    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": True}
+    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
     return params, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
 
 

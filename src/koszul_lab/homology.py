@@ -2,20 +2,31 @@
 
 KoszulComplex computes bases, boundary matrices, cycle spaces and homology
 dimensions of K_t(I, M) in a fixed multidegree, with M = S or a monomial
-quotient S/J.  GradedModule represents a graded subquotient (cycles, homology,
-S/J, an ideal) with exact per-degree coordinates and the variable action, from
-which Betti numbers are computed as Koszul homology against the variables.
+quotient S/J.  GradedModule represents Z_t(I, M) or H_t(I, M) in the standard
+grading, whose Betti numbers are computed as Koszul homology against the
+variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .exterior import KoszulChain, boundary
 from .fields import QQ
 from .linalg import Echelon, SparseMatrix, kernel_basis, rank
-from .rings import MonomialIdeal, RingConfig, component_basis, mon_mul
+from .rings import MonomialIdeal, RingConfig, component_basis, component_dim, mon_mul
+
+DEFAULT_COMPONENT_CEILING = 50_000
+
+
+class InfeasibleError(RuntimeError):
+    """A requested component exceeds the configured size ceiling."""
+
+    def __init__(self, message, estimate=None):
+        super().__init__(message)
+        self.estimate = estimate
 
 
 class Coefficients:
@@ -42,10 +53,16 @@ class Coefficients:
 
 @dataclass
 class ComponentBasis:
-    """Ordered basis of a graded piece with coordinate vectors inside it."""
+    """Ordered basis of a graded piece with coordinate vectors inside it.
+
+    When `free` is set the vectors are an RREF basis: vectors[b] is 1 on
+    column free[b] and 0 on every other free column, so the coordinates of a
+    vector in their span are its entries on the free columns.
+    """
 
     keys: list
     vectors: list  # dicts {column index: scalar}
+    free: list | None = None
 
     @property
     def dim(self):
@@ -53,15 +70,27 @@ class ComponentBasis:
 
 
 class KoszulComplex:
-    """K(I, M) for a monomial ideal I, with per-(t, degree) caches."""
+    """K(I, M) for a monomial ideal I, with per-(t, degree) caches.
 
-    def __init__(self, I: MonomialIdeal, field=QQ, coeffs: Coefficients | None = None):
+    A component of K_t larger than `ceiling` raises InfeasibleError before
+    any of it is enumerated.
+    """
+
+    def __init__(
+        self,
+        I: MonomialIdeal,
+        field=QQ,
+        coeffs: Coefficients | None = None,
+        ceiling: int = DEFAULT_COMPONENT_CEILING,
+    ):
         self.ideal = I
         self.ring = I.ring
         self.field = field
         self.coeffs = coeffs or Coefficients(I.ring)
+        self.ceiling = ceiling
         self._basis = {}
         self._bmat = {}
+        self._rank = {}
         self._kernel = {}
         self._gen_mdegs = [self.ring.mdeg(g) for g in I.gens]
 
@@ -71,17 +100,24 @@ class KoszulComplex:
         key = (t, alpha)
         if key in self._basis:
             return self._basis[key]
-        out = []
+        shifted = []
         if 0 <= t <= self.ideal.r:
             for T in combinations(range(1, self.ideal.r + 1), t):
                 wdeg = list(alpha)
                 for i in T:
                     g = self._gen_mdegs[i - 1]
                     wdeg = [a - b for a, b in zip(wdeg, g)]
-                if any(a < 0 for a in wdeg):
-                    continue
-                for w in self.coeffs.basis(tuple(wdeg)):
-                    out.append((T, w))
+                if all(a >= 0 for a in wdeg):
+                    shifted.append((T, tuple(wdeg)))
+        # dim S_wdeg bounds dim M_wdeg, so the estimate is exact for M = S
+        est = sum(component_dim(self.ring, wdeg) for _, wdeg in shifted)
+        if est > self.ceiling:
+            raise InfeasibleError(
+                f"component K_{t} at degree {alpha} has dimension {est} "
+                f"over the ceiling {self.ceiling}",
+                estimate=est,
+            )
+        out = [(T, w) for T, wdeg in shifted for w in self.coeffs.basis(wdeg)]
         self._basis[key] = out
         return out
 
@@ -117,11 +153,12 @@ class KoszulComplex:
         if key in self._kernel:
             return self._kernel[key]
         keys = self.basis(t, alpha)
-        if t == 0:
+        if t == 0 or not keys:  # an empty K_t needs no K_{t-1}
             vecs = [{i: self.field.one} for i in range(len(keys))]
         else:
             vecs = kernel_basis(self.boundary_matrix(t, alpha), self.field)
-        cb = ComponentBasis(keys, vecs)
+        # kernel_basis puts each vector's free column after all its other columns
+        cb = ComponentBasis(keys, vecs, [max(v) for v in vecs])
         self._kernel[key] = cb
         return cb
 
@@ -130,14 +167,18 @@ class KoszulComplex:
         M = self.boundary_matrix(t + 1, alpha)
         return [col for col in M.columns() if col]
 
+    def _phi_rank(self, t: int, alpha) -> int:
+        """Rank of phi_t in internal degree alpha; 0 for t < 1."""
+        key = (t, self.ring.as_mdeg(alpha))
+        if key not in self._rank:
+            self._rank[key] = rank(self.boundary_matrix(*key), self.field) if t >= 1 else 0
+        return self._rank[key]
+
     def homology_dim(self, t: int, alpha) -> int:
-        alpha = self.ring.as_mdeg(alpha)
         dim_kt = len(self.basis(t, alpha))
         if dim_kt == 0:
             return 0
-        rk_out = rank(self.boundary_matrix(t, alpha), self.field) if t >= 1 else 0
-        rk_in = rank(self.boundary_matrix(t + 1, alpha), self.field)
-        return dim_kt - rk_out - rk_in
+        return dim_kt - self._phi_rank(t, alpha) - self._phi_rank(t + 1, alpha)
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
@@ -165,197 +206,106 @@ def homology_dim(I: MonomialIdeal, t: int, alpha, field=QQ, coeffs=None) -> int:
 
 
 class GradedModule:
-    """Graded subquotient V/W of an ambient monomial-keyed space (d = 1).
+    """Z_t(I, M), or H_t(I, M) = Z_t / B_t, as a graded module (d = 1).
 
-    Callbacks: ambient(q) -> list of keys; spans(q) -> (V, W) as lists of
-    {key: coeff}; mul(key, k) -> key or None implements multiplication by the
-    k-th variable on ambient basis keys.
+    The piece in degree q is the cycle space Z_q, whose RREF basis gives the
+    Z-coordinates of any cycle as its entries on the free columns.  For H_t
+    the boundaries B_q are echelon rows in those coordinates, and the Z-basis
+    vectors off their pivots represent a basis of H_q.
     """
 
-    def __init__(self, ring: RingConfig, field, ambient, spans, mul, name=""):
-        if ring.d != 1:
+    def __init__(self, kz: KoszulComplex, t: int, quotient: bool):
+        if kz.ring.d != 1:
             raise ValueError("graded modules use the standard grading")
-        self.ring = ring
-        self.field = field
-        self._ambient = ambient
-        self._spans = spans
-        self._mul = mul
-        self.name = name
-        self._pieces = {}
-        self._varmats = {}
+        self.kz = kz
+        self.t = t
+        self.quotient = quotient
+        self.ring = kz.ring
+        self.field = kz.field
+        self._boundaries = {}
+        self._shifts = {}
 
-    def piece(self, q: int):
-        if q in self._pieces:
-            return self._pieces[q]
-        keys = self._ambient(q) if q >= 0 else []
-        kidx = {k: i for i, k in enumerate(keys)}
-        ech = Echelon(self.field, track=True)
-        reps = []
-        if keys:
-            V, W = self._spans(q)
-            for widx, w in enumerate(W):
-                ech.add(self._to_cols(w, kidx), tag=("w", widx))
-            for j, v in enumerate(V):
-                if ech.add(self._to_cols(v, kidx), tag=("v", j)):
-                    reps.append((j, v))
-        piece = _Piece(keys, kidx, ech, reps)
-        self._pieces[q] = piece
-        return piece
+    def piece(self, q: int) -> ComponentBasis:
+        """Z_q with its free columns."""
+        return self.kz.cycle_space(self.t, (q,))
+
+    def boundaries(self, q: int) -> Echelon:
+        """B_q as echelon rows in Z_q-coordinates; empty for Z_t."""
+        if q not in self._boundaries:
+            ech = Echelon(self.field)
+            if self.quotient:
+                pos = {f: b for b, f in enumerate(self.piece(q).free)}
+                for col in self.kz.boundary_image(self.t, (q,)):
+                    ech.add({pos[c]: v for c, v in col.items() if c in pos})
+            self._boundaries[q] = ech
+        return self._boundaries[q]
 
     def dim(self, q: int) -> int:
-        return len(self.piece(q).reps)
+        return self.piece(q).dim - self.boundaries(q).rank
 
-    def _to_cols(self, vec_bykey, kidx):
-        f = self.field
-        out = {}
-        for k, c in vec_bykey.items():
-            c = f.coerce(c)
-            if not f.is_zero(c):
-                out[kidx[k]] = c
-        return out
-
-    def coords(self, q: int, vec_bykey) -> dict:
-        """Quotient coordinates {basis position: scalar} of an ambient vector."""
-        piece = self.piece(q)
-        combo = piece.ech.express(self._to_cols(vec_bykey, piece.kidx))
-        if combo is None:
-            raise ValueError("vector outside the module component")
-        pos = {j: b for b, (j, _) in enumerate(piece.reps)}
-        out = {}
-        for tag, c in combo.items():
-            if tag[0] == "v":
-                out[pos[tag[1]]] = c
-        return {b: c for b, c in out.items() if not self.field.is_zero(c)}
-
-    def var_matrix(self, k: int, q: int) -> SparseMatrix:
-        """Multiplication by x_k as a dim(q+1) x dim(q) matrix."""
-        key = (k, q)
-        if key in self._varmats:
-            return self._varmats[key]
-        piece = self.piece(q)
-        entries = {}
-        for b, (_, v) in enumerate(piece.reps):
-            image = {}
-            for akey, c in v.items():
-                nk = self._mul(akey, k)
-                if nk is None:
+    def shifts(self, q: int) -> list:
+        """For each z representing a basis vector of M_q, the list over k of
+        the Z_{q+1}-coordinates of x_k z."""
+        if q not in self._shifts:
+            piece, nxt = self.piece(q), self.piece(q + 1)
+            # keys off the free columns, or dead in S/J, are not in pos
+            pos = {nxt.keys[f]: b for b, f in enumerate(nxt.free)}
+            pivots = self.boundaries(q).rows
+            out = []
+            for b, z in enumerate(piece.vectors):
+                if b in pivots:
                     continue
-                image[nk] = image.get(nk, 0) + c
-            for i, c in self.coords(q + 1, image).items():
-                entries[(i, b)] = c
-        M = SparseMatrix(self.dim(q + 1), self.dim(q), entries)
-        self._varmats[key] = M
-        return M
-
-
-@dataclass
-class _Piece:
-    keys: list
-    kidx: dict
-    ech: Echelon
-    reps: list  # (original V index, vector by key)
-
-
-def free_module(ring: RingConfig, field=QQ) -> GradedModule:
-    return GradedModule(
-        ring,
-        field,
-        ambient=lambda q: component_basis(ring, q),
-        spans=lambda q: ([{m: 1} for m in component_basis(ring, q)], []),
-        mul=lambda m, k: mon_mul(m, ring.var(k)),
-        name="S",
-    )
-
-
-def quotient_ring_module(ring: RingConfig, J: MonomialIdeal, field=QQ) -> GradedModule:
-    def spans(q):
-        mons = component_basis(ring, q)
-        return (
-            [{m: 1} for m in mons if not J.contains(m)],
-            [{m: 1} for m in mons if J.contains(m)],
-        )
-
-    return GradedModule(
-        ring,
-        field,
-        ambient=lambda q: component_basis(ring, q),
-        spans=spans,
-        mul=lambda m, k: mon_mul(m, ring.var(k)),
-        name="S/J",
-    )
-
-
-def ideal_module(ring: RingConfig, I: MonomialIdeal, field=QQ) -> GradedModule:
-    def spans(q):
-        mons = component_basis(ring, q)
-        return ([{m: 1} for m in mons if I.contains(m)], [])
-
-    return GradedModule(
-        ring,
-        field,
-        ambient=lambda q: component_basis(ring, q),
-        spans=spans,
-        mul=lambda m, k: mon_mul(m, ring.var(k)),
-        name="I",
-    )
+                images = []
+                for k in range(self.ring.n):
+                    image = {}
+                    for col, c in z.items():
+                        T, w = piece.keys[col]
+                        b2 = pos.get((T, w[:k] + (w[k] + 1,) + w[k + 1 :]))
+                        if b2 is not None:
+                            image[b2] = c
+                    images.append(image)
+                out.append(images)
+            self._shifts[q] = out
+        return self._shifts[q]
 
 
 def cycle_module(kz: KoszulComplex, t: int) -> GradedModule:
     """Z_t(I, M) as a graded module over the standard grading."""
-    return _koszul_submodule(kz, t, with_boundaries=False, name=f"Z_{t}")
+    return GradedModule(kz, t, quotient=False)
 
 
 def homology_module(kz: KoszulComplex, t: int) -> GradedModule:
     """H_t(I, M) = Z_t / B_t as a graded module."""
-    return _koszul_submodule(kz, t, with_boundaries=True, name=f"H_{t}")
+    return GradedModule(kz, t, quotient=True)
 
 
-def _koszul_submodule(kz: KoszulComplex, t: int, with_boundaries: bool, name):
-    ring = kz.ring
+def _var_rank(M: GradedModule, i: int, q: int) -> int:
+    """Rank of delta_i : Lambda^i (x) M_q -> Lambda^{i-1} (x) M_{q+1}.
 
-    def ambient(q):
-        return kz.basis(t, (q,))
-
-    def spans(q):
-        cb = kz.cycle_space(t, (q,))
-        V = [{cb.keys[i]: c for i, c in v.items()} for v in cb.vectors]
-        W = []
-        if with_boundaries:
-            keys = cb.keys
-            W = [
-                {keys[i]: c for i, c in col.items()}
-                for col in kz.boundary_image(t, (q,))
-            ]
-        return V, W
-
-    def mul(key, k):
-        T, w = key
-        w2 = kz.coeffs.reduce(mon_mul(w, ring.var(k)))
-        return None if w2 is None else (T, w2)
-
-    return GradedModule(ring, kz.field, ambient, spans, mul, name=name)
-
-
-def _koszul_var_matrix(M: GradedModule, i: int, j: int) -> SparseMatrix:
-    """delta_i : Lambda^i (x) M_{j-i} -> Lambda^{i-1} (x) M_{j-i+1}."""
-    n = M.ring.n
-    q = j - i
-    src_sets = list(combinations(range(n), i))
-    tgt_sets = list(combinations(range(n), i - 1))
-    tgt_idx = {A: a for a, A in enumerate(tgt_sets)}
-    dim_q = M.dim(q) if q >= 0 else 0
-    dim_q1 = M.dim(q + 1) if q + 1 >= 0 else 0
-    entries = {}
-    if dim_q:
-        for a, A in enumerate(src_sets):
-            for pos, k in enumerate(A):
-                s = -1 if pos % 2 else 1
-                tgt = tgt_idx[A[:pos] + A[pos + 1 :]]
-                X = M.var_matrix(k, q)
-                for (r, c), v in X.entries.items():
-                    val = M.field.mul(M.field.coerce(s), v)
-                    entries[(tgt * dim_q1 + r, a * dim_q + c)] = val
-    return SparseMatrix(len(tgt_sets) * dim_q1, len(src_sets) * dim_q, entries)
+    The column of e_A (x) z is sum over k in A of +-e_{A - k} (x) x_k z.  For
+    H_t every Lambda^{i-1} block is first seeded with the rows of B_{q+1},
+    whose rank is then subtracted.
+    """
+    n, f = M.ring.n, M.field
+    if not 1 <= i <= n or q < 0:
+        return 0
+    shifts = M.shifts(q)
+    width = M.piece(q + 1).dim
+    offset = {A: a * width for a, A in enumerate(combinations(range(n), i - 1))}
+    ech = Echelon(f)
+    for off in offset.values():
+        for row in M.boundaries(q + 1).rows.values():
+            ech.add({off + c: v for c, v in row.items()})
+    seeded = ech.rank
+    for A in combinations(range(n), i):
+        faces = [(offset[A[:p] + A[p + 1 :]], k, p % 2) for p, k in enumerate(A)]
+        for images in shifts:
+            col = {}
+            for off, k, odd in faces:
+                for b, c in images[k].items():
+                    col[off + b] = f.neg(c) if odd else c
+            ech.add(col)
+    return ech.rank - seeded
 
 
 def tor_dims(M: GradedModule, i: int, j: int) -> int:
@@ -366,12 +316,7 @@ def tor_dims(M: GradedModule, i: int, j: int) -> int:
     q = j - i
     if q < 0 or M.dim(q) == 0:
         return 0
-    from math import comb
-
-    dim_src = comb(n, i) * M.dim(q)
-    rk_out = rank(_koszul_var_matrix(M, i, j), M.field) if i >= 1 else 0
-    rk_in = rank(_koszul_var_matrix(M, i + 1, j), M.field) if i + 1 <= n else 0
-    return dim_src - rk_out - rk_in
+    return comb(n, i) * M.dim(q) - _var_rank(M, i, q) - _var_rank(M, i + 1, q - 1)
 
 
 def tor_violations(M: GradedModule, bound: int, slack: int = 2, i_max=None):
@@ -389,11 +334,6 @@ def tor_violations(M: GradedModule, bound: int, slack: int = 2, i_max=None):
             if d > 0:
                 out.append((i, i + q, d))
     return out
-
-
-def generation_degrees(M: GradedModule, cap: int) -> list:
-    """Degrees j <= cap with Tor_0(M, K)_j != 0, i.e. minimal generator degrees."""
-    return [j for j in range(0, cap + 1) if tor_dims(M, 0, j) > 0]
 
 
 def degrees_upto(ring: RingConfig, D):

@@ -142,7 +142,12 @@ def rank(M: SparseMatrix, field) -> int:
 
 
 def kernel_basis(M: SparseMatrix, field) -> list:
-    """Basis of the right kernel as dicts {col: scalar}."""
+    """Basis of the right kernel as dicts {col: scalar}, in RREF.
+
+    There is one vector per free (non-pivot) column f: it is 1 at f, 0 at
+    every other free column, and otherwise nonzero only at pivot columns,
+    which are all smaller than f.
+    """
     ech = Echelon(field)
     for row in M.rows():
         if row:
@@ -170,20 +175,3 @@ def in_span(vectors, target, field):
     if coeffs is None:
         return False, None
     return True, coeffs
-
-
-def vec_add(a: dict, b: dict, field) -> dict:
-    out = dict(a)
-    for c, v in b.items():
-        newv = field.add(out.get(c, field.zero), v)
-        if field.is_zero(newv):
-            out.pop(c, None)
-        else:
-            out[c] = newv
-    return out
-
-
-def vec_scale(a: dict, s, field) -> dict:
-    if field.is_zero(s):
-        return {}
-    return {c: field.mul(v, s) for c, v in a.items()}

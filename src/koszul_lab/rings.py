@@ -103,14 +103,6 @@ def mon_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mon_div(a: tuple, b: tuple) -> tuple:
-    """a / b; requires b | a."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
-        raise ValueError("non-divisible monomial quotient")
-    return out
-
-
 def mon_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -327,19 +319,20 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
 def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
     """reg(I) over `field`.  Strongly stable: max generator degree.
 
-    Otherwise reg(S/I) is computed from Tor_i(S/I, K) scanned up to the Taylor
-    caps, which certify vanishing beyond; reg(I) = reg(S/I) + 1.
+    Otherwise reg(S/I) is computed from Tor_i(S/I, K)_j = H_i(x; S/I)_j,
+    the Koszul homology of the variables with coefficients S/I, scanned up to
+    the Taylor caps, which certify vanishing beyond; reg(I) = reg(S/I) + 1.
     """
     if I.ring.d != 1:
         raise ValueError("regularity over the standard grading only")
     if is_strongly_stable(I):
         return I.max_gen_degree()
-    from .homology import quotient_ring_module, tor_dims
+    from .homology import Coefficients, KoszulComplex
 
-    M = quotient_ring_module(I.ring, I, field)
+    kz = KoszulComplex(power_ideal(I.ring, 1), field, Coefficients(I.ring, I))
     reg = 0
     for i, cap in taylor_caps(I).items():
         for j in range(i, cap + 1):
-            if tor_dims(M, i, j) > 0:
+            if kz.homology_dim(i, (j,)) > 0:
                 reg = max(reg, j - i)
     return reg + 1

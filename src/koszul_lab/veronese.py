@@ -13,18 +13,8 @@ from dataclasses import dataclass, field
 from math import ceil, comb
 
 from .fields import QQ
-from .homology import KoszulComplex
+from .homology import DEFAULT_COMPONENT_CEILING, InfeasibleError, KoszulComplex  # noqa: F401
 from .rings import RingConfig, component_dim, power_ideal
-
-DEFAULT_COMPONENT_CEILING = 50_000
-
-
-class InfeasibleError(RuntimeError):
-    """A requested component exceeds the configured size ceiling."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -96,29 +86,13 @@ def _window_cut(i: int, min_c: int) -> int:
     return i + 1 + ceil(i / min_c)
 
 
-def _check_feasible(spec, kz, t, alpha):
-    # the ideal is equigenerated in degree c, so the component dimension has
-    # a closed form: C(r, t) * dim S_{alpha - t c}
-    r = kz.ideal.r
-    if t < 0 or t > r:
-        return
-    rest = tuple(a - t * ci for a, ci in zip(alpha, spec.c))
-    est = comb(r, t) * component_dim(spec.ring, rest) if min(rest) >= 0 else 0
-    if est > spec.component_ceiling:
-        raise InfeasibleError(
-            f"component K_{t} at degree {alpha} has dimension {est} "
-            f"over the ceiling {spec.component_ceiling}",
-            estimate=est,
-        )
-
-
 def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
     """Graded Betti numbers of the Segre-Veronese ring up to row i_max."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     ring = spec.ring
     ideal = power_ideal(ring, spec.c)
-    kz = KoszulComplex(ideal, field)
+    kz = KoszulComplex(ideal, field, ceiling=spec.component_ceiling)
     entries, certified, windows = {}, {}, {}
     entries[(0, 0)] = 1
     certified[(0, 0)] = True
@@ -127,10 +101,7 @@ def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
         cut = _window_cut(i, spec.min_c)
         windows[i] = (i, cut)
         for j in range(i, cut):
-            alpha = tuple(j * a for a in spec.c)
-            for t in (i - 1, i, i + 1):
-                _check_feasible(spec, kz, t, alpha)
-            entries[(i, j)] = kz.homology_dim(i, alpha)
+            entries[(i, j)] = kz.homology_dim(i, tuple(j * a for a in spec.c))
             certified[(i, j)] = True
     return BettiTable(entries, certified, i_max, windows)
 
@@ -166,11 +137,3 @@ def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> Ind
             )
             return IndexResult(True, i - 1, (i, violating_j), table)
     return IndexResult(False, i_max, None, table)
-
-
-def np_check(spec: SegreVeroneseSpec, p: int, field=QQ):
-    """(satisfied, witness) for property N_p."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    res = green_lazarsfeld_index(spec, p, field)
-    return res.satisfies(p), res.witness

@@ -1,4 +1,5 @@
 import json
+import time
 
 from koszul_lab.cli import (
     EXIT_INFEASIBLE,
@@ -104,6 +105,16 @@ def test_infeasible_exit(capsys):
     # a huge spec trips the component ceiling through the CLI
     code = main(["betti", "--blocks", "6", "--c", "6", "--imax", "4"])
     assert code == EXIT_INFEASIBLE
+
+
+def test_component_ceiling_guards_homology_and_cycles(capsys):
+    # K_3 of m^3 in four variables at degree 30 has 1140 * 2024 basis elements
+    for command in ("homology", "cycles"):
+        start = time.monotonic()
+        code = main([command, "--ideal", '{"blocks": [4], "power": [3]}',
+                     "-t", "3", "--degree", "30"])
+        assert code == EXIT_INFEASIBLE
+        assert time.monotonic() - start < 2
 
 
 def test_bad_size_exits_usage(capsys):

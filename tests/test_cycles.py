@@ -6,7 +6,6 @@ import pytest
 from koszul_lab.cycles import (
     Multi2Checker,
     gen2_families,
-    multi2_membership,
     symmetrized_cycle,
     z1_generator,
     z1_generator_family,
@@ -116,7 +115,7 @@ def test_multi2_oneshot_and_blocks():
     checker = Multi2Checker(ring, (1, 1), 0, QQ)
     trials = list(checker.enumerate_trials())
     assert trials
-    ok, cert = multi2_membership(ring, (1, 1), 0, trials[0], QQ)
+    ok, cert = Multi2Checker(ring, (1, 1), 0, QQ).check(*trials[0])
     assert ok
 
 

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -6,17 +7,14 @@ from koszul_lab.fields import QQ, PrimeField
 from koszul_lab.harness import random_monomial_ideal
 from koszul_lab.homology import (
     Coefficients,
+    InfeasibleError,
     KoszulComplex,
     cycle_module,
     cycle_space,
     degrees_upto,
-    free_module,
     generates_up_to,
-    generation_degrees,
     homology_dim,
     homology_module,
-    ideal_module,
-    quotient_ring_module,
     tor_dims,
     tor_violations,
 )
@@ -90,6 +88,14 @@ def test_quotient_coefficients_shrink():
     assert len(kz_quot.basis(0, 5)) == quotient_component_dim(J, 5)
 
 
+def test_component_ceiling():
+    kz = KoszulComplex(power_ideal(RingConfig((2,)), 2), ceiling=8)
+    assert len(kz.basis(1, 3)) == 6
+    with pytest.raises(InfeasibleError) as exc:
+        kz.basis(1, 4)  # three generators times dim S_2 = 3
+    assert exc.value.estimate == 9
+
+
 def test_module_level_wrappers():
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
@@ -98,19 +104,21 @@ def test_module_level_wrappers():
 
 
 def test_free_module_tor():
-    M = free_module(RingConfig((2,)))
+    # Z_0(I; S) = K_0 = S for any I
+    ring = RingConfig((2,))
+    M = cycle_module(KoszulComplex(power_ideal(ring, 2)), 0)
     assert tor_dims(M, 0, 0) == 1
     for j in range(1, 5):
         assert tor_dims(M, 0, j) == 0
         assert tor_dims(M, 1, j) == 0
-    assert M.dim(3) == component_dim(RingConfig((2,)), 3)
+    assert M.dim(3) == component_dim(ring, 3)
 
 
 def test_quotient_ring_betti_m_squared():
-    # S/m^2 in two variables: 0 -> S(-3)^2 -> S(-2)^3 -> S -> S/m^2 -> 0
+    # S/m^2 = H_0(m^2; S) in two variables: 0 -> S(-3)^2 -> S(-2)^3 -> S -> S/m^2
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
-    M = quotient_ring_module(ring, I)
+    M = homology_module(KoszulComplex(I), 0)
     assert tor_dims(M, 0, 0) == 1
     assert tor_dims(M, 1, 2) == 3
     assert tor_dims(M, 2, 3) == 2
@@ -119,11 +127,12 @@ def test_quotient_ring_betti_m_squared():
 
 
 def test_ideal_module_generators():
+    # the minimal generators of I are Tor_1(S/I, K), with S/I = H_0(I; S)
     ring = RingConfig((2,))
     I = MonomialIdeal(ring, [(2, 0), (0, 3)])
-    M = ideal_module(ring, I)
-    assert generation_degrees(M, 6) == [2, 3]
-    assert tor_dims(M, 0, 2) == 1 and tor_dims(M, 0, 3) == 1
+    M = homology_module(KoszulComplex(I), 0)
+    assert [j for j in range(0, 7) if tor_dims(M, 1, j) > 0] == [2, 3]
+    assert tor_dims(M, 1, 2) == 1 and tor_dims(M, 1, 3) == 1
 
 
 def test_cycle_and_homology_modules():
@@ -142,15 +151,48 @@ def test_cycle_and_homology_modules():
     assert tor_dims(H, 0, 4) == 0  # generated in degree 3
 
 
-def test_coords_roundtrip():
-    ring = RingConfig((2,))
-    I = power_ideal(ring, 2)
-    Z = cycle_module(KoszulComplex(I), 1)
-    piece = Z.piece(4)
-    for b, (_, v) in enumerate(piece.reps):
-        assert Z.coords(4, v) == {b: QQ.one}
-    with pytest.raises(ValueError):
-        Z.coords(4, {piece.keys[0]: QQ.one})  # a non-cycle ambient vector
+def test_quotient_coefficients_tor():
+    # H_0(I; S/J) = S/(I + J) and Z_0(I; S/J) = S/J = H_0(J; S): the same
+    # modules built once through the coefficients and once through generators
+    rng = random.Random(7)
+    for field in (QQ, PrimeField(5)):
+        for _ in range(8):
+            ring = RingConfig((rng.choice([2, 3]),))
+            I = random_monomial_ideal(rng, ring, 3, 3)
+            J = random_monomial_ideal(rng, ring, 3, 3)
+            kz = KoszulComplex(I, field, Coefficients(ring, J))
+            IJ = MonomialIdeal(ring, I.gens + J.gens)
+            pairs = [
+                (homology_module(kz, 0), homology_module(KoszulComplex(IJ, field), 0)),
+                (cycle_module(kz, 0), homology_module(KoszulComplex(J, field), 0)),
+            ]
+            for M, N in pairs:
+                for j in range(0, 8):
+                    for i in range(0, ring.n + 1):
+                        assert tor_dims(M, i, j) == tor_dims(N, i, j)
+
+
+def test_cycle_basis_free_columns():
+    # GradedModule reads Z-coordinates off the free columns of the basis
+    rng = random.Random(33)
+    for field in (QQ, PrimeField(5)):
+        for _ in range(15):
+            n = rng.choice([2, 3])
+            I = random_monomial_ideal(rng, RingConfig((n,)), 3, 4)
+            kz = KoszulComplex(I, field)
+            t = rng.randint(0, min(3, I.r))
+            cb = kz.cycle_space(t, (rng.randint(t, 3 * t + 3),))
+            assert len(cb.free) == cb.dim == len(set(cb.free))
+            for b, v in enumerate(cb.vectors):
+                assert v[cb.free[b]] == field.one
+                assert all(f not in v for a, f in enumerate(cb.free) if a != b)
+            # a combination of the basis has its coefficients on the free columns
+            coeffs = [field.coerce(rng.randint(-3, 3)) for _ in cb.vectors]
+            z = {}
+            for c, v in zip(coeffs, cb.vectors):
+                for col, x in v.items():
+                    z[col] = field.add(z.get(col, field.zero), field.mul(c, x))
+            assert [z.get(f, field.zero) for f in cb.free] == coeffs
 
 
 def test_gfp_matches_rationals_here():
@@ -161,6 +203,29 @@ def test_gfp_matches_rationals_here():
     for i in range(0, 3):
         for j in range(0, 7):
             assert tor_dims(Zq, i, j) == tor_dims(Zp, i, j)
+
+
+def _eliahou_kervaire(n, c, k, j):
+    """dim Tor_k(S/m^c, K)_j from the Eliahou-Kervaire resolution of m^c."""
+    if k == 0:
+        return int(j == 0)
+    if k > n or j != c + k - 1:
+        return 0
+    return comb(c + n - 1, c + k - 1) * comb(c + k - 2, k - 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(3)], ids=str)
+def test_tor_of_power_ideals_matches_eliahou_kervaire(field):
+    for n in (2, 3):
+        ring = RingConfig((n,))
+        for c in (1, 2, 3):
+            kz = KoszulComplex(power_ideal(ring, c), field)
+            quotient, z1 = homology_module(kz, 0), cycle_module(kz, 1)
+            for j in range(0, c + n + 2):
+                for i in range(0, n + 2):
+                    assert tor_dims(quotient, i, j) == _eliahou_kervaire(n, c, i, j)
+                    # Z_1 is the second syzygy module of S/m^c
+                    assert tor_dims(z1, i, j) == _eliahou_kervaire(n, c, i + 2, j)
 
 
 def test_degrees_upto():

@@ -10,9 +10,16 @@ from koszul_lab.linalg import (
     in_span,
     kernel_basis,
     rank,
-    vec_add,
-    vec_scale,
 )
+
+
+def combine(pairs, field=QQ):
+    """Sum of c * v over (c, v) pairs of scalars and sparse vectors."""
+    out = {}
+    for c, v in pairs:
+        for col, x in v.items():
+            out[col] = field.add(out.get(col, field.zero), field.mul(c, x))
+    return {col: x for col, x in out.items() if not field.is_zero(x)}
 
 
 def dense_rank(rows, ncols):
@@ -86,15 +93,10 @@ def test_in_span_certificate():
             v = {j: Fraction(rng.randint(-3, 3)) for j in range(ncols)}
             vectors.append({j: c for j, c in v.items() if c})
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in vectors]
-        target = {}
-        for c, v in zip(coeffs, vectors):
-            target = vec_add(target, vec_scale(v, c, QQ), QQ)
+        target = combine(zip(coeffs, vectors))
         ok, cert = in_span(vectors, target, QQ)
         assert ok
-        rebuilt = {}
-        for i, c in cert.items():
-            rebuilt = vec_add(rebuilt, vec_scale(vectors[i], c, QQ), QQ)
-        assert rebuilt == target
+        assert combine((c, vectors[i]) for i, c in cert.items()) == target
 
 
 def test_in_span_negative():
@@ -115,16 +117,11 @@ def test_echelon_express_tracks_combination():
             originals[tag] = v
             ech.add(v, tag=tag)
         # any random combination of the originals must be expressible
-        target = {}
         want = {t: Fraction(rng.randint(-2, 2)) for t in originals}
-        for t, c in want.items():
-            target = vec_add(target, vec_scale(originals[t], c, QQ), QQ)
+        target = combine((c, originals[t]) for t, c in want.items())
         combo = ech.express(target)
         assert combo is not None
-        rebuilt = {}
-        for t, c in combo.items():
-            rebuilt = vec_add(rebuilt, vec_scale(originals[t], c, QQ), QQ)
-        assert rebuilt == target
+        assert combine((c, originals[t]) for t, c in combo.items()) == target
 
 
 def test_echelon_incremental_add():

@@ -13,7 +13,6 @@ from koszul_lab.rings import (
     ideal_from_dict,
     is_strongly_stable,
     mon_divides,
-    mon_div,
     mon_lcm,
     mon_mul,
     monomial_quotient_dim,
@@ -46,9 +45,6 @@ def test_monomial_ops():
     assert mon_lcm(a, b) == (2, 1, 3)
     assert mon_divides((0, 1, 0), a)
     assert not mon_divides(b, a)
-    assert mon_div(a, (1, 1, 0)) == (1, 0, 0)
-    with pytest.raises(ValueError):
-        mon_div(a, b)
 
 
 def test_component_basis_matches_dim():

@@ -8,7 +8,6 @@ from koszul_lab.veronese import (
     InfeasibleError,
     SegreVeroneseSpec,
     green_lazarsfeld_index,
-    np_check,
     quadric_relation_count,
     veronese_betti,
 )
@@ -81,10 +80,10 @@ def test_index_results():
     res = green_lazarsfeld_index(VERONESE_SURFACE, 3)
     assert not res.exact and res.value == 3
     assert res.satisfies(3) and "index >= 3" in res.describe()
-    ok, witness = np_check(SEGRE_P1P1, 2)
-    assert ok and witness is None
+    res = green_lazarsfeld_index(SEGRE_P1P1, 2)
+    assert res.satisfies(2) and res.witness is None
     with pytest.raises(ValueError):
-        np_check(SEGRE_P1P1, 0)
+        green_lazarsfeld_index(SEGRE_P1P1, 0)
 
 
 def test_segre_quadric_hypersurface():
