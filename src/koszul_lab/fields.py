@@ -68,11 +68,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a) / b
-
     def is_zero(self, a):
         return a == 0
 
@@ -123,9 +118,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
     def is_zero(self, a):
         return a % self.p == 0
 
@@ -139,30 +131,20 @@ class PrimeField:
         return hash(("gf", self.p))
 
 
-def field_context(kind, required_char_floor: int = 0):
-    """Build a field context.
-
-    kind is "rat" (or None) for the rationals, or an int prime p for GF(p).
-    Prime contexts with p <= required_char_floor are rejected so that every
-    "characteristic 0 or > N" hypothesis holds by construction.
-    """
+def field_context(kind):
+    """Build a field context: "rat" (or None) for the rationals, or an int
+    prime p for GF(p)."""
     if kind is None or kind == "rat":
         return RationalField()
-    p = int(kind)
-    field = PrimeField(p)
-    if p <= required_char_floor:
-        raise FieldError(
-            f"prime {p} violates characteristic floor > {required_char_floor}"
-        )
-    return field
+    return PrimeField(int(kind))
 
 
-def parse_field(text: str, required_char_floor: int = 0):
+def parse_field(text: str):
     """Parse a CLI field choice: 'rat' or 'p=<prime>'."""
     if text == "rat":
-        return field_context("rat", required_char_floor)
+        return field_context("rat")
     if text.startswith("p="):
-        return field_context(int(text[2:]), required_char_floor)
+        return field_context(int(text[2:]))
     raise FieldError(f"unrecognized field {text!r}; use 'rat' or 'p=<prime>'")
 
 

@@ -534,11 +534,6 @@ def _probe_q1_case(rng, caps, field):
 # ---------------------------------------------------------------------------
 
 
-def _cycle_basis_chains(kz, t, alpha):
-    cb = kz.cycle_space(t, alpha)
-    return [kz.vector_chain(t, alpha, v) for v in cb.vectors]
-
-
 MULTI_SPECS = [((2, 2), (1, 1)), ((2, 2), (2, 1)), ((2, 2), (1, 2))]
 
 
@@ -555,16 +550,16 @@ def _multi(rng, caps, field):
         # degree-one pool: low-degree one-cycles plus the per-block extra cycles
         pool = []
         for alpha in degrees_upto(ring, cvec):
-            pool.extend(_cycle_basis_chains(kz, 1, alpha))
+            pool.extend(kz.cycle_chains(1, alpha))
         for blk in range(ring.d):
             udeg = tuple(ci + (1 if b == blk else 0) for b, ci in enumerate(cvec))
-            pool.extend(_cycle_basis_chains(kz, 1, udeg))
+            pool.extend(kz.cycle_chains(1, udeg))
         results = {}
         for t in (1, 2):
             bound = tuple(t * ci + (t - 1) for ci in cvec)
             candidates = []
             for alpha in degrees_upto(ring, bound):
-                candidates.extend(_cycle_basis_chains(kz, t, alpha))
+                candidates.extend(kz.cycle_chains(t, alpha))
             for combo in combinations(pool, t):
                 prod = combo[0]
                 for g in combo[1:]:
@@ -594,7 +589,7 @@ def _multi2(rng, caps, field):
         failures = []
         count = 0
         for a_mons, y_pairs, a_extra in checker.enumerate_trials():
-            ok, _cert = checker.check(a_mons, y_pairs, a_extra)
+            ok = checker.check(a_mons, y_pairs, a_extra)
             count += 1
             if not ok:
                 failures.append(
@@ -743,8 +738,9 @@ def _surge(rng, caps, field):
         prods = Echelon(field)
         prod_rank = 0
         for a in range(0, j + 1):
-            for f in _cycle_basis_chains(kz, 1, a):
-                for g in _cycle_basis_chains(kz, 1, j - a):
+            right = kz.cycle_chains(1, j - a)
+            for f in kz.cycle_chains(1, a):
+                for g in right:
                     p = wedge(f, g)
                     if p.is_zero():
                         continue

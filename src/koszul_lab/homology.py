@@ -92,14 +92,14 @@ class KoszulComplex:
         self._bmat = {}
         self._rank = {}
         self._kernel = {}
+        self._index = {}
         self._gen_mdegs = [self.ring.mdeg(g) for g in I.gens]
 
-    def basis(self, t: int, alpha) -> list:
-        """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha."""
-        alpha = self.ring.as_mdeg(alpha)
-        key = (t, alpha)
-        if key in self._basis:
-            return self._basis[key]
+    def _faces(self, t: int, alpha) -> list:
+        """(T, degree of w) for the faces T of K_t at alpha.
+
+        Raises InfeasibleError when the component would exceed the ceiling.
+        """
         shifted = []
         if 0 <= t <= self.ideal.r:
             for T in combinations(range(1, self.ideal.r + 1), t):
@@ -117,12 +117,24 @@ class KoszulComplex:
                 f"over the ceiling {self.ceiling}",
                 estimate=est,
             )
-        out = [(T, w) for T, wdeg in shifted for w in self.coeffs.basis(wdeg)]
-        self._basis[key] = out
-        return out
+        return shifted
+
+    def basis(self, t: int, alpha) -> list:
+        """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha."""
+        alpha = self.ring.as_mdeg(alpha)
+        key = (t, alpha)
+        if key not in self._basis:
+            self._basis[key] = [
+                (T, w) for T, wdeg in self._faces(t, alpha) for w in self.coeffs.basis(wdeg)
+            ]
+        return self._basis[key]
 
     def key_index(self, t: int, alpha) -> dict:
-        return {k: i for i, k in enumerate(self.basis(t, alpha))}
+        """Position of each basis key of K_t at alpha."""
+        key = (t, self.ring.as_mdeg(alpha))
+        if key not in self._index:
+            self._index[key] = {k: i for i, k in enumerate(self.basis(*key))}
+        return self._index[key]
 
     def boundary_matrix(self, t: int, alpha) -> SparseMatrix:
         """Matrix of phi_t : K_t -> K_{t-1} in internal degree alpha."""
@@ -175,6 +187,12 @@ class KoszulComplex:
         return self._rank[key]
 
     def homology_dim(self, t: int, alpha) -> int:
+        alpha = self.ring.as_mdeg(alpha)
+        if not self._faces(t, alpha):
+            return 0
+        # check K_{t-1} and K_{t+1} against the ceiling before building anything
+        self._faces(t - 1, alpha)
+        self._faces(t + 1, alpha)
         dim_kt = len(self.basis(t, alpha))
         if dim_kt == 0:
             return 0
@@ -196,13 +214,25 @@ class KoszulComplex:
         keys = self.basis(t, alpha)
         return KoszulChain(self.ideal, t, {keys[i]: c for i, c in vec.items()})
 
+    def cycle_chains(self, t: int, alpha) -> list:
+        """The basis of Z_t(I, M)_alpha as chains."""
+        return [self.vector_chain(t, alpha, v) for v in self.cycle_space(t, alpha).vectors]
 
-def cycle_space(I: MonomialIdeal, t: int, alpha, field=QQ, coeffs=None):
-    return KoszulComplex(I, field, coeffs).cycle_space(t, alpha)
-
-
-def homology_dim(I: MonomialIdeal, t: int, alpha, field=QQ, coeffs=None) -> int:
-    return KoszulComplex(I, field, coeffs).homology_dim(t, alpha)
+    def span_multiples(self, chains, alpha, stop=None) -> Echelon:
+        """Echelon spanned by the monomial multiples w g in degree alpha of the
+        chains g, given as (multidegree, g) pairs; it stops early once its
+        rank reaches `stop`."""
+        alpha = self.ring.as_mdeg(alpha)
+        ech = Echelon(self.field)
+        for beta, g in chains:
+            gap = tuple(a - b for a, b in zip(alpha, beta))
+            if any(x < 0 for x in gap):
+                continue
+            for w in component_basis(self.ring, gap):
+                vec = self.chain_vector(g.scale_monomial(w), alpha)
+                if vec and ech.add(vec) and ech.rank == stop:
+                    return ech
+        return ech
 
 
 class GradedModule:
@@ -346,31 +376,14 @@ def generates_up_to(candidates, I: MonomialIdeal, t: int, D, field=QQ):
     """Whether monomial multiples of the candidate cycles span Z_t(I, S)_alpha
     for every alpha <= D.  Returns (ok, first failing degree or None)."""
     kz = KoszulComplex(I, field)
-    ring = I.ring
     for g in candidates:
         if g.t != t or g.ideal != I:
             raise ValueError("candidate in the wrong Koszul component")
         if not boundary(g).is_zero():
             raise ValueError("candidate is not a cycle")
     cands = [(g.multidegree(), g) for g in candidates if not g.is_zero()]
-    for alpha in degrees_upto(ring, D):
-        target_dim = len(kz.cycle_space(t, alpha).vectors)
-        if target_dim == 0:
-            continue
-        ech = Echelon(field)
-        found = 0
-        for beta, g in cands:
-            diff = tuple(a - b for a, b in zip(alpha, beta))
-            if any(x < 0 for x in diff):
-                continue
-            for w in component_basis(ring, diff):
-                vec = kz.chain_vector(g.scale_monomial(w), alpha)
-                if vec and ech.add(vec):
-                    found += 1
-                    if found == target_dim:
-                        break
-            if found == target_dim:
-                break
-        if found < target_dim:
+    for alpha in degrees_upto(I.ring, D):
+        target_dim = kz.cycle_space(t, alpha).dim
+        if target_dim and kz.span_multiples(cands, alpha, stop=target_dim).rank < target_dim:
             return False, alpha
     return True, None

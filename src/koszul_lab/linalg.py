@@ -1,8 +1,8 @@
 """Exact sparse linear algebra over a field context.
 
 Vectors are dicts {column index: nonzero scalar}.  The workhorse is an
-incremental row echelon that supports rank, kernel bases, span membership
-with certificates, and coordinate extraction against a growing basis.
+incremental row echelon that supports rank, kernel bases in RREF, and span
+membership.
 """
 
 from __future__ import annotations
@@ -43,94 +43,62 @@ class SparseMatrix:
 class Echelon:
     """Incremental row echelon form; pivot = smallest column of each new row.
 
-    Rows are normalized to pivot value 1.  With track=True every echelon row
-    carries the combination of originally added rows producing it, which gives
-    span-membership certificates and coordinates.
+    Rows are normalized to pivot value 1.
     """
 
-    def __init__(self, field, track=False):
+    def __init__(self, field):
         self.field = field
-        self.track = track
         self.rows = {}  # pivot col -> row dict
-        self.combos = {}  # pivot col -> {tag: coeff}
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, row, combo):
+    def _eliminate(self, row, coef, piv):
+        """row -= coef * piv, in place."""
         f = self.field
-        row = dict(row)
+        for col, v in piv.items():
+            newv = f.sub(row.get(col, f.zero), f.mul(coef, v))
+            if f.is_zero(newv):
+                row.pop(col, None)
+            else:
+                row[col] = newv
+
+    def _reduce(self, row):
+        """Remainder of a copy of row against the echelon, and its pivot."""
+        f = self.field
+        row = {c: v for c, v in row.items() if not f.is_zero(v)}
         while row:
             c = min(row)
             if c not in self.rows:
-                return row, combo, c
-            coef = row[c]
-            piv = self.rows[c]
-            for col, v in piv.items():
-                newv = f.sub(row.get(col, f.zero), f.mul(coef, v))
-                if f.is_zero(newv):
-                    row.pop(col, None)
-                else:
-                    row[col] = newv
-            if combo is not None:
-                for tag, v in self.combos[c].items():
-                    newv = f.sub(combo.get(tag, f.zero), f.mul(coef, v))
-                    if f.is_zero(newv):
-                        combo.pop(tag, None)
-                    else:
-                        combo[tag] = newv
-        return row, combo, None
+                return row, c
+            self._eliminate(row, row[c], self.rows[c])
+        return row, None
 
-    def express(self, row):
-        """Coefficients {tag: coeff} with row = sum coeff * added-row, or None."""
-        if not self.track:
-            raise ValueError("echelon built without tracking")
-        rem, combo, _ = self._reduce(self._clean(row), {})
-        if rem:
-            return None
-        return {t: self.field.neg(v) for t, v in combo.items()}
+    def contains(self, row) -> bool:
+        """Whether row lies in the span; the echelon is left unchanged."""
+        return self._reduce(row)[1] is None
 
-    def add(self, row, tag=None):
+    def add(self, row):
         """Insert a row; returns True iff it enlarged the span."""
-        f = self.field
-        combo = {tag: f.one} if self.track else None
-        rem, combo, piv = self._reduce(self._clean(row), combo)
+        rem, piv = self._reduce(row)
         if piv is None:
             return False
-        inv = f.inv(rem[piv])
-        self.rows[piv] = {c: f.mul(v, inv) for c, v in rem.items()}
-        if self.track:
-            self.combos[piv] = {t: f.mul(v, inv) for t, v in combo.items()}
+        inv = self.field.inv(rem[piv])
+        self.rows[piv] = {c: self.field.mul(v, inv) for c, v in rem.items()}
         return True
 
-    def _clean(self, row):
-        f = self.field
-        return {c: v for c, v in row.items() if not f.is_zero(v)}
-
     def back_substitute(self):
-        """Make the echelon fully reduced (RREF)."""
-        f = self.field
+        """Make the echelon fully reduced (RREF).
+
+        Rows are reduced from the largest pivot down, so each row clears its
+        other pivot columns against rows that are already reduced; those carry
+        no pivot column but their own, so one pass over each row suffices.
+        """
         for c in sorted(self.rows, reverse=True):
-            piv = self.rows[c]
-            for c2 in [k for k in self.rows if k < c]:
-                row = self.rows[c2]
-                if c in row:
-                    coef = row[c]
-                    for col, v in piv.items():
-                        newv = f.sub(row.get(col, f.zero), f.mul(coef, v))
-                        if f.is_zero(newv):
-                            row.pop(col, None)
-                        else:
-                            row[col] = newv
-                    if self.track:
-                        comb2 = self.combos[c2]
-                        for tag, v in self.combos[c].items():
-                            newv = f.sub(comb2.get(tag, f.zero), f.mul(coef, v))
-                            if f.is_zero(newv):
-                                comb2.pop(tag, None)
-                            else:
-                                comb2[tag] = newv
+            row = self.rows[c]
+            for p in [k for k in row if k != c and k in self.rows]:
+                self._eliminate(row, row[p], self.rows[p])
 
 
 def rank(M: SparseMatrix, field) -> int:
@@ -164,14 +132,3 @@ def kernel_basis(M: SparseMatrix, field) -> list:
                 vec[p] = field.neg(row[free])
         basis.append(vec)
     return basis
-
-
-def in_span(vectors, target, field):
-    """(member, coeffs): coeffs[i] multiplies vectors[i] when member is True."""
-    ech = Echelon(field, track=True)
-    for i, v in enumerate(vectors):
-        ech.add({c: field.coerce(x) for c, x in v.items()}, tag=i)
-    coeffs = ech.express({c: field.coerce(x) for c, x in target.items()})
-    if coeffs is None:
-        return False, None
-    return True, coeffs

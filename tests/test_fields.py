@@ -62,8 +62,6 @@ def test_field_context_and_parse():
     assert isinstance(field_context("rat"), RationalField)
     assert isinstance(field_context(None), RationalField)
     assert field_context(5).p == 5
-    with pytest.raises(FieldError):
-        field_context(3, required_char_floor=3)
     assert parse_field("p=32003").p == 32003
     assert parse_field("rat") == QQ
     with pytest.raises(FieldError):

@@ -10,10 +10,8 @@ from koszul_lab.homology import (
     InfeasibleError,
     KoszulComplex,
     cycle_module,
-    cycle_space,
     degrees_upto,
     generates_up_to,
-    homology_dim,
     homology_module,
     tor_dims,
     tor_violations,
@@ -96,11 +94,21 @@ def test_component_ceiling():
     assert exc.value.estimate == 9
 
 
-def test_module_level_wrappers():
-    ring = RingConfig((2,))
-    I = power_ideal(ring, 2)
-    assert len(cycle_space(I, 1, 3).vectors) == 2
-    assert homology_dim(I, 1, 3) == 2
+def test_homology_dim_checks_ceiling_before_building():
+    # m^4 in three variables at degree 24: K_5 fits (45,045), K_4 does not
+    kz = KoszulComplex(power_ideal(RingConfig((3,)), 4))
+    with pytest.raises(InfeasibleError) as exc:
+        kz.homology_dim(5, 24)
+    assert str(exc.value) == (
+        "component K_4 at degree (24,) has dimension 61425 over the ceiling 50000"
+    )
+    assert kz._basis == {}
+
+
+def test_cycle_space_and_homology_dim():
+    kz = KoszulComplex(power_ideal(RingConfig((2,)), 2))
+    assert kz.cycle_space(1, 3).dim == 2
+    assert kz.homology_dim(1, 3) == 2
 
 
 def test_free_module_tor():

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_lab.fields import QQ, PrimeField
 from koszul_lab.linalg import (
     Echelon,
     SparseMatrix,
-    in_span,
     kernel_basis,
     rank,
 )
+
+FIELDS = [QQ, PrimeField(5), PrimeField(32003)]
 
 
 def combine(pairs, field=QQ):
@@ -22,25 +23,33 @@ def combine(pairs, field=QQ):
     return {col: x for col, x in out.items() if not field.is_zero(x)}
 
 
-def dense_rank(rows, ncols):
-    """Independent oracle: dense fraction-exact Gaussian elimination."""
-    mat = [[Fraction(r.get(j, 0)) for j in range(ncols)] for r in rows]
-    rk = 0
-    col = 0
+def dense_rref(rows, ncols, field=QQ):
+    """Independent oracle: dense exact Gauss-Jordan elimination.
+
+    Returns the nonzero rows of the RREF, each normalized to 1 on its pivot,
+    and the pivot columns.
+    """
+    mat = [[field.coerce(r.get(j, 0)) for j in range(ncols)] for r in rows]
+    pivots = []
     nrows = len(mat)
-    while rk < nrows and col < ncols:
-        piv = next((i for i in range(rk, nrows) if mat[i][col] != 0), None)
+    for col in range(ncols):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, nrows) if not field.is_zero(mat[i][col])), None)
         if piv is None:
-            col += 1
             continue
         mat[rk], mat[piv] = mat[piv], mat[rk]
+        inv = field.inv(mat[rk][col])
+        mat[rk] = [field.mul(inv, a) for a in mat[rk]]
         for i in range(nrows):
-            if i != rk and mat[i][col] != 0:
-                factor = mat[i][col] / mat[rk][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rk])]
-        rk += 1
-        col += 1
-    return rk
+            if i != rk and not field.is_zero(mat[i][col]):
+                factor = mat[i][col]
+                mat[i] = [field.sub(a, field.mul(factor, b)) for a, b in zip(mat[i], mat[rk])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def dense_rank(rows, ncols):
+    return len(dense_rref(rows, ncols)[1])
 
 
 def random_sparse(rng, nrows, ncols, density=0.4):
@@ -84,44 +93,51 @@ def test_rank_nullity_gfp():
         assert rk <= rank(M, QQ)
 
 
-def test_in_span_certificate():
-    rng = random.Random(6)
-    for _ in range(25):
-        ncols = rng.randint(2, 8)
-        vectors = []
-        for _ in range(rng.randint(1, 6)):
-            v = {j: Fraction(rng.randint(-3, 3)) for j in range(ncols)}
-            vectors.append({j: c for j, c in v.items() if c})
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in vectors]
-        target = combine(zip(coeffs, vectors))
-        ok, cert = in_span(vectors, target, QQ)
-        assert ok
-        assert combine((c, vectors[i]) for i, c in cert.items()) == target
+def test_kernel_basis_matches_dense_rref():
+    # the kernel read off the dense RREF: one vector per free column f, 1 at f
+    # and minus the RREF entries of column f at the pivot columns
+    rng = random.Random(8)
+    for field in FIELDS:
+        for _ in range(40):
+            M = random_sparse(rng, rng.randint(1, 8), rng.randint(1, 8))
+            rref, pivots = dense_rref(M.rows(), M.ncols, field)
+            want = []
+            for free in range(M.ncols):
+                if free in pivots:
+                    continue
+                vec = {free: field.one}
+                for row, p in zip(rref, pivots):
+                    if not field.is_zero(row[free]):
+                        vec[p] = field.neg(row[free])
+                want.append(vec)
+            assert kernel_basis(M, field) == want
 
 
-def test_in_span_negative():
-    vectors = [{0: Fraction(1)}, {1: Fraction(1)}]
-    ok, cert = in_span(vectors, {2: Fraction(1)}, QQ)
-    assert not ok and cert is None
+_vector = st.dictionaries(st.integers(0, 6), st.integers(-3, 3), max_size=7)
 
 
-def test_echelon_express_tracks_combination():
-    rng = random.Random(7)
-    for _ in range(20):
-        ncols = rng.randint(3, 8)
-        originals = {}
-        ech = Echelon(QQ, track=True)
-        for tag in range(rng.randint(2, 6)):
-            v = {j: Fraction(rng.randint(-3, 3)) for j in range(ncols)}
-            v = {j: c for j, c in v.items() if c}
-            originals[tag] = v
-            ech.add(v, tag=tag)
-        # any random combination of the originals must be expressible
-        want = {t: Fraction(rng.randint(-2, 2)) for t in originals}
-        target = combine((c, originals[t]) for t, c in want.items())
-        combo = ech.express(target)
-        assert combo is not None
-        assert combine((c, originals[t]) for t, c in combo.items()) == target
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS),
+    added=st.lists(_vector, min_size=1, max_size=5),
+    coeffs=st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    probe=_vector,
+)
+def test_echelon_contains(field, added, coeffs, probe):
+    added = [{c: field.coerce(x) for c, x in v.items()} for v in added]
+    probe = {c: field.coerce(x) for c, x in probe.items()}
+    ech = Echelon(field)
+    for v in added:
+        ech.add(v)
+    before = {p: dict(row) for p, row in ech.rows.items()}
+    combination = combine(((field.coerce(c), v) for c, v in zip(coeffs, added)), field)
+    assert ech.contains(combination)
+    assert all(ech.contains(v) for v in added)
+    member = ech.contains(probe)
+    assert ech.rows == before and ech.rank == len(before)
+    grown = Echelon(field)
+    grown.rows = before
+    assert grown.add(probe) == (not member)
 
 
 def test_echelon_incremental_add():
@@ -131,13 +147,6 @@ def test_echelon_incremental_add():
     assert ech.add({1: Fraction(1)})
     assert ech.rank == 2
     assert not ech.add({0: Fraction(5), 1: Fraction(-1)})
-
-
-def test_express_requires_tracking():
-    ech = Echelon(QQ)
-    ech.add({0: Fraction(1)})
-    with pytest.raises(ValueError):
-        ech.express({0: Fraction(1)})
 
 
 def test_sparse_matrix_shape_ops():
