@@ -183,7 +183,7 @@ def build_parser():
 
     p = sub.add_parser("probe-q1", help="capped counterexample probe")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--size", type=int, default=20)
+    p.add_argument("--size", type=int, default=None)
     p.add_argument("--cap", action="append")
     common(p)
     p.set_defaults(fn=cmd_probe_q1)

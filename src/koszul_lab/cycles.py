@@ -15,7 +15,7 @@ from math import comb, factorial
 
 from .exterior import KoszulChain, boundary, sort_bracket, wedge
 from .fields import QQ
-from .homology import ComponentBasis, KoszulComplex, degrees_upto
+from .homology import KoszulComplex, degrees_upto
 from .linalg import Echelon
 from .rings import (
     MonomialIdeal,
@@ -30,7 +30,7 @@ FAMILY_ENUMERATION_WARN = 10**5
 
 @dataclass
 class CycleFamily:
-    label: str  # z1_generator | symmetrized | z1_power | gen2_type1 | gen2_type2
+    label: str  # z1_generator | gen2_type1 | gen2_type2
     params: tuple
     chain: KoszulChain
 
@@ -83,16 +83,6 @@ def z1_generator_family(ideal: MonomialIdeal) -> list:
     return out
 
 
-def _perm_sign(perm) -> int:
-    inv = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inv % 2 else 1
-
-
 def symmetrized_cycle(ideal: MonomialIdeal, a_list, b_list) -> KoszulChain:
     """Alternating sum over S_{t+1} of a_{s(t+1)} [b_1 a_{s(1)}, ..., b_t a_{s(t)}]."""
     ring = ideal.ring
@@ -114,7 +104,7 @@ def symmetrized_cycle(ideal: MonomialIdeal, a_list, b_list) -> KoszulChain:
             raise ValueError(f"b-monomial degree {ring.mdeg(b)} != {want}")
     terms = {}
     for perm in permutations(range(t + 1)):
-        s = _perm_sign(perm)
+        s = sort_bracket(perm)[0]
         idx = [ideal.gen_index(mon_mul(b_list[i], a_list[perm[i]])) for i in range(t)]
         sorted_bracket = sort_bracket(idx)
         if sorted_bracket is None:
@@ -125,12 +115,12 @@ def symmetrized_cycle(ideal: MonomialIdeal, a_list, b_list) -> KoszulChain:
     return KoszulChain(ideal, t, terms)
 
 
-def z1_power_component(ideal: MonomialIdeal, t: int, alpha, field=QQ) -> ComponentBasis:
-    """Basis of (Z_1^t)_alpha: the image of wedging t one-cycles, inside K_t."""
+def z1_products(kz: KoszulComplex, t: int) -> list:
+    """The nonzero t-fold wedges of the z_b generators, as (multidegree, chain)
+    pairs; kz.span_multiples of them in degree alpha spans (Z_1^t)_alpha."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    kz = KoszulComplex(ideal, field)
-    gens = [fam.chain for fam in z1_generator_family(ideal)]
+    gens = [fam.chain for fam in z1_generator_family(kz.ideal)]
     count = comb(len(gens), t)
     if count > FAMILY_ENUMERATION_WARN:
         warnings.warn(
@@ -145,8 +135,7 @@ def z1_power_component(ideal: MonomialIdeal, t: int, alpha, field=QQ) -> Compone
                 break
         if not prod.is_zero():
             prods.append((prod.multidegree(), prod))
-    ech = kz.span_multiples(prods, alpha)
-    return ComponentBasis(kz.basis(t, alpha), list(ech.rows.values()))
+    return prods
 
 
 class Multi2Checker:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from typing import Callable
 
-from .cycles import Multi2Checker, gen2_families, z1_power_component
+from .cycles import Multi2Checker, gen2_families, z1_products
 from .exterior import (
     KoszulChain,
     alpha_map,
@@ -53,7 +53,6 @@ from .rings import (
     MonomialIdeal,
     RingConfig,
     borel_closure,
-    component_dim,
     monomial_quotient_dim,
     power_containment,
     power_ideal,
@@ -113,7 +112,7 @@ class SuiteReport:
         verdicts = {c.verdict for c in self.cases}
         if "violation" in verdicts or "candidate" in verdicts:
             return "violation"
-        if "infeasible" in verdicts:
+        if "infeasible" in verdicts or not self.cases:  # no case, nothing checked
             return "infeasible"
         return "pass"
 
@@ -158,6 +157,9 @@ def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
     if unknown:
         raise ValueError(f"unknown caps {unknown}; valid keys are {sorted(DEFAULT_CAPS)}")
     caps = {**DEFAULT_CAPS, **(caps or {})}
+    for key, value in sorted(caps.items()):
+        if value < 1:
+            raise ValueError(f"cap {key} must be >= 1, got {value}")
     if field is not None and 0 < field.characteristic <= suite.char_floor:
         needs = "0" if suite.char_floor == QQ_ONLY else f"0 or > {suite.char_floor}"
         raise ValueError(f"suite {name} needs characteristic {needs}, got {field.name}")
@@ -207,18 +209,6 @@ def artinianize(I: MonomialIdeal, power: int, skip=()) -> MonomialIdeal:
             continue
         gens.append(tuple(power if i == k else 0 for i in range(ring.n)))
     return MonomialIdeal(ring, gens)
-
-
-def _estimate_component(I: MonomialIdeal, t: int, q: int) -> int:
-    if t > I.r:
-        return 0
-    degs = sorted(total_deg(g) for g in I.gens)
-    base = sum(degs[:t])
-    return math.comb(I.r, t) * component_dim(I.ring, max(q - base, 0))
-
-
-def _feasible(I, t, qmax, caps) -> bool:
-    return _estimate_component(I, t, qmax) <= caps["component_ceiling"]
 
 
 def _random_t(rng, caps, r):
@@ -365,11 +355,13 @@ def _tor_check(module_factory, bound, slack, i_max, field):
 
 
 def _tor_suite(build, size=50, found="violation") -> Suite:
-    """A suite whose cases are Tor checks.
+    """A suite whose cases are Tor checks of Z_t(I; M) or H_t(I; M).
 
-    build(rng, caps, field) -> (params, checks, window), or None to redraw,
-    gets the exact field (QQ under auto).  checks are (label, module_factory,
-    bound, i_max) tuples; a case with an entry found gets the verdict `found`.
+    build(rng, caps, field) -> (params, I, t, checks, window), or None to
+    redraw, gets the exact field (QQ under auto).  checks are (label,
+    module_factory, bound, i_max) tuples; a case with an entry found gets the
+    verdict `found`.  A case is redrawn when KoszulComplex's estimate of K_t
+    one degree past the scanned window exceeds the cap `component_ceiling`.
     """
 
     def cases(rng, caps, field):
@@ -379,7 +371,11 @@ def _tor_suite(build, size=50, found="violation") -> Suite:
             if built is None:
                 yield None
                 continue
-            params, checks, window = built
+            params, I, t, checks, window = built
+            qmax = max(bound for _, _, bound, _ in checks) + caps["slack"] + 1
+            if KoszulComplex(I).estimate(t, qmax) > caps["component_ceiling"]:
+                yield None
+                continue
             violations = [
                 {"check": label, "i": i, "j": j, "dim": d, "bound": bound}
                 for label, factory, bound, i_max in checks
@@ -420,12 +416,10 @@ def _regb(rng, caps, field):
     t = _random_t(rng, caps, I.r)
     bound_z = t * (c + 1)
     bound_h = bound_z + c - 1
-    if not _feasible(I, t, bound_h + caps["slack"] + 1, caps):
-        return None
     fz, fh = _zh_factories(I, t)
     params = {"ideal": ideal_params(I), "t": t, "c": c}
     window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
-    return params, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
+    return params, I, t, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
 
 
 def _thm1(rng, caps, field):
@@ -436,11 +430,9 @@ def _thm1(rng, caps, field):
     reg_I = reg_monomial_ideal(I, field)
     t = _random_t(rng, caps, I.r)
     bound = t * (reg_I + 1)
-    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
-        return None
     params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": monomial_quotient_dim(I)}
     window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
-    return params, [("Z", _zh_factories(I, t)[0], bound, None)], window
+    return params, I, t, [("Z", _zh_factories(I, t)[0], bound, None)], window
 
 
 def _greeny(rng, caps, field):
@@ -451,12 +443,10 @@ def _greeny(rng, caps, field):
     t = _random_t(rng, caps, I.r)
     bound_z = t * (c + 1) + v
     bound_h = bound_z + c - 1
-    if not _feasible(I, t, bound_h + caps["slack"] + 1, caps):
-        return None
     fz, fh = _zh_factories(I, t)
     params = {"ideal": ideal_params(I), "t": t, "c": c, "v": v}
     window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
-    return params, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
+    return params, I, t, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
 
 
 def _remark_b(rng, caps, field):
@@ -481,11 +471,9 @@ def _piper(rng, caps, field):
     c = I.max_gen_degree()
     t = _random_t(rng, caps, I.r)
     bound = t * (c + 1)
-    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
-        return None
     params = {"ideal": ideal_params(I), "t": t, "reg_I": c}
     window = {"bound_gen": bound, "slack": caps["slack"], "certified": False}
-    return params, [("Z", _zh_factories(I, t)[0], bound, 0)], window
+    return params, I, t, [("Z", _zh_factories(I, t)[0], bound, 0)], window
 
 
 def _sato(rng, caps, field):
@@ -498,8 +486,6 @@ def _sato(rng, caps, field):
     reg_SJ = J.max_gen_degree() - 1
     t = _random_t(rng, caps, I.r)
     bound = t * (reg_I + 1) + reg_SJ
-    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
-        return None
     factory = _zh_factories(I, t, Coefficients(ring, J))[0]
     params = {
         "ideal": ideal_params(I),
@@ -509,7 +495,7 @@ def _sato(rng, caps, field):
         "reg_SJ": reg_SJ,
     }
     window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
-    return params, [("Z(I;S/J)", factory, bound, None)], window
+    return params, I, t, [("Z(I;S/J)", factory, bound, None)], window
 
 
 def _probe_q1_case(rng, caps, field):
@@ -522,11 +508,9 @@ def _probe_q1_case(rng, caps, field):
     reg_I = reg_monomial_ideal(I, field)
     t = _random_t(rng, caps, I.r)
     bound = t * (reg_I + 1)
-    if not _feasible(I, t, bound + caps["slack"] + 1, caps):
-        return None
     params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": dim}
     window = {"bound": bound, "slack": caps["slack"], "certified": False}
-    return params, [("Z", _zh_factories(I, t)[0], bound, None)], window
+    return params, I, t, [("Z", _zh_factories(I, t)[0], bound, None)], window
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +551,7 @@ def _multi(rng, caps, field):
                 if not prod.is_zero():
                     candidates.append(prod)
             D = tuple(b + 1 for b in bound)
-            generated, first_fail = generates_up_to(candidates, ideal, t, D)
+            generated, first_fail = generates_up_to(kz, candidates, t, D)
             results[f"t={t}"] = {
                 "generated": generated,
                 "window": list(D),
@@ -621,12 +605,13 @@ def _maincyc(rng, caps, field):
             yield params, "pass", {"rank_zero": True}, {"note": "exterior power vanishes"}
             continue
         kz = KoszulComplex(ideal, field)
+        prods = z1_products(kz, t)
         start = t * (c + 1)
         mismatches = []
         dims = {}
         for j in range(start, start + caps["slack"] + 1):
-            dz = len(kz.cycle_space(t, j).vectors)
-            dp = len(z1_power_component(ideal, t, j, field).vectors)
+            dz = kz.cycle_space(t, j).dim
+            dp = kz.span_multiples(prods, j).rank
             dims[str(j)] = {"Z": dz, "Z1_power": dp}
             if dz != dp:
                 mismatches.append(j)
@@ -643,7 +628,8 @@ def _gen2(rng, caps, field):
         ideal = power_ideal(RingConfig((n,)), c)
         families = gen2_families(n, c, field)
         D = 2 * c + 2
-        generated, first_fail = generates_up_to([f.chain for f in families], ideal, 2, D, field)
+        kz = KoszulComplex(ideal, field)
+        generated, first_fail = generates_up_to(kz, [f.chain for f in families], 2, D)
         params = {"n": n, "c": c, "families": len(families)}
         details = {"first_fail": list(first_fail) if first_fail else None}
         yield params, _verdict(generated), {"degree_bound": D, "certified": True}, details
@@ -731,22 +717,12 @@ def _surge(rng, caps, field):
     """Tor_1(S/I, Z_1)_j = 0 iff one-cycle products span (Z_2)_j, for I = m^2."""
     ideal = power_ideal(RingConfig((2,)), 2)
     kz = KoszulComplex(ideal, field)
+    prods = z1_products(kz, 2)
     mismatches = []
     table = {}
     for j in range(0, caps["surge_degree"] + 1):
-        dz2 = len(kz.cycle_space(2, j).vectors)
-        prods = Echelon(field)
-        prod_rank = 0
-        for a in range(0, j + 1):
-            right = kz.cycle_chains(1, j - a)
-            for f in kz.cycle_chains(1, a):
-                for g in right:
-                    p = wedge(f, g)
-                    if p.is_zero():
-                        continue
-                    vec = kz.chain_vector(p, (j,))
-                    if vec and prods.add(vec):
-                        prod_rank += 1
+        dz2 = kz.cycle_space(2, j).dim
+        prod_rank = kz.span_multiples(prods, j).rank
         surjective = prod_rank == dz2
         tor1 = _surge_tor1_dim(kz, j)
         table[str(j)] = {"dim_Z2": dz2, "product_rank": prod_rank, "tor1": tor1}

@@ -55,14 +55,14 @@ class Coefficients:
 class ComponentBasis:
     """Ordered basis of a graded piece with coordinate vectors inside it.
 
-    When `free` is set the vectors are an RREF basis: vectors[b] is 1 on
-    column free[b] and 0 on every other free column, so the coordinates of a
-    vector in their span are its entries on the free columns.
+    The vectors are an RREF basis: vectors[b] is 1 on column free[b] and 0 on
+    every other free column, so the coordinates of a vector in their span are
+    its entries on the free columns.
     """
 
     keys: list
     vectors: list  # dicts {column index: scalar}
-    free: list | None = None
+    free: list
 
     @property
     def dim(self):
@@ -95,11 +95,9 @@ class KoszulComplex:
         self._index = {}
         self._gen_mdegs = [self.ring.mdeg(g) for g in I.gens]
 
-    def _faces(self, t: int, alpha) -> list:
-        """(T, degree of w) for the faces T of K_t at alpha.
-
-        Raises InfeasibleError when the component would exceed the ceiling.
-        """
+    def _shifted(self, t: int, alpha) -> tuple:
+        """(T, degree of w) for the faces T of K_t at alpha, and the sum of
+        dim S over those degrees."""
         shifted = []
         if 0 <= t <= self.ideal.r:
             for T in combinations(range(1, self.ideal.r + 1), t):
@@ -109,8 +107,19 @@ class KoszulComplex:
                     wdeg = [a - b for a, b in zip(wdeg, g)]
                 if all(a >= 0 for a in wdeg):
                     shifted.append((T, tuple(wdeg)))
-        # dim S_wdeg bounds dim M_wdeg, so the estimate is exact for M = S
-        est = sum(component_dim(self.ring, wdeg) for _, wdeg in shifted)
+        return shifted, sum(component_dim(self.ring, wdeg) for _, wdeg in shifted)
+
+    def estimate(self, t: int, alpha) -> int:
+        """Size of K_t at alpha as checked against the ceiling: dim K_t for
+        M = S, an upper bound for M = S/J (dim S_w bounds dim M_w)."""
+        return self._shifted(t, self.ring.as_mdeg(alpha))[1]
+
+    def _faces(self, t: int, alpha) -> list:
+        """(T, degree of w) for the faces T of K_t at alpha.
+
+        Raises InfeasibleError when the estimate exceeds the ceiling.
+        """
+        shifted, est = self._shifted(t, alpha)
         if est > self.ceiling:
             raise InfeasibleError(
                 f"component K_{t} at degree {alpha} has dimension {est} "
@@ -372,17 +381,16 @@ def degrees_upto(ring: RingConfig, D):
     return [alpha for alpha in product(*(range(b + 1) for b in D))]
 
 
-def generates_up_to(candidates, I: MonomialIdeal, t: int, D, field=QQ):
+def generates_up_to(kz: KoszulComplex, candidates, t: int, D):
     """Whether monomial multiples of the candidate cycles span Z_t(I, S)_alpha
     for every alpha <= D.  Returns (ok, first failing degree or None)."""
-    kz = KoszulComplex(I, field)
     for g in candidates:
-        if g.t != t or g.ideal != I:
+        if g.t != t or g.ideal != kz.ideal:
             raise ValueError("candidate in the wrong Koszul component")
         if not boundary(g).is_zero():
             raise ValueError("candidate is not a cycle")
     cands = [(g.multidegree(), g) for g in candidates if not g.is_zero()]
-    for alpha in degrees_upto(I.ring, D):
+    for alpha in degrees_upto(kz.ring, D):
         target_dim = kz.cycle_space(t, alpha).dim
         if target_dim and kz.span_multiples(cands, alpha, stop=target_dim).rank < target_dim:
             return False, alpha

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import ceil, comb
 
 from .fields import QQ
-from .homology import DEFAULT_COMPONENT_CEILING, InfeasibleError, KoszulComplex  # noqa: F401
+from .homology import InfeasibleError, KoszulComplex  # noqa: F401
 from .rings import RingConfig, component_dim, power_ideal
 
 
@@ -21,7 +21,6 @@ from .rings import RingConfig, component_dim, power_ideal
 class SegreVeroneseSpec:
     blocks: tuple
     c: tuple
-    component_ceiling: int = DEFAULT_COMPONENT_CEILING
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
@@ -92,7 +91,7 @@ def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
         raise ValueError("i_max must be >= 1")
     ring = spec.ring
     ideal = power_ideal(ring, spec.c)
-    kz = KoszulComplex(ideal, field, ceiling=spec.component_ceiling)
+    kz = KoszulComplex(ideal, field)
     entries, certified, windows = {}, {}, {}
     entries[(0, 0)] = 1
     certified[(0, 0)] = True

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from koszul_lab.cli import (
     EXIT_INFEASIBLE,
     EXIT_PASS,
@@ -142,3 +144,33 @@ def test_unknown_cap_exits_usage(capsys):
 def test_ideal_must_be_object(capsys):
     argv = ["homology", "--ideal", "[1,2]", "-t", "1", "--degree", "2"]
     assert run_cli(capsys, *argv)[0] == EXIT_USAGE
+
+
+def test_suite_with_every_draw_redrawn_is_infeasible(capsys):
+    # a ceiling of 1 rejects every regb draw, so nothing is checked
+    code, out = run_cli(
+        capsys, "verify", "regb", "--cap", "component_ceiling=1", "--size", "3"
+    )
+    data = json.loads(out)
+    assert data["cases"] == [] and data["summary"]["redrawn"] == 240
+    assert data["verdict"] == "infeasible" and code == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "suite, cap",
+    [
+        ("regb", "slack=0"),
+        ("regb", "slack=-3"),
+        ("surge", "surge_degree=-5"),
+        ("regb", "t_max=-1"),
+        ("maincyc", "t_max=-1"),
+        ("surge", "t_max=0"),
+        ("thm1", "component_ceiling=0"),
+    ],
+)
+def test_cap_below_one_exits_usage(capsys, suite, cap):
+    code = main(["verify", suite, "--cap", cap])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"cap {cap.split('=')[0]} must be >= 1" in err
+    assert main(["probe-q1", "--cap", cap]) == EXIT_USAGE

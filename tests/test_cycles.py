@@ -9,11 +9,12 @@ from koszul_lab.cycles import (
     symmetrized_cycle,
     z1_generator,
     z1_generator_family,
-    z1_power_component,
+    z1_products,
 )
 from koszul_lab.exterior import boundary, wedge
 from koszul_lab.fields import PrimeField, QQ
 from koszul_lab.homology import KoszulComplex
+from koszul_lab.linalg import Echelon
 from koszul_lab.rings import RingConfig, component_basis, power_ideal
 
 
@@ -50,7 +51,7 @@ def test_z1_family_spans_z1():
         for fam in fams:
             assert boundary(fam.chain).is_zero()
             assert fam.chain.multidegree() == (c + 1,)
-        assert len(z1_power_component(I, 1, c + 1).vectors) == len(
+        assert kz.span_multiples(z1_products(kz, 1), c + 1).rank == len(
             kz.cycle_space(1, c + 1).vectors
         )
 
@@ -87,11 +88,39 @@ def test_z1_power_inside_cycles():
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
     kz = KoszulComplex(I)
+    prods = z1_products(kz, 2)
     for j in (6, 7, 8):
-        vecs = z1_power_component(I, 2, j).vectors
+        vecs = list(kz.span_multiples(prods, j).rows.values())
         M = kz.boundary_matrix(2, j)
         for v in vecs:
             assert M.apply(v, QQ) == {}
+
+
+def _pair_wedge_rank(kz, j):
+    """Rank of the wedges f ^ g of Z_1 basis cycles in degrees a and j - a."""
+    ech = Echelon(kz.field)
+    for a in range(0, j + 1):
+        right = kz.cycle_chains(1, j - a)
+        for f in kz.cycle_chains(1, a):
+            for g in right:
+                p = wedge(f, g)
+                if not p.is_zero():
+                    vec = kz.chain_vector(p, (j,))
+                    if vec:
+                        ech.add(vec)
+    return ech.rank
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(32003)], ids=str)
+def test_z1_products_span_z1_squared(field):
+    # the span of the z_b wedges equals that of all Z_1 basis wedges
+    kz = KoszulComplex(power_ideal(RingConfig((2,)), 2), field)
+    prods = z1_products(kz, 2)
+    ranks = [kz.span_multiples(prods, j).rank for j in range(11)]
+    assert ranks == [_pair_wedge_rank(kz, j) for j in range(11)]
+    assert any(ranks)
+    with pytest.raises(ValueError):
+        z1_products(kz, 0)
 
 
 def test_multi2_checker_certificates():

@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_lab.fields import QQ, PrimeField
 from koszul_lab.harness import random_monomial_ideal
@@ -92,6 +93,29 @@ def test_component_ceiling():
     with pytest.raises(InfeasibleError) as exc:
         kz.basis(1, 4)  # three generators times dim S_2 = 3
     assert exc.value.estimate == 9
+
+
+def _gens(n):
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: 0 < sum(e) <= 3)
+    return st.lists(exps, min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+    t=st.integers(0, 3),
+    degree=st.integers(0, 7),
+)
+def test_estimate_is_basis_size_for_s_and_bounds_quotients(n, data, t, degree):
+    ring = RingConfig((n,))
+    I = MonomialIdeal(ring, data.draw(_gens(n)))
+    J = MonomialIdeal(ring, data.draw(_gens(n)))
+    kz = KoszulComplex(I)
+    assert kz.estimate(t, degree) == len(kz.basis(t, degree))
+    kz_quot = KoszulComplex(I, coeffs=Coefficients(ring, J))
+    assert kz_quot.estimate(t, degree) == kz.estimate(t, degree)
+    assert kz_quot.estimate(t, degree) >= len(kz_quot.basis(t, degree))
 
 
 def test_homology_dim_checks_ceiling_before_building():
@@ -249,9 +273,9 @@ def test_generates_up_to_positive_and_negative():
     kz = KoszulComplex(I)
     cb = kz.cycle_space(1, 3)
     gens = [kz.vector_chain(1, 3, v) for v in cb.vectors]
-    ok, fail = generates_up_to(gens, I, 1, 6)
+    ok, fail = generates_up_to(kz, gens, 1, 6)
     assert ok and fail is None
-    ok, fail = generates_up_to(gens[:1], I, 1, 6)
+    ok, fail = generates_up_to(kz, gens[:1], 1, 6)
     assert not ok and fail == (3,)
     with pytest.raises(ValueError):
-        generates_up_to([kz.vector_chain(1, 4, {0: 1})], I, 1, 5)
+        generates_up_to(kz, [kz.vector_chain(1, 4, {0: 1})], 1, 5)

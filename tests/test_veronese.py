@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from koszul_lab.homology import DEFAULT_COMPONENT_CEILING
 from koszul_lab.rings import RingConfig, component_dim
 from koszul_lab.veronese import (
     BettiTable,
@@ -94,7 +95,7 @@ def test_segre_quadric_hypersurface():
 
 
 def test_infeasible_ceiling():
-    spec = SegreVeroneseSpec((3,), (2,), component_ceiling=5)
+    spec = SegreVeroneseSpec((6,), (6,))
     with pytest.raises(InfeasibleError) as exc:
         veronese_betti(spec, 1)
-    assert exc.value.estimate > 5
+    assert exc.value.estimate > DEFAULT_COMPONENT_CEILING
