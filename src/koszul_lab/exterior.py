@@ -143,10 +143,6 @@ class KoszulChain:
             raise ValueError("inhomogeneous chain")
         return next(iter(degs))
 
-    def total_degree(self):
-        d = self.multidegree()
-        return None if d is None else sum(d)
-
     def render(self) -> str:
         """Canonical text: coeff * [u_i1,...,u_it] * w per term, sorted."""
         if not self.terms:

@@ -1,8 +1,11 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields GF(p).
 
-A field context bundles the arithmetic callbacks used by all linear algebra.
-Elements are plain Python values (Fraction for the rationals, int residues in
-[0, p) for GF(p)), so there is no per-element wrapper overhead.
+Elements are plain Python numbers and linear algebra uses the native
+operators on them: over the rationals an element is an int or a Fraction (an
+integer stays an int, so unit-pivot elimination on integer matrices never
+builds a Fraction); over GF(p) it is an int residue in [0, p), and callers
+reduce with `% p` after arithmetic.  A field supplies only `name`,
+`characteristic`, `coerce` and `inv`.
 """
 
 from __future__ import annotations
@@ -39,37 +42,20 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of exact rationals.  Elements: Fraction (ints coerce)."""
+    """The field of exact rationals.  Elements: int or Fraction."""
 
     name = "rat"
     characteristic = 0
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
     def coerce(self, x):
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+        return x if isinstance(x, int) else Fraction(x)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if a == 1 or a == -1:
+            return int(a)
         return 1 / Fraction(a)
-
-    def is_zero(self, a):
-        return a == 0
 
     def __repr__(self):
         return "QQ"
@@ -90,8 +76,6 @@ class PrimeField:
         self.p = p
         self.name = f"p={p}"
         self.characteristic = p
-        self.zero = 0
-        self.one = 1
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -101,25 +85,10 @@ class PrimeField:
             return x.numerator * pow(den, -1, self.p) % self.p
         return x % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -131,20 +100,12 @@ class PrimeField:
         return hash(("gf", self.p))
 
 
-def field_context(kind):
-    """Build a field context: "rat" (or None) for the rationals, or an int
-    prime p for GF(p)."""
-    if kind is None or kind == "rat":
-        return RationalField()
-    return PrimeField(int(kind))
-
-
 def parse_field(text: str):
     """Parse a CLI field choice: 'rat' or 'p=<prime>'."""
     if text == "rat":
-        return field_context("rat")
+        return RationalField()
     if text.startswith("p="):
-        return field_context(int(text[2:]))
+        return PrimeField(int(text[2:]))
     raise FieldError(f"unrecognized field {text!r}; use 'rat' or 'p=<prime>'")
 
 

@@ -5,16 +5,14 @@ found inside the certified or capped window recorded with each case.  Reports
 serialize to canonical JSON that is byte-identical for identical inputs, so
 wall-clock timing is reported separately and never embedded.
 
-A suite is data: a case generator, a default size and a characteristic floor
-(see `Suite`).  One driver, `_run`, validates the request, seeds the RNG,
-pulls and indexes the cases and counts redraws for every suite and for
-`probe_q1`.
+A suite is data: a case generator, a default size, a characteristic floor
+and the caps it reads (see `Suite`).  One driver, `_run`, validates the
+request, seeds the RNG, pulls and indexes the cases and counts redraws for
+every suite and for `probe_q1`.
 
-Unless a field is forced, Tor checks run over GF(32003) as an accelerator and
-recheck every candidate violation over the rationals (`_tor_check`); a nonzero
-Tor dimension over the rationals forces one mod p, so a zero mod p certifies
-the rational zero and verdicts stay exact.  Every other computation of the
-auto field is over the rationals.
+The theorems are statements in characteristic zero, so unless a field is
+forced (`--field`) every suite computes over the rationals; the report names
+that choice "auto".
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .exterior import (
     sign,
     wedge,
 )
-from .fields import QQ, PrimeField
+from .fields import QQ
 from .homology import (
     Coefficients,
     InfeasibleError,
@@ -45,7 +43,6 @@ from .homology import (
     degrees_upto,
     generates_up_to,
     homology_module,
-    tor_dims,
     tor_violations,
 )
 from .linalg import Echelon
@@ -62,8 +59,6 @@ from .rings import (
 )
 from .veronese import SegreVeroneseSpec, green_lazarsfeld_index
 
-ACCEL_PRIME = 32003
-
 DEFAULT_CAPS = {
     "slack": 2,
     "t_max": 3,
@@ -73,6 +68,8 @@ DEFAULT_CAPS = {
 
 # characteristic floor of the suites that reject every prime field
 QQ_ONLY = math.inf
+
+TOR_CAPS = ("slack", "t_max", "component_ceiling")
 
 
 class UnknownSuiteError(ValueError):
@@ -137,15 +134,15 @@ class Suite:
     """A verification suite as data.
 
     cases(rng, caps, field) yields (params, verdict, window, details) for each
-    case, or None to ask for a redraw.  A prime field of characteristic
-    <= char_floor is rejected.  Under the auto field an accelerated suite gets
-    field None and hands it to `_tor_check`; every other suite gets QQ.
+    case, or None to ask for a redraw; under the auto field it gets QQ.  A
+    prime field of characteristic <= char_floor is rejected, and so is a cap
+    key outside `caps`, the keys the suite reads.
     """
 
     cases: Callable
     size: int
     char_floor: float = 3
-    accelerated: bool = False
+    caps: tuple = ()
 
 
 def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
@@ -153,19 +150,24 @@ def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
     size = suite.size if size is None else size
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    unknown = sorted(set(caps or {}) - set(DEFAULT_CAPS))
+    caps = caps or {}
+    unknown = sorted(set(caps) - set(DEFAULT_CAPS))
     if unknown:
         raise ValueError(f"unknown caps {unknown}; valid keys are {sorted(DEFAULT_CAPS)}")
-    caps = {**DEFAULT_CAPS, **(caps or {})}
     for key, value in sorted(caps.items()):
         if value < 1:
             raise ValueError(f"cap {key} must be >= 1, got {value}")
+    unread = sorted(set(caps) - set(suite.caps))
+    if unread:
+        raise ValueError(
+            f"suite {name} does not read caps {unread}; it reads {sorted(suite.caps)}"
+        )
+    caps = {**DEFAULT_CAPS, **caps}
     if field is not None and 0 < field.characteristic <= suite.char_floor:
         needs = "0" if suite.char_floor == QQ_ONLY else f"0 or > {suite.char_floor}"
         raise ValueError(f"suite {name} needs characteristic {needs}, got {field.name}")
-    work_field = field if field is not None or suite.accelerated else QQ
     cases, redrawn = [], 0
-    for case in suite.cases(random.Random(seed), caps, work_field):
+    for case in suite.cases(random.Random(seed), caps, QQ if field is None else field):
         if case is None:
             redrawn += 1
         else:
@@ -338,53 +340,36 @@ def _maps(rng, caps, field):
 # ---------------------------------------------------------------------------
 
 
-def _tor_check(module_factory, bound, slack, i_max, field):
-    """Nonzero Tor_i(M, K)_j with bound < j - i <= bound + slack and i <= i_max.
-
-    module_factory(field) builds M.  The auto field (None) scans in
-    GF(ACCEL_PRIME) and keeps an entry only if it is nonzero over QQ too,
-    with its rational dimension; a forced field scans in that field alone.
-    """
-    if field is not None:
-        return tor_violations(module_factory(field), bound, slack, i_max)
-    found = tor_violations(module_factory(PrimeField(ACCEL_PRIME)), bound, slack, i_max)
-    if not found:
-        return found
-    Mq = module_factory(QQ)
-    return [(i, j, d) for i, j, _ in found if (d := tor_dims(Mq, i, j)) > 0]
-
-
 def _tor_suite(build, size=50, found="violation") -> Suite:
     """A suite whose cases are Tor checks of Z_t(I; M) or H_t(I; M).
 
-    build(rng, caps, field) -> (params, I, t, checks, window), or None to
-    redraw, gets the exact field (QQ under auto).  checks are (label,
-    module_factory, bound, i_max) tuples; a case with an entry found gets the
-    verdict `found`.  A case is redrawn when KoszulComplex's estimate of K_t
-    one degree past the scanned window exceeds the cap `component_ceiling`.
+    build(rng, caps, field) -> (params, kz, t, checks, window), or None to
+    redraw.  checks are (label, module, bound, i_max) tuples for modules over
+    the complex kz; a case with an entry found gets the verdict `found`.  A
+    case is redrawn when kz's estimate of K_t one degree past the scanned
+    window exceeds the cap `component_ceiling`.
     """
 
     def cases(rng, caps, field):
-        exact = QQ if field is None else field
         while True:
-            built = build(rng, caps, exact)
+            built = build(rng, caps, field)
             if built is None:
                 yield None
                 continue
-            params, I, t, checks, window = built
+            params, kz, t, checks, window = built
             qmax = max(bound for _, _, bound, _ in checks) + caps["slack"] + 1
-            if KoszulComplex(I).estimate(t, qmax) > caps["component_ceiling"]:
+            if kz.estimate(t, qmax) > caps["component_ceiling"]:
                 yield None
                 continue
             violations = [
                 {"check": label, "i": i, "j": j, "dim": d, "bound": bound}
-                for label, factory, bound, i_max in checks
-                for i, j, d in _tor_check(factory, bound, caps["slack"], i_max, field)
+                for label, module, bound, i_max in checks
+                for i, j, d in tor_violations(module, bound, caps["slack"], i_max)
             ]
             verdict = found if violations else "pass"
             yield params, verdict, window, {"violations": violations}
 
-    return Suite(cases, size, accelerated=True)
+    return Suite(cases, size, caps=TOR_CAPS)
 
 
 def _smallest_power_degree(I: MonomialIdeal) -> int:
@@ -397,18 +382,6 @@ def _smallest_power_degree(I: MonomialIdeal) -> int:
     return c
 
 
-def _zh_factories(I, t, coeffs=None):
-    """Factories for Z_t and H_t sharing one complex per field."""
-    cache = {}
-
-    def get(f):
-        if f not in cache:
-            cache[f] = KoszulComplex(I, f, coeffs)
-        return cache[f]
-
-    return (lambda f: cycle_module(get(f), t)), (lambda f: homology_module(get(f), t))
-
-
 def _regb(rng, caps, field):
     n = rng.choice([2, 2, 3])
     I = artinianize(random_monomial_ideal(rng, RingConfig((n,)), 3, 3), rng.randint(2, 3))
@@ -416,10 +389,11 @@ def _regb(rng, caps, field):
     t = _random_t(rng, caps, I.r)
     bound_z = t * (c + 1)
     bound_h = bound_z + c - 1
-    fz, fh = _zh_factories(I, t)
     params = {"ideal": ideal_params(I), "t": t, "c": c}
     window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
-    return params, I, t, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
+    kz = KoszulComplex(I, field)
+    Z, H = cycle_module(kz, t), homology_module(kz, t)
+    return params, kz, t, [("Z", Z, bound_z, None), ("H", H, bound_h, None)], window
 
 
 def _thm1(rng, caps, field):
@@ -432,7 +406,8 @@ def _thm1(rng, caps, field):
     bound = t * (reg_I + 1)
     params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": monomial_quotient_dim(I)}
     window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
-    return params, I, t, [("Z", _zh_factories(I, t)[0], bound, None)], window
+    kz = KoszulComplex(I, field)
+    return params, kz, t, [("Z", cycle_module(kz, t), bound, None)], window
 
 
 def _greeny(rng, caps, field):
@@ -443,10 +418,11 @@ def _greeny(rng, caps, field):
     t = _random_t(rng, caps, I.r)
     bound_z = t * (c + 1) + v
     bound_h = bound_z + c - 1
-    fz, fh = _zh_factories(I, t)
     params = {"ideal": ideal_params(I), "t": t, "c": c, "v": v}
     window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
-    return params, I, t, [("Z", fz, bound_z, None), ("H", fh, bound_h, None)], window
+    kz = KoszulComplex(I, field)
+    Z, H = cycle_module(kz, t), homology_module(kz, t)
+    return params, kz, t, [("Z", Z, bound_z, None), ("H", H, bound_h, None)], window
 
 
 def _remark_b(rng, caps, field):
@@ -473,7 +449,8 @@ def _piper(rng, caps, field):
     bound = t * (c + 1)
     params = {"ideal": ideal_params(I), "t": t, "reg_I": c}
     window = {"bound_gen": bound, "slack": caps["slack"], "certified": False}
-    return params, I, t, [("Z", _zh_factories(I, t)[0], bound, 0)], window
+    kz = KoszulComplex(I, field)
+    return params, kz, t, [("Z", cycle_module(kz, t), bound, 0)], window
 
 
 def _sato(rng, caps, field):
@@ -486,7 +463,7 @@ def _sato(rng, caps, field):
     reg_SJ = J.max_gen_degree() - 1
     t = _random_t(rng, caps, I.r)
     bound = t * (reg_I + 1) + reg_SJ
-    factory = _zh_factories(I, t, Coefficients(ring, J))[0]
+    kz = KoszulComplex(I, field, Coefficients(ring, J))
     params = {
         "ideal": ideal_params(I),
         "coeff_ideal": ideal_params(J),
@@ -495,7 +472,7 @@ def _sato(rng, caps, field):
         "reg_SJ": reg_SJ,
     }
     window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
-    return params, I, t, [("Z(I;S/J)", factory, bound, None)], window
+    return params, kz, t, [("Z(I;S/J)", cycle_module(kz, t), bound, None)], window
 
 
 def _probe_q1_case(rng, caps, field):
@@ -510,7 +487,8 @@ def _probe_q1_case(rng, caps, field):
     bound = t * (reg_I + 1)
     params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": dim}
     window = {"bound": bound, "slack": caps["slack"], "certified": False}
-    return params, I, t, [("Z", _zh_factories(I, t)[0], bound, None)], window
+    kz = KoszulComplex(I, field)
+    return params, kz, t, [("Z", cycle_module(kz, t), bound, None)], window
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +672,8 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
                     pv = kz.chain_vector(piece, (j - gdeg[gi],))
                     for col, v in pv.items():
                         col += offsets[gi]
-                        total[col] = field.add(total.get(col, field.zero), v)
-                total = {c: v for c, v in total.items() if not field.is_zero(v)}
+                        total[col] = field.coerce(total.get(col, 0) + v)
+                total = {c: v for c, v in total.items() if v}
                 if total and rel.add(total):
                     rel_rank += 1
 
@@ -744,10 +722,10 @@ SUITES = {
     "sato": _tor_suite(_sato),
     "multi": Suite(_multi, len(MULTI_SPECS), QQ_ONLY),
     "multi2": Suite(_multi2, len(MULTI2_CONFIGS)),
-    "maincyc": Suite(_maincyc, len(MAINCYC_COMBOS)),
+    "maincyc": Suite(_maincyc, len(MAINCYC_COMBOS), caps=("slack",)),
     "gen2": Suite(_gen2, len(GEN2_SPECS), char_floor=2),
     "check": Suite(_check, len(CHECK_SPECS)),
-    "surge": Suite(_surge, 1),
+    "surge": Suite(_surge, 1, caps=("surge_degree",)),
 }
 
 _PROBE_Q1 = _tor_suite(_probe_q1_case, size=20, found="candidate")

@@ -175,7 +175,7 @@ class KoszulComplex:
             return self._kernel[key]
         keys = self.basis(t, alpha)
         if t == 0 or not keys:  # an empty K_t needs no K_{t-1}
-            vecs = [{i: self.field.one} for i in range(len(keys))]
+            vecs = [{i: 1} for i in range(len(keys))]
         else:
             vecs = kernel_basis(self.boundary_matrix(t, alpha), self.field)
         # kernel_basis puts each vector's free column after all its other columns
@@ -217,7 +217,7 @@ class KoszulComplex:
             if w is None:
                 continue
             vec[idx[(T, w)]] = self.field.coerce(c)
-        return {i: v for i, v in vec.items() if not self.field.is_zero(v)}
+        return {i: v for i, v in vec.items() if v}
 
     def vector_chain(self, t: int, alpha, vec: dict) -> KoszulChain:
         keys = self.basis(t, alpha)
@@ -342,7 +342,7 @@ def _var_rank(M: GradedModule, i: int, q: int) -> int:
             col = {}
             for off, k, odd in faces:
                 for b, c in images[k].items():
-                    col[off + b] = f.neg(c) if odd else c
+                    col[off + b] = f.coerce(-c) if odd else c
             ech.add(col)
     return ech.rank - seeded
 

@@ -1,8 +1,10 @@
-"""Exact sparse linear algebra over a field context.
+"""Exact sparse linear algebra over QQ or GF(p).
 
-Vectors are dicts {column index: nonzero scalar}.  The workhorse is an
-incremental row echelon that supports rank, kernel bases in RREF, and span
-membership.
+Vectors are dicts {column index: nonzero scalar}, with scalars already
+coerced into the field.  The workhorse is an incremental row echelon that
+supports rank, kernel bases in RREF, and span membership.  Arithmetic is
+native: over GF(p) every result is reduced `% p`, over QQ integer rows stay
+ints as long as the pivots are units.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ class SparseMatrix:
         cols = {}
         for (i, j), v in self.entries.items():
             if j in vec:
-                cols[i] = field.add(cols.get(i, field.zero), field.mul(v, vec[j]))
-        return {i: v for i, v in cols.items() if not field.is_zero(v)}
+                cols[i] = field.coerce(cols.get(i, 0) + v * vec[j])
+        return {i: v for i, v in cols.items() if v}
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
@@ -43,7 +45,7 @@ class SparseMatrix:
 class Echelon:
     """Incremental row echelon form; pivot = smallest column of each new row.
 
-    Rows are normalized to pivot value 1.
+    Rows are normalized to pivot value 1 and hold coerced field elements.
     """
 
     def __init__(self, field):
@@ -56,18 +58,19 @@ class Echelon:
 
     def _eliminate(self, row, coef, piv):
         """row -= coef * piv, in place."""
-        f = self.field
+        p = self.field.characteristic
         for col, v in piv.items():
-            newv = f.sub(row.get(col, f.zero), f.mul(coef, v))
-            if f.is_zero(newv):
-                row.pop(col, None)
-            else:
+            newv = row.get(col, 0) - coef * v
+            if p:
+                newv %= p
+            if newv:
                 row[col] = newv
+            else:
+                row.pop(col, None)
 
     def _reduce(self, row):
         """Remainder of a copy of row against the echelon, and its pivot."""
-        f = self.field
-        row = {c: v for c, v in row.items() if not f.is_zero(v)}
+        row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             if c not in self.rows:
@@ -85,7 +88,8 @@ class Echelon:
         if piv is None:
             return False
         inv = self.field.inv(rem[piv])
-        self.rows[piv] = {c: self.field.mul(v, inv) for c, v in rem.items()}
+        p = self.field.characteristic
+        self.rows[piv] = {c: v * inv % p if p else v * inv for c, v in rem.items()}
         return True
 
     def back_substitute(self):
@@ -126,9 +130,9 @@ def kernel_basis(M: SparseMatrix, field) -> list:
     for free in range(M.ncols):
         if free in pivots:
             continue
-        vec = {free: field.one}
+        vec = {free: 1}
         for p, row in ech.rows.items():
             if free in row:
-                vec[p] = field.neg(row[free])
+                vec[p] = field.coerce(-row[free])
         basis.append(vec)
     return basis

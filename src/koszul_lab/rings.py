@@ -8,6 +8,7 @@ of length d (plain ints are accepted for d = 1 and normalized).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -122,18 +123,21 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def component_basis(ring: RingConfig, alpha) -> list:
-    """All monomials of multidegree alpha, in the fixed (graded lex) order."""
-    alpha = ring.as_mdeg(alpha)
+def component_basis(ring: RingConfig, alpha) -> tuple:
+    """All monomials of multidegree alpha, in the fixed (graded lex) order.
+
+    The tuple is memoised per (ring, multidegree) and shared by every caller.
+    """
+    return _component_basis(ring, ring.as_mdeg(alpha))
+
+
+@lru_cache(maxsize=None)
+def _component_basis(ring: RingConfig, alpha: tuple) -> tuple:
     if any(a < 0 for a in alpha):
-        return []
+        return ()
     per_block = [list(_compositions(c, m)) for c, m in zip(alpha, ring.blocks)]
-    out = []
-    for combo in product(*per_block):
-        exps = tuple(e for part in combo for e in part)
-        out.append(exps)
-    out.sort(key=mon_key)
-    return out
+    out = [tuple(e for part in combo for e in part) for combo in product(*per_block)]
+    return tuple(sorted(out, key=mon_key))
 
 
 def component_dim(ring: RingConfig, alpha) -> int:

@@ -141,6 +141,26 @@ def test_unknown_cap_exits_usage(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (["verify", "signs", "--cap", "slack=5", "--cap", "surge_degree=2"], []),
+        (["verify", "multi", "--cap", "component_ceiling=100"], []),
+        (["verify", "maincyc", "--cap", "t_max=2"], ["slack"]),
+        (["verify", "surge", "--cap", "slack=3"], ["surge_degree"]),
+        (["verify", "regb", "--cap", "surge_degree=3"], ["component_ceiling", "slack", "t_max"]),
+        (["probe-q1", "--cap", "slack=1", "--cap", "surge_degree=3"],
+         ["component_ceiling", "slack", "t_max"]),
+    ],
+    ids=["signs", "multi", "maincyc", "surge", "regb", "probe-q1"],
+)
+def test_unread_cap_exits_usage(capsys, argv, reads):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert f"it reads {reads}" in err
+
+
 def test_ideal_must_be_object(capsys):
     argv = ["homology", "--ideal", "[1,2]", "-t", "1", "--degree", "2"]
     assert run_cli(capsys, *argv)[0] == EXIT_USAGE

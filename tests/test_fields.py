@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from koszul_lab.fields import (
     FieldError,
     PrimeField,
     RationalField,
-    field_context,
     is_prime,
     parse_field,
 )
@@ -27,45 +25,37 @@ def test_is_prime_small():
 def test_rational_field_ops():
     f = QQ
     assert f.characteristic == 0 and f.name == "rat"
-    a, b = Fraction(3, 4), Fraction(-2, 5)
-    assert f.add(a, b) == Fraction(7, 20)
-    assert f.mul(a, f.inv(a)) == 1
-    assert f.is_zero(f.sub(a, a))
+    a = Fraction(3, 4)
+    assert a * f.inv(a) == 1
+    # integers stay native ints, and so do the inverses of the units
+    assert type(f.coerce(-3)) is int and f.coerce(Fraction(6, 2)) == 3
+    assert f.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    for u in (1, -1, Fraction(1), Fraction(-1)):
+        assert type(f.inv(u)) is int and f.inv(u) == u
+    assert f.inv(2) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
-        f.inv(f.zero)
+        f.inv(0)
 
 
 def test_prime_field_ops():
     f = PrimeField(7)
     assert f.characteristic == 7
     for a in range(1, 7):
-        assert f.mul(a, f.inv(a)) == 1
+        assert a * f.inv(a) % 7 == 1
     assert f.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
     assert f.coerce(-1) == 6
     with pytest.raises(FieldError):
         PrimeField(6)
 
 
-def test_field_axioms_random():
-    rng = random.Random(0)
-    for f in (QQ, PrimeField(101)):
-        for _ in range(100):
-            a = f.coerce(rng.randint(-20, 20))
-            b = f.coerce(rng.randint(-20, 20))
-            c = f.coerce(rng.randint(-20, 20))
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(f.add(a, b), c) == f.add(f.mul(a, c), f.mul(b, c))
-            assert f.add(a, f.neg(a)) == f.zero
-
-
-def test_field_context_and_parse():
-    assert isinstance(field_context("rat"), RationalField)
-    assert isinstance(field_context(None), RationalField)
-    assert field_context(5).p == 5
+def test_parse_field():
+    assert isinstance(parse_field("rat"), RationalField)
     assert parse_field("p=32003").p == 32003
     assert parse_field("rat") == QQ
     with pytest.raises(FieldError):
         parse_field("gf7")
+    with pytest.raises(FieldError):
+        parse_field("p=6")
 
 
 def test_fields_hashable_comparable():

@@ -1,20 +1,15 @@
 import json
 import random
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from koszul_lab.fields import PrimeField, QQ
 from koszul_lab.harness import (
-    ACCEL_PRIME,
     MAINCYC_COMBOS,
     SUITES,
     CaseRecord,
     SuiteReport,
     UnknownSuiteError,
-    _tor_check,
-    _zh_factories,
     artinianize,
     ideal_params,
     probe_q1,
@@ -22,7 +17,7 @@ from koszul_lab.harness import (
     run_suite,
 )
 from koszul_lab.linalg import Echelon
-from koszul_lab.rings import MonomialIdeal, RingConfig, monomial_quotient_dim
+from koszul_lab.rings import RingConfig, monomial_quotient_dim
 
 
 def test_random_ideal_corpus():
@@ -135,7 +130,7 @@ def test_suite_registry_complete():
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_computes_in_reported_field(name, monkeypatch):
-    gfp = PrimeField(ACCEL_PRIME)
+    gfp = PrimeField(32003)
     if SUITES[name].char_floor >= gfp.characteristic:
         with pytest.raises(ValueError, match="characteristic"):
             run_suite(name, size=1, field=gfp)
@@ -150,39 +145,15 @@ def test_suite_computes_in_reported_field(name, monkeypatch):
         init(self, f, *args, **kwargs)
 
     monkeypatch.setattr(Echelon, "__init__", spy)
-    rep = run_suite(name, size=1, field=field)
-    assert rep.field_name == field.name
-    # signs and remark_b are field-free; every other suite does linear algebra
-    assert used == (set() if name in ("signs", "remark_b") else {field})
+    # the auto field (None) computes over QQ alone
+    for forced, want in ((field, field), (None, QQ)):
+        used.clear()
+        rep = run_suite(name, size=1, field=forced)
+        assert rep.field_name == ("auto" if forced is None else field.name)
+        # signs and remark_b are field-free; every other suite does linear algebra
+        assert used == (set() if name in ("signs", "remark_b") else {want})
 
 
 def test_size_limits_every_suite():
     for name in SUITES:
         assert len(run_suite(name, size=1).cases) == 1
-
-
-def _ideals():
-    def gens(n):
-        exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: 0 < sum(e) <= 3)
-        return st.lists(exps, min_size=2, max_size=4)
-
-    return st.sampled_from([2, 3]).flatmap(gens)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(gens=_ideals(), t=st.integers(1, 2), bound=st.integers(-1, 5))
-def test_auto_field_tor_check_matches_rationals(gens, t, bound):
-    I = MonomialIdeal(RingConfig((len(gens[0]),)), gens)
-    for factory in _zh_factories(I, min(t, I.r)):
-        used = []
-        init = Echelon.__init__
-
-        def spy(self, f, *args, **kwargs):
-            used.append(f)
-            init(self, f, *args, **kwargs)
-
-        with mock.patch.object(Echelon, "__init__", spy):
-            auto = _tor_check(factory, bound, 3, None, None)
-        assert auto == _tor_check(factory, bound, 3, None, QQ)
-        # the rationals are used exactly when there are candidates to recheck
-        assert (QQ in used) == bool(auto)

@@ -17,6 +17,7 @@ from koszul_lab.homology import (
     tor_dims,
     tor_violations,
 )
+from koszul_lab.linalg import Echelon
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
@@ -216,15 +217,48 @@ def test_cycle_basis_free_columns():
             cb = kz.cycle_space(t, (rng.randint(t, 3 * t + 3),))
             assert len(cb.free) == cb.dim == len(set(cb.free))
             for b, v in enumerate(cb.vectors):
-                assert v[cb.free[b]] == field.one
+                assert v[cb.free[b]] == 1
                 assert all(f not in v for a, f in enumerate(cb.free) if a != b)
             # a combination of the basis has its coefficients on the free columns
             coeffs = [field.coerce(rng.randint(-3, 3)) for _ in cb.vectors]
             z = {}
             for c, v in zip(coeffs, cb.vectors):
                 for col, x in v.items():
-                    z[col] = field.add(z.get(col, field.zero), field.mul(c, x))
-            assert [z.get(f, field.zero) for f in cb.free] == coeffs
+                    z[col] = field.coerce(z.get(col, 0) + c * x)
+            assert [z.get(f, 0) for f in cb.free] == coeffs
+
+
+def test_integer_complex_stays_in_ints(monkeypatch):
+    # the boundary matrices of K(I, S) have entries +-1 and here every pivot is
+    # a unit, so over QQ no kernel vector and no echelon row needs a Fraction
+    rows = []
+    add = Echelon.add
+
+    def spy(self, row):
+        grew = add(self, row)
+        rows.extend(self.rows.values())
+        return grew
+
+    ring = RingConfig((3,))
+    ideals = [
+        power_ideal(RingConfig((2,)), 3),
+        MonomialIdeal(ring, [(2, 0, 0), (1, 1, 0), (0, 1, 2)]),
+        MonomialIdeal(ring, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)]),
+    ]
+    for I in ideals:
+        kz = KoszulComplex(I, QQ)
+        for t in (1, 2, 3):
+            for j in range(0, 10):
+                for v in kz.cycle_space(t, j).vectors:
+                    assert all(type(x) is int for x in v.values())
+        monkeypatch.setattr(Echelon, "add", spy)
+        for t in (1, 2, 3):
+            for M in (cycle_module(kz, t), homology_module(kz, t)):
+                for i in range(0, I.ring.n + 1):
+                    for j in range(0, 10):
+                        tor_dims(M, i, j)
+        monkeypatch.undo()
+    assert rows and all(type(x) is int for row in rows for x in row.values())
 
 
 def test_gfp_matches_rationals_here():

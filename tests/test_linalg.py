@@ -19,8 +19,8 @@ def combine(pairs, field=QQ):
     out = {}
     for c, v in pairs:
         for col, x in v.items():
-            out[col] = field.add(out.get(col, field.zero), field.mul(c, x))
-    return {col: x for col, x in out.items() if not field.is_zero(x)}
+            out[col] = field.coerce(out.get(col, 0) + c * x)
+    return {col: x for col, x in out.items() if x}
 
 
 def dense_rref(rows, ncols, field=QQ):
@@ -34,16 +34,16 @@ def dense_rref(rows, ncols, field=QQ):
     nrows = len(mat)
     for col in range(ncols):
         rk = len(pivots)
-        piv = next((i for i in range(rk, nrows) if not field.is_zero(mat[i][col])), None)
+        piv = next((i for i in range(rk, nrows) if mat[i][col]), None)
         if piv is None:
             continue
         mat[rk], mat[piv] = mat[piv], mat[rk]
         inv = field.inv(mat[rk][col])
-        mat[rk] = [field.mul(inv, a) for a in mat[rk]]
+        mat[rk] = [field.coerce(inv * a) for a in mat[rk]]
         for i in range(nrows):
-            if i != rk and not field.is_zero(mat[i][col]):
+            if i != rk and mat[i][col]:
                 factor = mat[i][col]
-                mat[i] = [field.sub(a, field.mul(factor, b)) for a, b in zip(mat[i], mat[rk])]
+                mat[i] = [field.coerce(a - factor * b) for a, b in zip(mat[i], mat[rk])]
         pivots.append(col)
     return mat[: len(pivots)], pivots
 
@@ -105,10 +105,10 @@ def test_kernel_basis_matches_dense_rref():
             for free in range(M.ncols):
                 if free in pivots:
                     continue
-                vec = {free: field.one}
+                vec = {free: 1}
                 for row, p in zip(rref, pivots):
-                    if not field.is_zero(row[free]):
-                        vec[p] = field.neg(row[free])
+                    if row[free]:
+                        vec[p] = field.coerce(-row[free])
                 want.append(vec)
             assert kernel_basis(M, field) == want
 
