@@ -220,11 +220,10 @@ def _normalized_terms(chain: KoszulChain):
     return tuple(sorted((k, Fraction(v) / lead) for k, v in chain.terms.items()))
 
 
-def gen2_families(n: int, c: int, field=QQ) -> list:
+def gen2_families(n: int, c: int) -> list:
     """Candidate generators of Z_2(m^c, S): symmetrized cycles of degree 2c+1
-    and pairwise products of one-cycle generators of degree 2c+2."""
-    if field.characteristic == 2:
-        raise ValueError("the two-cycle generation statement needs char != 2")
+    and pairwise products of one-cycle generators of degree 2c+2.  They are
+    integer chains; the statement they test needs char != 2."""
     ring = RingConfig((n,))
     ideal = power_ideal(ring, c)
     families = []

@@ -604,7 +604,7 @@ GEN2_SPECS = [(2, 2), (2, 3), (3, 2)]
 def _gen2(rng, caps, field):
     for n, c in GEN2_SPECS:
         ideal = power_ideal(RingConfig((n,)), c)
-        families = gen2_families(n, c, field)
+        families = gen2_families(n, c)
         D = 2 * c + 2
         kz = KoszulComplex(ideal, field)
         generated, first_fail = generates_up_to(kz, [f.chain for f in families], 2, D)
@@ -655,7 +655,6 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
         return 0
 
     rel = Echelon(field)
-    rel_rank = 0
     for e in range(0, j + 1):
         zb = kz.cycle_space(1, e)
         ncb = kz.cycle_space(1, j - e) if j - e >= 0 else None
@@ -673,22 +672,17 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
                     for col, v in pv.items():
                         col += offsets[gi]
                         total[col] = field.coerce(total.get(col, 0) + v)
-                total = {c: v for c, v in total.items() if v}
-                if total and rel.add(total):
-                    rel_rank += 1
+                rel.add(total)
 
     mu = Echelon(field)
-    mu_rank = 0
     for gi in range(I.r):
         q, cb = comps[gi]
         if cb is None:
             continue
         for vec in cb.vectors:
             chain = kz.vector_chain(1, q, vec).scale_monomial(I.gens[gi])
-            img = kz.chain_vector(chain, (j,))
-            if img and mu.add(img):
-                mu_rank += 1
-    return dim_p - rel_rank - mu_rank
+            mu.add(kz.chain_vector(chain, (j,)))
+    return dim_p - rel.rank - mu.rank
 
 
 def _surge(rng, caps, field):

@@ -1,10 +1,11 @@
 """Graded pieces of Koszul complexes and exact homological invariants.
 
-KoszulComplex computes bases, boundary matrices, cycle spaces and homology
+KoszulComplex computes bases, differentials, cycle spaces and homology
 dimensions of K_t(I, M) in a fixed multidegree, with M = S or a monomial
-quotient S/J.  GradedModule represents Z_t(I, M) or H_t(I, M) in the standard
-grading, whose Betti numbers are computed as Koszul homology against the
-variables.
+quotient S/J.  A differential phi_t is a list of columns, one per basis key of
+K_t, each a dict of the K_{t-1}-coordinates of that key's boundary.
+GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading, whose
+Betti numbers are computed as Koszul homology against the variables.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import comb
 
 from .exterior import KoszulChain, boundary
 from .fields import QQ
-from .linalg import Echelon, SparseMatrix, kernel_basis, rank
+from .linalg import Echelon, kernel_basis
 from .rings import MonomialIdeal, RingConfig, component_basis, component_dim, mon_mul
 
 DEFAULT_COMPONENT_CEILING = 50_000
@@ -70,7 +71,10 @@ class ComponentBasis:
 
 
 class KoszulComplex:
-    """K(I, M) for a monomial ideal I, with per-(t, degree) caches.
+    """K(I, M) for a monomial ideal I.
+
+    Bases, key indices, ranks of phi_t and cycle spaces are cached per
+    (t, degree); the differentials themselves are assembled on demand.
 
     A component of K_t larger than `ceiling` raises InfeasibleError before
     any of it is enumerated.
@@ -89,7 +93,6 @@ class KoszulComplex:
         self.coeffs = coeffs or Coefficients(I.ring)
         self.ceiling = ceiling
         self._basis = {}
-        self._bmat = {}
         self._rank = {}
         self._kernel = {}
         self._index = {}
@@ -145,54 +148,46 @@ class KoszulComplex:
             self._index[key] = {k: i for i, k in enumerate(self.basis(*key))}
         return self._index[key]
 
-    def boundary_matrix(self, t: int, alpha) -> SparseMatrix:
-        """Matrix of phi_t : K_t -> K_{t-1} in internal degree alpha."""
-        alpha = self.ring.as_mdeg(alpha)
-        key = (t, alpha)
-        if key in self._bmat:
-            return self._bmat[key]
-        cols = self.basis(t, alpha)
-        rows = self.basis(t - 1, alpha) if t >= 1 else []
-        ridx = {k: i for i, k in enumerate(rows)}
-        entries = {}
-        for j, (T, w) in enumerate(cols):
+    def boundary_columns(self, t: int, alpha) -> list:
+        """phi_t : K_t -> K_{t-1} in internal degree alpha, one column per
+        basis key of K_t; phi_0 has only empty columns."""
+        keys = self.basis(t, alpha)
+        if not keys:  # an empty K_t needs no K_{t-1}
+            return []
+        index = self.key_index(t - 1, alpha)
+        signs = (self.field.coerce(1), self.field.coerce(-1))
+        columns = []
+        for T, w in keys:
+            col = {}
             for pos, i in enumerate(T):
-                s = -1 if pos % 2 else 1
                 uw = self.coeffs.reduce(mon_mul(w, self.ideal.gens[i - 1]))
-                if uw is None:
-                    continue
-                rkey = (T[:pos] + T[pos + 1 :], uw)
-                entries[(ridx[rkey], j)] = self.field.coerce(s)
-        M = SparseMatrix(len(rows), len(cols), entries)
-        self._bmat[key] = M
-        return M
+                if uw is not None:
+                    col[index[(T[:pos] + T[pos + 1 :], uw)]] = signs[pos % 2]
+            columns.append(col)
+        return columns
 
     def cycle_space(self, t: int, alpha) -> ComponentBasis:
         """Basis of Z_t(I, M)_alpha; Z_0 is the whole component."""
         alpha = self.ring.as_mdeg(alpha)
         key = (t, alpha)
-        if key in self._kernel:
-            return self._kernel[key]
-        keys = self.basis(t, alpha)
-        if t == 0 or not keys:  # an empty K_t needs no K_{t-1}
-            vecs = [{i: 1} for i in range(len(keys))]
-        else:
-            vecs = kernel_basis(self.boundary_matrix(t, alpha), self.field)
-        # kernel_basis puts each vector's free column after all its other columns
-        cb = ComponentBasis(keys, vecs, [max(v) for v in vecs])
-        self._kernel[key] = cb
-        return cb
+        if key not in self._kernel:
+            vecs = kernel_basis(self.boundary_columns(t, alpha), self.field)
+            # kernel_basis puts each vector's free column after all its other columns
+            self._kernel[key] = ComponentBasis(self.basis(t, alpha), vecs, [max(v) for v in vecs])
+        return self._kernel[key]
 
     def boundary_image(self, t: int, alpha) -> list:
         """Spanning vectors of B_t(I, M)_alpha inside the K_t basis."""
-        M = self.boundary_matrix(t + 1, alpha)
-        return [col for col in M.columns() if col]
+        return [col for col in self.boundary_columns(t + 1, alpha) if col]
 
     def _phi_rank(self, t: int, alpha) -> int:
-        """Rank of phi_t in internal degree alpha; 0 for t < 1."""
+        """Rank of phi_t in internal degree alpha."""
         key = (t, self.ring.as_mdeg(alpha))
         if key not in self._rank:
-            self._rank[key] = rank(self.boundary_matrix(*key), self.field) if t >= 1 else 0
+            ech = Echelon(self.field)
+            for col in self.boundary_columns(*key):
+                ech.add(col)
+            self._rank[key] = ech.rank
         return self._rank[key]
 
     def homology_dim(self, t: int, alpha) -> int:

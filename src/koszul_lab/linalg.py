@@ -1,45 +1,14 @@
 """Exact sparse linear algebra over QQ or GF(p).
 
-Vectors are dicts {column index: nonzero scalar}, with scalars already
-coerced into the field.  The workhorse is an incremental row echelon that
-supports rank, kernel bases in RREF, and span membership.  Arithmetic is
-native: over GF(p) every result is reduced `% p`, over QQ integer rows stay
-ints as long as the pivots are units.
+Vectors are dicts {index: nonzero scalar}, with scalars already coerced into
+the field; a matrix is a list of such vectors, one per column.  `Echelon` is
+an incremental row echelon that gives ranks and span membership, and
+`kernel_basis` reads an RREF kernel basis off it.  Arithmetic is native: over
+GF(p) every result is reduced `% p`, over QQ integer rows stay ints as long
+as the pivots are units, and integral entries are stored as ints.
 """
 
 from __future__ import annotations
-
-
-class SparseMatrix:
-    """Immutable-ish sparse matrix with entries {(row, col): scalar}."""
-
-    def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = dict(entries or {})
-
-    def rows(self):
-        out = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def columns(self):
-        out = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
-
-    def apply(self, vec: dict, field) -> dict:
-        """Matrix times sparse column vector."""
-        cols = {}
-        for (i, j), v in self.entries.items():
-            if j in vec:
-                cols[i] = field.coerce(cols.get(i, 0) + v * vec[j])
-        return {i: v for i, v in cols.items() if v}
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={len(self.entries)})"
 
 
 class Echelon:
@@ -89,7 +58,15 @@ class Echelon:
             return False
         inv = self.field.inv(rem[piv])
         p = self.field.characteristic
-        self.rows[piv] = {c: v * inv % p if p else v * inv for c, v in rem.items()}
+        if p:
+            self.rows[piv] = {c: v * inv % p for c, v in rem.items()}
+        else:
+            # a non-unit pivot makes Fractions; integral ones are stored as ints,
+            # so that later eliminations against this row stay in int arithmetic
+            self.rows[piv] = {
+                c: x.numerator if (x := v * inv).denominator == 1 else x
+                for c, v in rem.items()
+            }
         return True
 
     def back_substitute(self):
@@ -105,34 +82,25 @@ class Echelon:
                 self._eliminate(row, row[p], self.rows[p])
 
 
-def rank(M: SparseMatrix, field) -> int:
-    ech = Echelon(field)
-    for row in M.rows():
-        if row:
-            ech.add({c: field.coerce(v) for c, v in row.items()})
-    return ech.rank
-
-
-def kernel_basis(M: SparseMatrix, field) -> list:
-    """Basis of the right kernel as dicts {col: scalar}, in RREF.
+def kernel_basis(columns: list, field) -> list:
+    """RREF basis of the kernel of the matrix with these columns.
 
     There is one vector per free (non-pivot) column f: it is 1 at f, 0 at
     every other free column, and otherwise nonzero only at pivot columns,
     which are all smaller than f.
     """
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
     ech = Echelon(field)
-    for row in M.rows():
-        if row:
-            ech.add({c: field.coerce(v) for c, v in row.items()})
+    for row in rows.values():
+        ech.add(row)
     ech.back_substitute()
-    pivots = set(ech.rows)
-    basis = []
-    for free in range(M.ncols):
-        if free in pivots:
-            continue
-        vec = {free: 1}
-        for p, row in ech.rows.items():
-            if free in row:
-                vec[p] = field.coerce(-row[free])
-        basis.append(vec)
-    return basis
+    basis = {f: {f: 1} for f in range(len(columns)) if f not in ech.rows}
+    # an RREF row is nonzero only on its pivot and on free columns
+    for p, row in ech.rows.items():
+        for f, v in row.items():
+            if f != p:
+                basis[f][p] = field.coerce(-v)
+    return list(basis.values())

@@ -305,18 +305,27 @@ def _lcm_of(monomials):
     return out
 
 
+def _int_list(value, what) -> tuple:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def ideal_from_dict(data: dict) -> MonomialIdeal:
     """Load an ideal from the JSON schema:
     {"blocks": [...], "generators": [[e, ...], ...]} or
-    {"blocks": [...], "power": [c1, ..., cd]}.
+    {"blocks": [...], "power": [c1, ..., cd]}, with integer entries only.
     """
     if not isinstance(data, dict):
         raise ValueError(f"ideal must be a JSON object, got {type(data).__name__}")
-    ring = RingConfig(tuple(data["blocks"]))
+    ring = RingConfig(_int_list(data["blocks"], "blocks"))
     if "power" in data:
-        return power_ideal(ring, tuple(data["power"]))
+        return power_ideal(ring, _int_list(data["power"], "power"))
     if "generators" in data:
-        return MonomialIdeal(ring, [tuple(g) for g in data["generators"]])
+        gens = data["generators"]
+        if not isinstance(gens, list):
+            raise ValueError(f"generators must be a list, got {gens!r}")
+        return MonomialIdeal(ring, [_int_list(g, "a generator") for g in gens])
     raise ValueError("ideal dict needs 'generators' or 'power'")
 
 

@@ -166,6 +166,25 @@ def test_ideal_must_be_object(capsys):
     assert run_cli(capsys, *argv)[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        '{"blocks": 5, "power": [2]}',
+        '{"blocks": [2], "power": 2}',
+        '{"blocks": [2], "generators": 5}',
+        '{"blocks": [2], "generators": [[1, 2.5]]}',
+        '{"blocks": [2], "generators": [[1, true]]}',
+        '{"blocks": [2.5], "power": [2]}',
+    ],
+)
+def test_ideal_entries_must_be_integer_lists(capsys, ideal):
+    for command in ("homology", "cycles"):
+        code = main([command, "--ideal", ideal, "-t", "1", "--degree", "4"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "must be a list" in err
+
+
 def test_suite_with_every_draw_redrawn_is_infeasible(capsys):
     # a ceiling of 1 rejects every regb draw, so nothing is checked
     code, out = run_cli(

@@ -91,9 +91,9 @@ def test_z1_power_inside_cycles():
     prods = z1_products(kz, 2)
     for j in (6, 7, 8):
         vecs = list(kz.span_multiples(prods, j).rows.values())
-        M = kz.boundary_matrix(2, j)
+        assert vecs
         for v in vecs:
-            assert M.apply(v, QQ) == {}
+            assert boundary(kz.vector_chain(2, j, v)).is_zero()
 
 
 def _pair_wedge_rank(kz, j):
@@ -157,11 +157,6 @@ def test_gen2_families_properties():
         assert sum(f.chain.multidegree()) in (5, 6)  # 2c+1 and 2c+2
     # two variables leave no room for the three-variable symmetrized family
     assert {f.label for f in gen2_families(2, 2)} == {"gen2_type2"}
-
-
-def test_gen2_rejects_char_two():
-    with pytest.raises(ValueError):
-        gen2_families(2, 2, PrimeField(2))
 
 
 def test_wedge_of_z1_generators_is_cycle():
