@@ -3,7 +3,9 @@
 KoszulComplex computes bases, differentials, cycle spaces and homology
 dimensions of K_t(I, M) in a fixed multidegree, with M = S or a monomial
 quotient S/J.  A differential phi_t is a list of columns, one per basis key of
-K_t, each a dict of the K_{t-1}-coordinates of that key's boundary.
+K_t, each a dict of the K_{t-1}-coordinates of that key's boundary.  Homology
+dimensions are sums over the fine (Z^n) degrees inside the multidegree, one
+fine block per orbit of the variable permutations that fix I and J.
 GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading, whose
 Betti numbers are computed as Koszul homology against the variables.
 """
@@ -12,12 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import comb
+from math import comb, factorial, prod
+from operator import le, sub
 
 from .exterior import KoszulChain, boundary
 from .fields import QQ
 from .linalg import Echelon, kernel_basis
-from .rings import MonomialIdeal, RingConfig, component_basis, component_dim, mon_mul
+from .rings import (
+    MonomialIdeal,
+    RingConfig,
+    _compositions,
+    component_basis,
+    component_dim,
+    mon_mul,
+)
 
 DEFAULT_COMPONENT_CEILING = 50_000
 
@@ -73,8 +83,9 @@ class ComponentBasis:
 class KoszulComplex:
     """K(I, M) for a monomial ideal I.
 
-    Bases, key indices, ranks of phi_t and cycle spaces are cached per
-    (t, degree); the differentials themselves are assembled on demand.
+    Bases, key indices, cycle spaces and ceiling estimates are cached per
+    (t, degree), ranks of phi_t per (t, fine degree); the differentials
+    themselves are assembled on demand.
 
     A component of K_t larger than `ceiling` raises InfeasibleError before
     any of it is enumerated.
@@ -96,21 +107,41 @@ class KoszulComplex:
         self._rank = {}
         self._kernel = {}
         self._index = {}
+        self._shifts = {}
+        self._levels = {}
         self._gen_mdegs = [self.ring.mdeg(g) for g in I.gens]
+        # maximal runs of variables of one block whose adjacent swaps fix the
+        # generators of I and of J; each permutation of a run maps the fine
+        # block at beta isomorphically onto the one at the permuted beta
+        gensets = [set(I.gens)] + ([set(self.coeffs.J.gens)] if self.coeffs.J else [])
+        self._runs = []
+        for a, b in self.ring.block_slices():
+            start = a
+            for k in range(a + 1, b):
+                if any(
+                    {g[: k - 1] + (g[k], g[k - 1]) + g[k + 1 :] for g in G} != G for G in gensets
+                ):
+                    self._runs.append((start, k))
+                    start = k
+            self._runs.append((start, b))
 
     def _shifted(self, t: int, alpha) -> tuple:
         """(T, degree of w) for the faces T of K_t at alpha, and the sum of
         dim S over those degrees."""
-        shifted = []
-        if 0 <= t <= self.ideal.r:
-            for T in combinations(range(1, self.ideal.r + 1), t):
-                wdeg = list(alpha)
-                for i in T:
-                    g = self._gen_mdegs[i - 1]
-                    wdeg = [a - b for a, b in zip(wdeg, g)]
-                if all(a >= 0 for a in wdeg):
-                    shifted.append((T, tuple(wdeg)))
-        return shifted, sum(component_dim(self.ring, wdeg) for _, wdeg in shifted)
+        key = (t, alpha)
+        if key not in self._shifts:
+            shifted = []
+            if 0 <= t <= self.ideal.r:
+                for T in combinations(range(1, self.ideal.r + 1), t):
+                    wdeg = list(alpha)
+                    for i in T:
+                        g = self._gen_mdegs[i - 1]
+                        wdeg = [a - b for a, b in zip(wdeg, g)]
+                    if all(a >= 0 for a in wdeg):
+                        shifted.append((T, tuple(wdeg)))
+            est = sum(component_dim(self.ring, wdeg) for _, wdeg in shifted)
+            self._shifts[key] = (shifted, est)
+        return self._shifts[key]
 
     def estimate(self, t: int, alpha) -> int:
         """Size of K_t at alpha as checked against the ceiling: dim K_t for
@@ -180,27 +211,64 @@ class KoszulComplex:
         """Spanning vectors of B_t(I, M)_alpha inside the K_t basis."""
         return [col for col in self.boundary_columns(t + 1, alpha) if col]
 
-    def _phi_rank(self, t: int, alpha) -> int:
-        """Rank of phi_t in internal degree alpha."""
-        key = (t, self.ring.as_mdeg(alpha))
+    def _orbits(self, alpha):
+        """(beta, orbit size) for one fine degree beta per orbit of those with
+        block sums alpha: the beta that does not increase along any run."""
+        blocks = self.ring.block_slices()
+        for parts in product(*(_compositions(c, b - a) for c, (a, b) in zip(alpha, blocks))):
+            beta = sum(parts, ())
+            if all(beta[k] >= beta[k + 1] for a, b in self._runs for k in range(a, b - 1)):
+                yield beta, prod(_arrangements(beta[a:b]) for a, b in self._runs)
+
+    def _fine_faces(self, t: int, beta) -> list:
+        """The basis of K_t at the fine degree beta: the t-subsets T of the
+        generators u_i <= beta with u_T <= beta and beta - u_T outside J, in
+        lex order; T holds positions in the list of those generators.
+
+        The pairs (T, beta - u_T) with u_T <= beta are grown one level at a
+        time; each level is cached per beta with its basis.
+        """
+        levels = self._levels.setdefault(beta, [])
+        while len(levels) <= t:
+            gens = [g for g in self.ideal.gens if all(map(le, g, beta))]
+            grown = [
+                (T + (i,), tuple(map(sub, w, gens[i])))
+                for T, w in levels[-1][0]
+                for i in range(T[-1] + 1 if T else 0, len(gens))
+                if all(map(le, gens[i], w))
+            ] if levels else [((), beta)]
+            levels.append((grown, [T for T, w in grown if self.coeffs.reduce(w) is not None]))
+        return levels[t][1]
+
+    def _phi_rank(self, t: int, beta) -> int:
+        """Rank of phi_t in the fine degree beta."""
+        key = (t, beta)
         if key not in self._rank:
             ech = Echelon(self.field)
-            for col in self.boundary_columns(*key):
-                ech.add(col)
+            if t > 0:
+                rows = {F: k for k, F in enumerate(self._fine_faces(t - 1, beta))}
+                signs = (self.field.coerce(1), self.field.coerce(-1))
+                for T in self._fine_faces(t, beta):
+                    faces = [T[:pos] + T[pos + 1 :] for pos in range(t)]
+                    ech.add({rows[F]: signs[pos % 2] for pos, F in enumerate(faces) if F in rows})
             self._rank[key] = ech.rank
         return self._rank[key]
 
     def homology_dim(self, t: int, alpha) -> int:
+        """dim H_t(I, M) in internal degree alpha, summed over the fine degrees
+        with block sums alpha, one per orbit weighted by the orbit size."""
         alpha = self.ring.as_mdeg(alpha)
         if not self._faces(t, alpha):
             return 0
         # check K_{t-1} and K_{t+1} against the ceiling before building anything
         self._faces(t - 1, alpha)
         self._faces(t + 1, alpha)
-        dim_kt = len(self.basis(t, alpha))
-        if dim_kt == 0:
-            return 0
-        return dim_kt - self._phi_rank(t, alpha) - self._phi_rank(t + 1, alpha)
+        total = 0
+        for beta, size in self._orbits(alpha):
+            dim_kt = len(self._fine_faces(t, beta))
+            if dim_kt:
+                total += size * (dim_kt - self._phi_rank(t, beta) - self._phi_rank(t + 1, beta))
+        return total
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
@@ -237,6 +305,14 @@ class KoszulComplex:
                 if vec and ech.add(vec) and ech.rank == stop:
                     return ech
         return ech
+
+
+def _arrangements(values) -> int:
+    """Number of distinct orderings of the sequence values."""
+    out = factorial(len(values))
+    for v in set(values):
+        out //= factorial(values.count(v))
+    return out
 
 
 class GradedModule:

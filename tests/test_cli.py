@@ -9,6 +9,7 @@ from koszul_lab.cli import (
     EXIT_USAGE,
     main,
 )
+from koszul_lab.homology import KoszulComplex
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,24 @@ def test_homology_command(capsys):
     assert code == EXIT_PASS
     data = json.loads(out)
     assert data["dim_K"] == 9 and data["dim_Z"] == 4 and data["dim_H"] == 1
+
+
+def test_homology_command_assembles_each_differential_once(capsys, monkeypatch):
+    # phi_t for the cycles, phi_{t+1} for the boundaries; dim H is ranked per
+    # fine degree and assembles no coarse differential
+    calls = {}
+    columns = KoszulComplex.boundary_columns
+
+    def count(self, t, alpha):
+        calls[t] = calls.get(t, 0) + 1
+        return columns(self, t, alpha)
+
+    monkeypatch.setattr(KoszulComplex, "boundary_columns", count)
+    code, _ = run_cli(
+        capsys, "homology", "--ideal", '{"blocks":[3],"power":[2]}', "-t", "2", "--degree", "6"
+    )
+    assert code == EXIT_PASS
+    assert calls == {2: 1, 3: 1}
 
 
 def test_cycles_command(capsys):

@@ -138,7 +138,7 @@ def test_kernel_of_zero_or_no_columns(field):
 _vector = st.dictionaries(st.integers(0, 6), st.integers(-3, 3), max_size=7)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     field=st.sampled_from(FIELDS),
     added=st.lists(_vector, min_size=1, max_size=5),
