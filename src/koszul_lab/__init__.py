@@ -25,7 +25,6 @@ from .exterior import (
     KoszulChain,
     alpha_map,
     boundary,
-    decompose,
     gamma_map,
     merge_indices,
     sign,
@@ -91,7 +90,6 @@ __all__ = [
     "KoszulChain",
     "alpha_map",
     "boundary",
-    "decompose",
     "gamma_map",
     "merge_indices",
     "sign",

@@ -188,25 +188,6 @@ def wedge(a: KoszulChain, f: KoszulChain) -> KoszulChain:
     return KoszulChain(a.ideal, a.t + f.t, terms)
 
 
-def decompose(f: KoszulChain, I):
-    """Unique splitting f = a + e_I.b with I absent from a's supersets and b."""
-    I = tuple(sorted(I))
-    s = len(I)
-    if s > f.t:
-        raise ValueError("index set larger than homological degree")
-    Iset = set(I)
-    a_terms, b_terms = {}, {}
-    for (T, w), c in f.terms.items():
-        if Iset <= set(T):
-            rest = tuple(i for i in T if i not in Iset)
-            b_terms[(rest, w)] = b_terms.get((rest, w), 0) + c * sign(I, rest)
-        else:
-            a_terms[(T, w)] = c
-    a = KoszulChain(f.ideal, f.t, a_terms)
-    b = KoszulChain(f.ideal, f.t - s, b_terms)
-    return a, b
-
-
 def index_chain(ideal, I):
     """The basis chain e_I in K_s(I, S) with trivial monomial part."""
     I = tuple(sorted(I))

@@ -83,9 +83,9 @@ class ComponentBasis:
 class KoszulComplex:
     """K(I, M) for a monomial ideal I.
 
-    Bases, key indices, cycle spaces and ceiling estimates are cached per
-    (t, degree), ranks of phi_t per (t, fine degree); the differentials
-    themselves are assembled on demand.
+    Bases, key indices and cycle spaces are cached per (t, degree), ranks of
+    phi_t per (t, fine degree), and the faces e_T per degree of either
+    grading; the differentials themselves are assembled on demand.
 
     A component of K_t larger than `ceiling` raises InfeasibleError before
     any of it is enumerated.
@@ -107,7 +107,6 @@ class KoszulComplex:
         self._rank = {}
         self._kernel = {}
         self._index = {}
-        self._shifts = {}
         self._levels = {}
         self._gen_mdegs = [self.ring.mdeg(g) for g in I.gens]
         # maximal runs of variables of one block whose adjacent swaps fix the
@@ -125,42 +124,46 @@ class KoszulComplex:
                     start = k
             self._runs.append((start, b))
 
-    def _shifted(self, t: int, alpha) -> tuple:
-        """(T, degree of w) for the faces T of K_t at alpha, and the sum of
-        dim S over those degrees."""
-        key = (t, alpha)
-        if key not in self._shifts:
-            shifted = []
-            if 0 <= t <= self.ideal.r:
-                for T in combinations(range(1, self.ideal.r + 1), t):
-                    wdeg = list(alpha)
-                    for i in T:
-                        g = self._gen_mdegs[i - 1]
-                        wdeg = [a - b for a, b in zip(wdeg, g)]
-                    if all(a >= 0 for a in wdeg):
-                        shifted.append((T, tuple(wdeg)))
-            est = sum(component_dim(self.ring, wdeg) for _, wdeg in shifted)
-            self._shifts[key] = (shifted, est)
-        return self._shifts[key]
+    def _grown_faces(self, t: int, degree) -> list:
+        """(T, degree - deg u_T) for the t-subsets T of the generators whose
+        residual degree is >= 0, in lex order of the 1-based indices T.
+
+        The degree is a multidegree (length d) or a fine degree (length n);
+        the two gradings coincide when d = n.  The faces are grown one
+        generator at a time, each level cached per degree.
+        """
+        if not 0 <= t <= self.ideal.r:
+            return []
+        levels = self._levels.setdefault(degree, [[((), degree)] if min(degree) >= 0 else []])
+        gdegs = self._gen_mdegs if len(degree) == self.ring.d else self.ideal.gens
+        while len(levels) <= t:
+            levels.append([
+                (T + (i,), tuple(map(sub, w, gdegs[i - 1])))
+                for T, w in levels[-1]
+                for i in range(T[-1] + 1 if T else 1, self.ideal.r + 1)
+                if all(map(le, gdegs[i - 1], w))
+            ])
+        return levels[t]
 
     def estimate(self, t: int, alpha) -> int:
         """Size of K_t at alpha as checked against the ceiling: dim K_t for
         M = S, an upper bound for M = S/J (dim S_w bounds dim M_w)."""
-        return self._shifted(t, self.ring.as_mdeg(alpha))[1]
+        faces = self._grown_faces(t, self.ring.as_mdeg(alpha))
+        return sum(component_dim(self.ring, wdeg) for _, wdeg in faces)
 
     def _faces(self, t: int, alpha) -> list:
         """(T, degree of w) for the faces T of K_t at alpha.
 
         Raises InfeasibleError when the estimate exceeds the ceiling.
         """
-        shifted, est = self._shifted(t, alpha)
+        est = self.estimate(t, alpha)
         if est > self.ceiling:
             raise InfeasibleError(
                 f"component K_{t} at degree {alpha} has dimension {est} "
                 f"over the ceiling {self.ceiling}",
                 estimate=est,
             )
-        return shifted
+        return self._grown_faces(t, alpha)
 
     def basis(self, t: int, alpha) -> list:
         """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha."""
@@ -221,24 +224,9 @@ class KoszulComplex:
                 yield beta, prod(_arrangements(beta[a:b]) for a, b in self._runs)
 
     def _fine_faces(self, t: int, beta) -> list:
-        """The basis of K_t at the fine degree beta: the t-subsets T of the
-        generators u_i <= beta with u_T <= beta and beta - u_T outside J, in
-        lex order; T holds positions in the list of those generators.
-
-        The pairs (T, beta - u_T) with u_T <= beta are grown one level at a
-        time; each level is cached per beta with its basis.
-        """
-        levels = self._levels.setdefault(beta, [])
-        while len(levels) <= t:
-            gens = [g for g in self.ideal.gens if all(map(le, g, beta))]
-            grown = [
-                (T + (i,), tuple(map(sub, w, gens[i])))
-                for T, w in levels[-1][0]
-                for i in range(T[-1] + 1 if T else 0, len(gens))
-                if all(map(le, gens[i], w))
-            ] if levels else [((), beta)]
-            levels.append((grown, [T for T, w in grown if self.coeffs.reduce(w) is not None]))
-        return levels[t][1]
+        """The basis of K_t at the fine degree beta: the faces T with
+        u_T <= beta and beta - u_T outside J, in lex order."""
+        return [T for T, w in self._grown_faces(t, beta) if self.coeffs.reduce(w) is not None]
 
     def _phi_rank(self, t: int, beta) -> int:
         """Rank of phi_t in the fine degree beta."""
@@ -333,7 +321,7 @@ class GradedModule:
         self.ring = kz.ring
         self.field = kz.field
         self._boundaries = {}
-        self._shifts = {}
+        self._images = {}
 
     def piece(self, q: int) -> ComponentBasis:
         """Z_q with its free columns."""
@@ -356,7 +344,7 @@ class GradedModule:
     def shifts(self, q: int) -> list:
         """For each z representing a basis vector of M_q, the list over k of
         the Z_{q+1}-coordinates of x_k z."""
-        if q not in self._shifts:
+        if q not in self._images:
             piece, nxt = self.piece(q), self.piece(q + 1)
             # keys off the free columns, or dead in S/J, are not in pos
             pos = {nxt.keys[f]: b for b, f in enumerate(nxt.free)}
@@ -375,8 +363,8 @@ class GradedModule:
                             image[b2] = c
                     images.append(image)
                 out.append(images)
-            self._shifts[q] = out
-        return self._shifts[q]
+            self._images[q] = out
+        return self._images[q]
 
 
 def cycle_module(kz: KoszulComplex, t: int) -> GradedModule:

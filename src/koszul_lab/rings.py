@@ -114,7 +114,10 @@ def mon_key(m: tuple):
 
 
 def _compositions(total: int, parts: int):
-    """All exponent tuples of length `parts` summing to `total`, lex-descending."""
+    """All exponent tuples of length `parts` summing to `total`, lex-descending;
+    none when `total` is negative."""
+    if total < 0:
+        return
     if parts == 1:
         yield (total,)
         return
@@ -133,8 +136,6 @@ def component_basis(ring: RingConfig, alpha) -> tuple:
 
 @lru_cache(maxsize=None)
 def _component_basis(ring: RingConfig, alpha: tuple) -> tuple:
-    if any(a < 0 for a in alpha):
-        return ()
     per_block = [list(_compositions(c, m)) for c, m in zip(alpha, ring.blocks)]
     out = [tuple(e for part in combo for e in part) for combo in product(*per_block)]
     return tuple(sorted(out, key=mon_key))

@@ -49,6 +49,13 @@ def test_homology_command(capsys):
     assert code == EXIT_PASS
     data = json.loads(out)
     assert data["dim_K"] == 9 and data["dim_Z"] == 4 and data["dim_H"] == 1
+    # a negative degree is an empty component, also in the fine grading
+    code, out = run_cli(
+        capsys, "homology", "--ideal", '{"blocks":[1],"power":[1]}', "-t", "0", "--degree=-1"
+    )
+    assert code == EXIT_PASS
+    data = json.loads(out)
+    assert data["dim_K"] == 0 and data["dim_Z"] == 0 and data["dim_H"] == 0
 
 
 def test_homology_command_assembles_each_differential_once(capsys, monkeypatch):

@@ -8,10 +8,8 @@ from koszul_lab.exterior import (
     KoszulChain,
     alpha_map,
     boundary,
-    decompose,
     formal_boundary,
     gamma_map,
-    index_chain,
     merge_indices,
     sign,
     sort_bracket,
@@ -107,21 +105,6 @@ def test_leibniz_rule():
         lhs = boundary(wedge(a, f))
         rhs = wedge(boundary(a), f) + wedge(a, boundary(f)).scale((-1) ** s)
         assert lhs == rhs
-
-
-def test_decompose_reconstructs():
-    rng = random.Random(23)
-    for I in _corpus(rng):
-        t = rng.randint(1, min(3, I.r))
-        f = _random_chain(rng, I, t)
-        s = rng.randint(1, t)
-        J = tuple(sorted(rng.sample(range(1, I.r + 1), s)))
-        a, b = decompose(f, J)
-        assert f == a + wedge(index_chain(I, J), b)
-        for (T, _w) in a.terms:
-            assert not set(J) <= set(T)
-        for (T, _w) in b.terms:
-            assert not set(J) & set(T)
 
 
 def test_gamma_chain_map_identities():

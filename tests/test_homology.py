@@ -1,5 +1,6 @@
 import random
 from math import comb
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from koszul_lab.linalg import Echelon
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
+    component_basis,
     component_dim,
     power_ideal,
     quotient_component_dim,
@@ -115,6 +117,9 @@ def test_estimate_is_basis_size_for_s_and_bounds_quotients(n, data, t, degree):
     J = MonomialIdeal(ring, data.draw(_gens(n)))
     kz = KoszulComplex(I)
     assert kz.estimate(t, degree) == len(kz.basis(t, degree))
+    # no faces outside 0 <= t <= r
+    assert kz.estimate(-1, degree) == 0 and kz.basis(-1, degree) == []
+    assert kz.estimate(I.r + 1, degree) == 0
     kz_quot = KoszulComplex(I, coeffs=Coefficients(ring, J))
     assert kz_quot.estimate(t, degree) == kz.estimate(t, degree)
     assert kz_quot.estimate(t, degree) >= len(kz_quot.basis(t, degree))
@@ -169,7 +174,7 @@ def _ideal(ring, data):
 
 @settings(max_examples=60)
 @given(
-    blocks=st.sampled_from([(2,), (3,), (2, 1), (1, 2)]),
+    blocks=st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 2)]),
     data=st.data(),
     field=st.sampled_from([QQ, PrimeField(2), PrimeField(5)]),
     quotient=st.booleans(),
@@ -179,9 +184,33 @@ def test_homology_dim_matches_the_coarse_differentials(blocks, data, field, quot
     I = _ideal(ring, data)
     coeffs = Coefficients(ring, _ideal(ring, data)) if quotient else None
     kz = KoszulComplex(I, field, coeffs)
-    for alpha in degrees_upto(ring, (5,) if ring.d == 1 else (3, 3)):
+    negative = (-1,) * ring.d
+    for alpha in [negative] + degrees_upto(ring, (5,) if ring.d == 1 else (3, 3)):
         for t in range(0, min(I.r, 4) + 1):
             assert kz.homology_dim(t, alpha) == _coarse_homology_dim(kz, t, alpha)
+
+
+@settings(max_examples=60)
+@given(
+    blocks=st.sampled_from([(2,), (3,), (2, 1), (1, 1)]),
+    data=st.data(),
+    quotient=st.booleans(),
+)
+def test_coarse_basis_is_the_union_of_the_fine_faces(blocks, data, quotient):
+    # (T, w) at alpha is (T, beta - u_T) for a face T at the fine degree beta
+    ring = RingConfig(blocks)
+    I = _ideal(ring, data)
+    coeffs = Coefficients(ring, _ideal(ring, data)) if quotient else None
+    kz = KoszulComplex(I, coeffs=coeffs)
+    for alpha in degrees_upto(ring, (5,) if ring.d == 1 else (3, 3)):
+        for t in range(0, min(I.r, 4) + 1):
+            fine = []
+            for beta in component_basis(ring, alpha):
+                for T in kz._fine_faces(t, beta):
+                    u_T = [sum(I.gens[i - 1][k] for i in T) for k in range(ring.n)]
+                    fine.append((T, tuple(map(sub, beta, u_T))))
+            fine.sort(key=lambda key: (key[0], [-e for e in key[1]]))
+            assert kz.basis(t, alpha) == fine
 
 
 def test_orbit_sizes_sum_to_the_component_dimension():

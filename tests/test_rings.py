@@ -7,6 +7,7 @@ import pytest
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
+    _compositions,
     borel_closure,
     component_basis,
     component_dim,
@@ -58,6 +59,9 @@ def test_component_basis_matches_dim():
         assert len(set(basis)) == len(basis)
         for m in basis:
             assert ring.mdeg(m) == alpha
+    # a negative degree has no monomials and no compositions
+    assert component_basis(RingConfig((2, 1)), (-1, 2)) == ()
+    assert list(_compositions(-1, 1)) == [] and list(_compositions(-1, 3)) == []
 
 
 def test_monomials_of_total_degree():
