@@ -8,7 +8,6 @@ all the canonical maps are degree 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .rings import MonomialIdeal, mon_mul, total_deg
@@ -117,13 +116,8 @@ class KoszulChain:
     def __eq__(self, other):
         if not isinstance(other, KoszulChain):
             return NotImplemented
-        if self.ideal != other.ideal or self.t != other.t:
-            return False
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            Fraction(self.terms.get(k, 0)) == Fraction(other.terms.get(k, 0))
-            for k in keys
-        )
+        # the terms carry no zero coefficients, and ints equal their Fractions
+        return self.ideal == other.ideal and self.t == other.t and self.terms == other.terms
 
     def term_degree(self, key) -> tuple:
         T, w = key

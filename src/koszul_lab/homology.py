@@ -12,6 +12,7 @@ Betti numbers are computed as Koszul homology against the variables.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial, prod
@@ -87,8 +88,9 @@ class KoszulComplex:
     phi_t per (t, fine degree), and the faces e_T per degree of either
     grading; the differentials themselves are assembled on demand.
 
-    A component of K_t larger than `ceiling` raises InfeasibleError before
-    any of it is enumerated.
+    `ceiling` bounds the basis elements a call builds: `basis` refuses a
+    component of K_t estimated larger, and `homology_dim` the fine blocks it
+    would rank, before any of them is built.
     """
 
     def __init__(
@@ -135,14 +137,17 @@ class KoszulComplex:
         if not 0 <= t <= self.ideal.r:
             return []
         levels = self._levels.setdefault(degree, [[((), degree)] if min(degree) >= 0 else []])
-        gdegs = self._gen_mdegs if len(degree) == self.ring.d else self.ideal.gens
-        while len(levels) <= t:
-            levels.append([
-                (T + (i,), tuple(map(sub, w, gdegs[i - 1])))
-                for T, w in levels[-1]
-                for i in range(T[-1] + 1 if T else 1, self.ideal.r + 1)
-                if all(map(le, gdegs[i - 1], w))
-            ])
+        if len(levels) <= t:
+            gdegs = self._gen_mdegs if len(degree) == self.ring.d else self.ideal.gens
+            # only the generators dividing the degree can divide a residual
+            fits = [i for i, g in enumerate(gdegs, 1) if all(map(le, g, degree))]
+            while len(levels) <= t:
+                levels.append([
+                    (T + (i,), tuple(map(sub, w, gdegs[i - 1])))
+                    for T, w in levels[-1]
+                    for i in fits[bisect(fits, T[-1]) if T else 0 :]
+                    if all(map(le, gdegs[i - 1], w))
+                ])
         return levels[t]
 
     def estimate(self, t: int, alpha) -> int:
@@ -151,28 +156,21 @@ class KoszulComplex:
         faces = self._grown_faces(t, self.ring.as_mdeg(alpha))
         return sum(component_dim(self.ring, wdeg) for _, wdeg in faces)
 
-    def _faces(self, t: int, alpha) -> list:
-        """(T, degree of w) for the faces T of K_t at alpha.
-
-        Raises InfeasibleError when the estimate exceeds the ceiling.
-        """
-        est = self.estimate(t, alpha)
-        if est > self.ceiling:
-            raise InfeasibleError(
-                f"component K_{t} at degree {alpha} has dimension {est} "
-                f"over the ceiling {self.ceiling}",
-                estimate=est,
-            )
-        return self._grown_faces(t, alpha)
-
     def basis(self, t: int, alpha) -> list:
-        """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha."""
+        """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha;
+        raises InfeasibleError when the estimate exceeds the ceiling."""
         alpha = self.ring.as_mdeg(alpha)
         key = (t, alpha)
         if key not in self._basis:
-            self._basis[key] = [
-                (T, w) for T, wdeg in self._faces(t, alpha) for w in self.coeffs.basis(wdeg)
-            ]
+            est = self.estimate(t, alpha)
+            if est > self.ceiling:
+                raise InfeasibleError(
+                    f"component K_{t} at degree {alpha} has dimension {est} "
+                    f"over the ceiling {self.ceiling}",
+                    estimate=est,
+                )
+            faces = self._grown_faces(t, alpha)
+            self._basis[key] = [(T, w) for T, wdeg in faces for w in self.coeffs.basis(wdeg)]
         return self._basis[key]
 
     def key_index(self, t: int, alpha) -> dict:
@@ -228,15 +226,16 @@ class KoszulComplex:
         u_T <= beta and beta - u_T outside J, in lex order."""
         return [T for T, w in self._grown_faces(t, beta) if self.coeffs.reduce(w) is not None]
 
-    def _phi_rank(self, t: int, beta) -> int:
-        """Rank of phi_t in the fine degree beta."""
+    def _phi_rank(self, t: int, beta, targets: list, sources: list) -> int:
+        """Rank of phi_t in the fine degree beta, from the faces `sources` of K_t
+        to the faces `targets` of K_{t-1}."""
         key = (t, beta)
         if key not in self._rank:
             ech = Echelon(self.field)
             if t > 0:
-                rows = {F: k for k, F in enumerate(self._fine_faces(t - 1, beta))}
+                rows = {F: k for k, F in enumerate(targets)}
                 signs = (self.field.coerce(1), self.field.coerce(-1))
-                for T in self._fine_faces(t, beta):
+                for T in sources:
                     faces = [T[:pos] + T[pos + 1 :] for pos in range(t)]
                     ech.add({rows[F]: signs[pos % 2] for pos, F in enumerate(faces) if F in rows})
             self._rank[key] = ech.rank
@@ -244,19 +243,27 @@ class KoszulComplex:
 
     def homology_dim(self, t: int, alpha) -> int:
         """dim H_t(I, M) in internal degree alpha, summed over the fine degrees
-        with block sums alpha, one per orbit weighted by the orbit size."""
+        with block sums alpha, one per orbit weighted by the orbit size.  The
+        faces of K_{t-1}, K_t and K_{t+1} in the blocks to rank are counted
+        first; past the ceiling, InfeasibleError is raised before any rank."""
         alpha = self.ring.as_mdeg(alpha)
-        if not self._faces(t, alpha):
-            return 0
-        # check K_{t-1} and K_{t+1} against the ceiling before building anything
-        self._faces(t - 1, alpha)
-        self._faces(t + 1, alpha)
-        total = 0
+        blocks, count = [], 0
         for beta, size in self._orbits(alpha):
-            dim_kt = len(self._fine_faces(t, beta))
-            if dim_kt:
-                total += size * (dim_kt - self._phi_rank(t, beta) - self._phi_rank(t + 1, beta))
-        return total
+            low, mid, high = (self._fine_faces(s, beta) for s in (t - 1, t, t + 1))
+            if mid:
+                count += len(low) + len(mid) + len(high)
+                if count > self.ceiling:
+                    raise InfeasibleError(
+                        f"the fine blocks of K_{t - 1}, K_{t} and K_{t + 1} at degree {alpha} "
+                        f"have at least {count} faces, over the ceiling {self.ceiling}",
+                        estimate=count,
+                    )
+                blocks.append((beta, size, low, mid, high))
+        return sum(
+            size * (len(mid) - self._phi_rank(t, beta, low, mid)
+                    - self._phi_rank(t + 1, beta, mid, high))
+            for beta, size, low, mid, high in blocks
+        )
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""

@@ -9,11 +9,11 @@ bound, so each table row is a complete, certified computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, comb
 
 from .fields import QQ
-from .homology import InfeasibleError, KoszulComplex  # noqa: F401
+from .homology import KoszulComplex
 from .rings import RingConfig, component_dim, power_ideal
 
 
@@ -41,9 +41,8 @@ class SegreVeroneseSpec:
 @dataclass
 class BettiTable:
     entries: dict  # (i, j) -> dim
-    certified: dict  # (i, j) -> bool
     i_max: int
-    windows: dict = field(default_factory=dict)  # i -> (j_lo, j_cut)
+    windows: dict  # i -> (j_lo, j_cut)
 
     def entry(self, i, j):
         """Entry with window semantics: beyond the window the value is 0."""
@@ -61,7 +60,7 @@ class BettiTable:
     def to_dict(self):
         return {
             "entries": [
-                {"i": i, "j": j, "dim": d, "certified": self.certified[(i, j)]}
+                {"i": i, "j": j, "dim": d, "certified": True}
                 for (i, j), d in sorted(self.entries.items())
             ],
             "cap": self.i_max,
@@ -92,17 +91,13 @@ def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
     ring = spec.ring
     ideal = power_ideal(ring, spec.c)
     kz = KoszulComplex(ideal, field)
-    entries, certified, windows = {}, {}, {}
-    entries[(0, 0)] = 1
-    certified[(0, 0)] = True
-    windows[0] = (0, 1)
+    entries, windows = {(0, 0): 1}, {0: (0, 1)}
     for i in range(1, i_max + 1):
         cut = _window_cut(i, spec.min_c)
         windows[i] = (i, cut)
         for j in range(i, cut):
             entries[(i, j)] = kz.homology_dim(i, tuple(j * a for a in spec.c))
-            certified[(i, j)] = True
-    return BettiTable(entries, certified, i_max, windows)
+    return BettiTable(entries, i_max, windows)
 
 
 @dataclass

@@ -251,17 +251,25 @@ def test_homology_dim_enumerates_no_coarse_component():
         for j in range(i, i + 3):
             kz.homology_dim(i, 3 * j)
     assert kz._basis == {} and kz._index == {}
+    assert kz._levels and all(len(degree) == kz.ring.n for degree in kz._levels)
+
+
+def test_homology_dim_ranks_fine_blocks_under_the_ceiling():
+    # m^4 in three variables at degree 24: the coarse K_4 (61,425) is over the
+    # ceiling, the fine blocks ranked (23,595 faces) are not; beta_{5,6} of v_4(P^2)
+    kz = KoszulComplex(power_ideal(RingConfig((3,)), 4))
+    assert kz.estimate(4, 24) > kz.ceiling
+    assert kz.homology_dim(5, 24) == 7095
 
 
 def test_homology_dim_checks_ceiling_before_building():
-    # m^4 in three variables at degree 24: K_5 fits (45,045), K_4 does not
+    # at degree 28 the fine blocks of K_4, K_5 and K_6 have 66,987 faces
     kz = KoszulComplex(power_ideal(RingConfig((3,)), 4))
     with pytest.raises(InfeasibleError) as exc:
-        kz.homology_dim(5, 24)
-    assert str(exc.value) == (
-        "component K_4 at degree (24,) has dimension 61425 over the ceiling 50000"
-    )
-    assert kz._basis == {}
+        kz.homology_dim(5, 28)
+    assert kz.ceiling < exc.value.estimate <= 66_987
+    assert str(exc.value).endswith("over the ceiling 50000")
+    assert kz._rank == {} and kz._basis == {}
 
 
 def test_cycle_space_and_homology_dim():

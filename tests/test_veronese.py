@@ -2,11 +2,10 @@ from math import comb
 
 import pytest
 
-from koszul_lab.homology import DEFAULT_COMPONENT_CEILING
+from koszul_lab.homology import DEFAULT_COMPONENT_CEILING, InfeasibleError
 from koszul_lab.rings import RingConfig, component_dim
 from koszul_lab.veronese import (
     BettiTable,
-    InfeasibleError,
     SegreVeroneseSpec,
     green_lazarsfeld_index,
     quadric_relation_count,
@@ -94,8 +93,15 @@ def test_segre_quadric_hypersurface():
     assert nonzero == {(0, 0): 1, (1, 2): 1}
 
 
+def test_sextic_veronese_quadrics_fit_the_ceiling():
+    # v_6(P^5): the coarse K_1 at degree 12 (213,444) is over the ceiling, the
+    # fine blocks of row 1 are not
+    spec = SegreVeroneseSpec((6,), (6,))
+    assert veronese_betti(spec, 1).entry(1, 2) == quadric_relation_count(spec) == 100_765
+
+
 def test_infeasible_ceiling():
     spec = SegreVeroneseSpec((6,), (6,))
     with pytest.raises(InfeasibleError) as exc:
-        veronese_betti(spec, 1)
+        veronese_betti(spec, 2)
     assert exc.value.estimate > DEFAULT_COMPONENT_CEILING
