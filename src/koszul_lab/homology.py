@@ -5,7 +5,8 @@ dimensions of K_t(I, M) in a fixed multidegree, with M = S or a monomial
 quotient S/J.  A differential phi_t is a list of columns, one per basis key of
 K_t, each a dict of the K_{t-1}-coordinates of that key's boundary.  Homology
 dimensions are sums over the fine (Z^n) degrees inside the multidegree, one
-fine block per orbit of the variable permutations that fix I and J.
+fine block per orbit of the variable permutations that fix I and J; for M = S
+each block is ranked modulo the closed star of one generator, a cone.
 GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading, whose
 Betti numbers are computed as Koszul homology against the variables.
 """
@@ -86,7 +87,8 @@ class KoszulComplex:
 
     Bases, key indices and cycle spaces are cached per (t, degree), ranks of
     phi_t per (t, fine degree), and the faces e_T per degree of either
-    grading; the differentials themselves are assembled on demand.
+    grading and generator left out; the differentials themselves are
+    assembled on demand.
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
     component of K_t estimated larger, and `homology_dim` the fine blocks it
@@ -126,21 +128,24 @@ class KoszulComplex:
                     start = k
             self._runs.append((start, b))
 
-    def _grown_faces(self, t: int, degree) -> list:
-        """(T, degree - deg u_T) for the t-subsets T of the generators whose
-        residual degree is >= 0, in lex order of the 1-based indices T.
+    def _grown_faces(self, t: int, degree, skip=None) -> list:
+        """(T, degree - deg u_T) for the t-subsets T of the generators other
+        than `skip` whose residual degree is >= 0, in lex order of the 1-based
+        indices T.
 
         The degree is a multidegree (length d) or a fine degree (length n);
         the two gradings coincide when d = n.  The faces are grown one
-        generator at a time, each level cached per degree.
+        generator at a time, each level cached per (degree, skip).
         """
         if not 0 <= t <= self.ideal.r:
             return []
-        levels = self._levels.setdefault(degree, [[((), degree)] if min(degree) >= 0 else []])
+        levels = self._levels.setdefault(
+            (degree, skip), [[((), degree)] if min(degree) >= 0 else []]
+        )
         if len(levels) <= t:
             gdegs = self._gen_mdegs if len(degree) == self.ring.d else self.ideal.gens
             # only the generators dividing the degree can divide a residual
-            fits = [i for i, g in enumerate(gdegs, 1) if all(map(le, g, degree))]
+            fits = [i for i, g in enumerate(gdegs, 1) if i != skip and all(map(le, g, degree))]
             while len(levels) <= t:
                 levels.append([
                     (T + (i,), tuple(map(sub, w, gdegs[i - 1])))
@@ -226,9 +231,42 @@ class KoszulComplex:
         u_T <= beta and beta - u_T outside J, in lex order."""
         return [T for T, w in self._grown_faces(t, beta) if self.coeffs.reduce(w) is not None]
 
+    def _apex(self, beta):
+        """The generator v dividing beta with the most monomials dividing
+        beta - u_v, i.e. the largest prod_k (beta_k - u_{v,k} + 1); the first
+        in index order on a tie, None when no generator divides beta."""
+        best, most = None, 0
+        for i, u in enumerate(self.ideal.gens, 1):
+            if all(map(le, u, beta)):
+                size = prod(b - e + 1 for b, e in zip(beta, u))
+                if size > most:
+                    best, most = i, size
+        return best
+
+    def _block_faces(self, t: int, beta) -> list:
+        """The faces of K_{t-1}, K_t and K_{t+1} that `homology_dim` ranks at
+        the fine degree beta.
+
+        For M = S the block is the augmented chain complex of the simplicial
+        complex {T : u_T <= beta}.  The closed star of a generator v dividing
+        beta, {T : u_T + u_v <= beta}, is a cone on v, so its chains are
+        acyclic and the block has the homology of the quotient by them: the
+        faces T without v for which u_v does not divide beta - u_T, with the
+        boundary terms in the star dropped.  S/J blocks are not reduced.
+        """
+        v = None if self.coeffs.J is not None else self._apex(beta)
+        if v is None:
+            return [self._fine_faces(s, beta) for s in (t - 1, t, t + 1)]
+        u = self.ideal.gens[v - 1]
+        return [
+            [T for T, w in self._grown_faces(s, beta, v) if not all(map(le, u, w))]
+            for s in (t - 1, t, t + 1)
+        ]
+
     def _phi_rank(self, t: int, beta, targets: list, sources: list) -> int:
         """Rank of phi_t in the fine degree beta, from the faces `sources` of K_t
-        to the faces `targets` of K_{t-1}."""
+        to the faces `targets` of K_{t-1}; boundary faces not in `targets`
+        are dropped."""
         key = (t, beta)
         if key not in self._rank:
             ech = Echelon(self.field)
@@ -243,13 +281,14 @@ class KoszulComplex:
 
     def homology_dim(self, t: int, alpha) -> int:
         """dim H_t(I, M) in internal degree alpha, summed over the fine degrees
-        with block sums alpha, one per orbit weighted by the orbit size.  The
-        faces of K_{t-1}, K_t and K_{t+1} in the blocks to rank are counted
-        first; past the ceiling, InfeasibleError is raised before any rank."""
+        with block sums alpha, one per orbit weighted by the orbit size; for
+        M = S each block is star-reduced (`_block_faces`).  The faces of
+        K_{t-1}, K_t and K_{t+1} in the blocks to rank are counted first; past
+        the ceiling, InfeasibleError is raised before any rank."""
         alpha = self.ring.as_mdeg(alpha)
         blocks, count = [], 0
         for beta, size in self._orbits(alpha):
-            low, mid, high = (self._fine_faces(s, beta) for s in (t - 1, t, t + 1))
+            low, mid, high = self._block_faces(t, beta)
             if mid:
                 count += len(low) + len(mid) + len(high)
                 if count > self.ceiling:

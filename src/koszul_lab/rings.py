@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb
 
 from .fields import QQ
@@ -173,12 +173,11 @@ class MonomialIdeal:
                 raise ValueError(f"generator {g} has negative exponent")
         if ring.one() in gens:
             raise ValueError("unit ideal: the paper assumes proper ideals")
-        minimal = [
-            g
-            for g in gens
-            if not any(h != g and mon_divides(h, g) for h in gens)
-        ]
-        minimal.sort(key=mon_key)
+        # distinct monomials of one total degree never divide each other, so
+        # each degree is tested only against the minimal generators below it
+        minimal = []
+        for _, same in groupby(sorted(gens, key=mon_key), key=total_deg):
+            minimal += [g for g in same if not any(mon_divides(h, g) for h in minimal)]
         self.gens = tuple(minimal)
 
     @property

@@ -251,7 +251,11 @@ def test_homology_dim_enumerates_no_coarse_component():
         for j in range(i, i + 3):
             kz.homology_dim(i, 3 * j)
     assert kz._basis == {} and kz._index == {}
-    assert kz._levels and all(len(degree) == kz.ring.n for degree in kz._levels)
+    # the face levels are keyed by (degree, generator left out): every degree
+    # is fine, and every block was star-reduced
+    assert kz._levels and all(
+        len(degree) == kz.ring.n and v is not None for degree, v in kz._levels
+    )
 
 
 def test_homology_dim_ranks_fine_blocks_under_the_ceiling():
@@ -263,13 +267,25 @@ def test_homology_dim_ranks_fine_blocks_under_the_ceiling():
 
 
 def test_homology_dim_checks_ceiling_before_building():
-    # at degree 28 the fine blocks of K_4, K_5 and K_6 have 66,987 faces
-    kz = KoszulComplex(power_ideal(RingConfig((3,)), 4))
+    # v_6(P^5) at (2, 3): low degrees have small stars, so the star-reduced
+    # fine blocks of K_1, K_2 and K_3 still pass the ceiling
+    kz = KoszulComplex(power_ideal(RingConfig((6,)), 6))
     with pytest.raises(InfeasibleError) as exc:
-        kz.homology_dim(5, 28)
-    assert kz.ceiling < exc.value.estimate <= 66_987
+        kz.homology_dim(2, 18)
+    assert kz.ceiling < exc.value.estimate <= 50_880
     assert str(exc.value).endswith("over the ceiling 50000")
     assert kz._rank == {} and kz._basis == {}
+
+
+def test_star_reduced_quartic_veronese_strand_fits_the_ceiling():
+    # v_4(P^2) over QQ: the linear strand beta_{i,i+1} for i = 1..6 and two
+    # zero entries of the next row; the plain fine blocks at (5, 7) and (6, 8)
+    # have 66,987 and 118,268 faces, the star-reduced ones 8,752 and 11,245
+    kz = KoszulComplex(power_ideal(RingConfig((3,)), 4), QQ)
+    strand = [kz.homology_dim(i, 4 * (i + 1)) for i in range(1, 7)]
+    assert strand == [75, 536, 1947, 4488, 7095, 7920]
+    assert kz.homology_dim(5, 28) == 0
+    assert kz.homology_dim(6, 32) == 0
 
 
 def test_cycle_space_and_homology_dim():

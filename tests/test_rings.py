@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from koszul_lab import rings
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
@@ -14,6 +15,7 @@ from koszul_lab.rings import (
     ideal_from_dict,
     is_strongly_stable,
     mon_divides,
+    mon_key,
     mon_lcm,
     mon_mul,
     monomial_quotient_dim,
@@ -80,6 +82,27 @@ def test_ideal_minimalization():
     assert I.gen_index((2, 0)) == 1
     with pytest.raises(ValueError):
         MonomialIdeal(ring, [(0, 0)])
+
+
+def test_minimal_generators_match_the_pairwise_test(monkeypatch):
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+        # multiples of drawn generators, minimal only when equal to one
+        gens += [tuple(e + rng.randint(0, 2) for e in rng.choice(gens)) for _ in range(4)]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        brute = sorted(
+            {g for g in gens if not any(h != g and mon_divides(h, g) for h in gens)},
+            key=mon_key,
+        )
+        assert MonomialIdeal(RingConfig((n,)), gens).gens == tuple(brute)
+    # the generators of m^c share one total degree: no divisibility test at all
+    calls = []
+    monkeypatch.setattr(rings, "mon_divides", lambda a, b: calls.append((a, b)))
+    assert power_ideal(RingConfig((3, 2)), (2, 1)).r == 12 and calls == []
 
 
 def test_power_ideal_gens():
