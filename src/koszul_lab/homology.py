@@ -8,7 +8,8 @@ dimensions are sums over the fine (Z^n) degrees inside the multidegree, one
 fine block per orbit of the variable permutations that fix I and J; for M = S
 each block is ranked modulo the closed star of one generator, a cone.
 GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading, whose
-Betti numbers are computed as Koszul homology against the variables.
+Betti numbers are computed as Koszul homology against the variables; they
+vanish past the module's stability degree, where nothing is built.
 """
 
 from __future__ import annotations
@@ -284,7 +285,10 @@ class KoszulComplex:
         with block sums alpha, one per orbit weighted by the orbit size; for
         M = S each block is star-reduced (`_block_faces`).  The faces of
         K_{t-1}, K_t and K_{t+1} in the blocks to rank are counted first; past
-        the ceiling, InfeasibleError is raised before any rank."""
+        the ceiling, InfeasibleError is raised before any rank.  H_t = 0 for
+        t < 0 and t > r, where K_t = 0."""
+        if not 0 <= t <= self.ideal.r:
+            return 0
         alpha = self.ring.as_mdeg(alpha)
         blocks, count = [], 0
         for beta, size in self._orbits(alpha):
@@ -366,6 +370,13 @@ class GradedModule:
         self.quotient = quotient
         self.ring = kz.ring
         self.field = kz.field
+        top = t + 1 if quotient else t
+        jgens = kz.coeffs.J.gens if kz.coeffs.J else []
+        self.stable_degree = sum(
+            sum(sorted((u[k] for u in kz.ideal.gens), reverse=True)[:top])
+            + max((g[k] for g in jgens), default=0)
+            for k in range(self.ring.n)
+        )
         self._boundaries = {}
         self._images = {}
 
@@ -453,12 +464,20 @@ def _var_rank(M: GradedModule, i: int, q: int) -> int:
 
 
 def tor_dims(M: GradedModule, i: int, j: int) -> int:
-    """dim Tor_i(M, K)_j = H_i of the variables-Koszul complex on M."""
+    """dim Tor_i(M, K)_j = H_i of the variables-Koszul complex on M.
+
+    It is 0 for j > M.stable_degree = |a|, before M is built: every fine
+    degree beta with |beta| = j has some beta_k > a_k, and the variables-Koszul
+    complex on M at beta is the mapping cone of x_k between two copies of the
+    complex on the other variables, at beta - e_k and at beta.  Its pieces
+    x_k : M_{gamma - e_k} -> M_gamma have gamma_k = beta_k > a_k, so they are
+    isomorphisms and the cone is exact.
+    """
     n = M.ring.n
     if i < 0 or i > n:
         return 0
     q = j - i
-    if q < 0 or M.dim(q) == 0:
+    if q < 0 or j > M.stable_degree or M.dim(q) == 0:
         return 0
     return comb(n, i) * M.dim(q) - _var_rank(M, i, q) - _var_rank(M, i + 1, q - 1)
 

@@ -10,6 +10,7 @@ from koszul_lab.fields import QQ, PrimeField
 from koszul_lab.harness import random_monomial_ideal
 from koszul_lab.homology import (
     Coefficients,
+    GradedModule,
     InfeasibleError,
     KoszulComplex,
     cycle_module,
@@ -53,6 +54,14 @@ def test_cycles_are_in_kernel():
         j = rng.randint(t, t * 3 + 2)
         for v in kz.cycle_space(t, (j,)).vectors:
             assert boundary(kz.vector_chain(t, (j,), v)).is_zero()
+
+
+def test_homology_dim_is_zero_outside_the_generator_count():
+    # K_t = 0 for t < 0 and t > r = 6: no face is grown and nothing is ranked
+    kz = KoszulComplex(power_ideal(RingConfig((3,)), 2))
+    for t in (-1, 7, 8, 60):
+        assert kz.homology_dim(t, 2 * max(t, 0)) == 0
+    assert kz._levels == {} and kz._rank == {}
 
 
 def test_euler_characteristic():
@@ -450,6 +459,47 @@ def test_tor_of_power_ideals_matches_eliahou_kervaire(field):
                     assert tor_dims(quotient, i, j) == _eliahou_kervaire(n, c, i, j)
                     # Z_1 is the second syzygy module of S/m^c
                     assert tor_dims(z1, i, j) == _eliahou_kervaire(n, c, i + 2, j)
+
+
+@settings(max_examples=40)
+@given(
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+    quotient=st.booleans(),
+    over_sj=st.booleans(),
+)
+def test_tor_vanishes_past_the_stability_degree(n, data, quotient, over_sj):
+    ring = RingConfig((n,))
+    I = MonomialIdeal(ring, data.draw(_gens(n)))
+    coeffs = Coefficients(ring, MonomialIdeal(ring, data.draw(_gens(n)))) if over_sj else None
+    t = data.draw(st.integers(0, min(I.r, 2)))
+    kz = KoszulComplex(I, QQ, coeffs)
+    M = GradedModule(kz, t, quotient)
+    top = M.stable_degree
+    for j in range(top + 1, top + 4):
+        for i in range(0, n + 1):
+            assert tor_dims(M, i, j) == 0
+    assert kz._kernel == {}
+    # the same module over the same complex with the rule lifted over the scan
+    full = GradedModule(kz, t, quotient)
+    full.stable_degree = top + 3
+    for j in range(0, top + 4):
+        for i in range(0, n + 1):
+            assert tor_dims(M, i, j) == tor_dims(full, i, j)
+
+
+def test_stability_degree_is_attained():
+    # S/(x^2, y^2) = Z_0(I; S/J) has Tor_2 in degree 4 = |a|, and so has
+    # H_0(I; S) = S/I for I = (x^2, y^2)
+    ring = RingConfig((2,))
+    I = MonomialIdeal(ring, [(1, 0), (0, 1)])
+    J = MonomialIdeal(ring, [(2, 0), (0, 2)])
+    for M in (
+        cycle_module(KoszulComplex(I, QQ, Coefficients(ring, J)), 0),
+        homology_module(KoszulComplex(J), 0),
+    ):
+        assert M.stable_degree == 4
+        assert tor_dims(M, 2, 4) == 1
 
 
 def test_degrees_upto():
