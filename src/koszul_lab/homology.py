@@ -5,8 +5,9 @@ dimensions of K_t(I, M) in a fixed multidegree, with M = S or a monomial
 quotient S/J.  A differential phi_t is a list of columns, one per basis key of
 K_t, each a dict of the K_{t-1}-coordinates of that key's boundary.  Homology
 dimensions are sums over the fine (Z^n) degrees inside the multidegree, one
-fine block per orbit of the variable permutations that fix I and J; for M = S
-each block is ranked modulo the closed star of one generator, a cone.
+fine block per orbit of the variable permutations that fix I and J, or one
+fine block alone; for M = S each block is ranked modulo the closed star of one
+generator, a cone.
 GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading, whose
 Betti numbers are computed as Koszul homology against the variables; they
 vanish past the module's stability degree, where nothing is built.
@@ -92,8 +93,9 @@ class KoszulComplex:
     assembled on demand.
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
-    component of K_t estimated larger, and `homology_dim` the fine blocks it
-    would rank, before any of them is built.
+    component of K_t estimated larger, and `homology_dim` and
+    `fine_homology_dim` the fine blocks they would rank, before any of them is
+    built.
     """
 
     def __init__(
@@ -280,6 +282,20 @@ class KoszulComplex:
             self._rank[key] = ech.rank
         return self._rank[key]
 
+    def _check_ceiling(self, t: int, degree, count: int):
+        """Raise InfeasibleError when `count` faces of the fine blocks of
+        K_{t-1}, K_t and K_{t+1} at degree are over the ceiling."""
+        if count > self.ceiling:
+            raise InfeasibleError(
+                f"the fine blocks of K_{t - 1}, K_{t} and K_{t + 1} at degree {degree} "
+                f"have at least {count} faces, over the ceiling {self.ceiling}",
+                estimate=count,
+            )
+
+    def _block_dim(self, t: int, beta, low: list, mid: list, high: list) -> int:
+        """dim H_t of the fine block at beta from its faces (`_block_faces`)."""
+        return len(mid) - self._phi_rank(t, beta, low, mid) - self._phi_rank(t + 1, beta, mid, high)
+
     def homology_dim(self, t: int, alpha) -> int:
         """dim H_t(I, M) in internal degree alpha, summed over the fine degrees
         with block sums alpha, one per orbit weighted by the orbit size; for
@@ -292,21 +308,28 @@ class KoszulComplex:
         alpha = self.ring.as_mdeg(alpha)
         blocks, count = [], 0
         for beta, size in self._orbits(alpha):
-            low, mid, high = self._block_faces(t, beta)
-            if mid:
-                count += len(low) + len(mid) + len(high)
-                if count > self.ceiling:
-                    raise InfeasibleError(
-                        f"the fine blocks of K_{t - 1}, K_{t} and K_{t + 1} at degree {alpha} "
-                        f"have at least {count} faces, over the ceiling {self.ceiling}",
-                        estimate=count,
-                    )
-                blocks.append((beta, size, low, mid, high))
-        return sum(
-            size * (len(mid) - self._phi_rank(t, beta, low, mid)
-                    - self._phi_rank(t + 1, beta, mid, high))
-            for beta, size, low, mid, high in blocks
-        )
+            faces = self._block_faces(t, beta)
+            if faces[1]:
+                count += sum(map(len, faces))
+                self._check_ceiling(t, alpha, count)
+                blocks.append((beta, size, faces))
+        return sum(size * self._block_dim(t, beta, *faces) for beta, size, faces in blocks)
+
+    def fine_homology_dim(self, t: int, beta) -> int:
+        """dim H_t(I, M) at the fine degree beta, a tuple of length n: one
+        block as `homology_dim` ranks it, with the same faces, ceiling and rank
+        formula.  When d = n the two gradings coincide and so do the two
+        dimensions.  H_t = 0 for t < 0 and t > r."""
+        beta = tuple(beta)
+        if len(beta) != self.ring.n:
+            raise ValueError(f"fine degree {beta} has wrong length")
+        if not 0 <= t <= self.ideal.r:
+            return 0
+        faces = self._block_faces(t, beta)
+        if not faces[1]:
+            return 0
+        self._check_ceiling(t, beta, sum(map(len, faces)))
+        return self._block_dim(t, beta, *faces)
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""

@@ -332,9 +332,16 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
 def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
     """reg(I) over `field`.  Strongly stable: max generator degree.
 
-    Otherwise reg(S/I) is computed from Tor_i(S/I, K)_j = H_i(x; S/I)_j,
-    the Koszul homology of the variables with coefficients S/I, scanned up to
-    the Taylor caps, which certify vanishing beyond; reg(I) = reg(S/I) + 1.
+    Otherwise reg(S/I) is computed from Tor_i(S/I, K)_beta = H_i(x; S/I)_beta,
+    the Koszul homology of the variables with coefficients S/I, at the fine
+    degrees beta of the LCM lattice of I: the lcms of the nonempty sets of
+    minimal generators.  Nothing else can be nonzero: the Taylor resolution
+    of S/I is Z^n-graded with a basis element e_T in degree lcm(u_T) and
+    homological degree |T|, so Tor_i(S/I, K)_beta, a subquotient of its
+    degree-beta part tensored with K, vanishes unless beta = lcm(u_T) for
+    some T with |T| = i (Taylor 1966; Gasharov-Peeva-Welker 1999).  Hence
+    reg(S/I) = max |beta| - i over the nonzero blocks with i in 1..min(r, n),
+    and reg(I) = reg(S/I) + 1.
     """
     if I.ring.d != 1:
         raise ValueError("regularity over the standard grading only")
@@ -343,9 +350,12 @@ def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
     from .homology import Coefficients, KoszulComplex
 
     kz = KoszulComplex(power_ideal(I.ring, 1), field, Coefficients(I.ring, I))
+    lattice = set()
+    for u in I.gens:
+        lattice |= {mon_lcm(u, b) for b in lattice} | {u}
     reg = 0
-    for i, cap in taylor_caps(I).items():
-        for j in range(i, cap + 1):
-            if kz.homology_dim(i, (j,)) > 0:
-                reg = max(reg, j - i)
+    for beta in sorted(lattice, key=mon_key):
+        for i in range(1, min(I.r, I.ring.n) + 1):
+            if kz.fine_homology_dim(i, beta) > 0:
+                reg = max(reg, total_deg(beta) - i)
     return reg + 1

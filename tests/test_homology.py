@@ -286,6 +286,44 @@ def test_homology_dim_checks_ceiling_before_building():
     assert kz._rank == {} and kz._basis == {}
 
 
+def test_fine_homology_dim_guards():
+    # m^2 in three variables, r = 6; at (2, 2, 2) the star-reduced block of
+    # K_1, K_2 and K_3 has 2 + 5 + 1 faces and H_2 has dimension 2
+    ring = RingConfig((3,))
+    kz = KoszulComplex(power_ideal(ring, 2))
+    for beta in [(6,), (2, 2), (2, 2, 2, 0)]:
+        with pytest.raises(ValueError):
+            kz.fine_homology_dim(2, beta)
+    for t in (-1, 7, 8, 60):
+        assert kz.fine_homology_dim(t, (2, 2, 2)) == 0
+    assert kz._levels == {} and kz._rank == {}
+    tight = KoszulComplex(power_ideal(ring, 2), ceiling=7)
+    with pytest.raises(InfeasibleError) as exc:
+        tight.fine_homology_dim(2, (2, 2, 2))
+    assert exc.value.estimate == 8
+    assert str(exc.value).endswith("over the ceiling 7")
+    assert tight._rank == {}
+    assert KoszulComplex(power_ideal(ring, 2), ceiling=8).fine_homology_dim(2, (2, 2, 2)) == 2
+
+
+@settings(max_examples=40)
+@given(
+    blocks=st.sampled_from([(1,), (1, 1), (1, 1, 1)]),
+    data=st.data(),
+    field=st.sampled_from([QQ, PrimeField(2)]),
+    quotient=st.booleans(),
+)
+def test_fine_homology_dim_is_homology_dim_when_d_is_n(blocks, data, field, quotient):
+    # every block is one variable, so a multidegree is a fine degree
+    ring = RingConfig(blocks)
+    I = _ideal(ring, data)
+    coeffs = Coefficients(ring, _ideal(ring, data)) if quotient else None
+    fine, coarse = KoszulComplex(I, field, coeffs), KoszulComplex(I, field, coeffs)
+    for beta in degrees_upto(ring, (3,) * ring.d):
+        for t in range(-1, min(I.r, 4) + 2):
+            assert fine.fine_homology_dim(t, beta) == coarse.homology_dim(t, beta)
+
+
 def test_star_reduced_quartic_veronese_strand_fits_the_ceiling():
     # v_4(P^2) over QQ: the linear strand beta_{i,i+1} for i = 1..6 and two
     # zero entries of the next row; the plain fine blocks at (5, 7) and (6, 8)

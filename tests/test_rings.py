@@ -1,10 +1,14 @@
 import random
+from functools import reduce
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_lab import rings
+from koszul_lab.fields import QQ, PrimeField
+from koszul_lab.homology import Coefficients, KoszulComplex
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
@@ -182,6 +186,76 @@ def test_reg_random_vs_taylor_bound():
         # reg(I) <= max over i of cap_i - i + 1
         assert val <= max(c - i for i, c in caps.items()) + 1
         assert val >= I.max_gen_degree()
+
+
+def _taylor_cap_scan(I, field):
+    """reg(I) from dim Tor_i(S/I, K)_j at every degree j <= cap_i (`taylor_caps`),
+    with no strongly-stable shortcut."""
+    kz = KoszulComplex(power_ideal(I.ring, 1), field, Coefficients(I.ring, I))
+    reg = 0
+    for i, cap in taylor_caps(I).items():
+        for j in range(i, cap + 1):
+            if kz.homology_dim(i, (j,)) > 0:
+                reg = max(reg, j - i)
+    return reg + 1
+
+
+@settings(max_examples=50)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    data=st.data(),
+    field=st.sampled_from([QQ, PrimeField(2), PrimeField(5)]),
+)
+def test_reg_matches_the_taylor_cap_scan(n, data, field):
+    # a generator is x_k^a x_l^b with a >= 1 and a + b <= 4: pure powers and
+    # near-pure ones are common, so are sets like (x1^3, x1 x2^2, x1 x3^2) whose
+    # top Tor sits at the lcm of three generators and of no two
+    var, power = st.integers(0, n - 1), st.integers(0, 4)
+    gen = st.tuples(var, power, var, power).filter(lambda g: 1 <= g[1] and g[1] + g[3] <= 4).map(
+        lambda g: tuple(g[1] * (k == g[0]) + g[3] * (k == g[2]) for k in range(n))
+    )
+    I = MonomialIdeal(RingConfig((n,)), data.draw(st.lists(gen, min_size=1, max_size=5)))
+    assert reg_monomial_ideal(I, field) == _taylor_cap_scan(I, field)
+
+
+def _lcms(gens):
+    """The lcms of the nonempty sets of the monomials gens."""
+    return {reduce(mon_lcm, T) for k in range(1, len(gens) + 1) for T in combinations(gens, k)}
+
+
+def test_reg_ranks_only_the_lcm_lattice(monkeypatch):
+    ranked = []
+    phi_rank = KoszulComplex._phi_rank
+
+    def spy(self, t, beta, targets, sources):
+        ranked.append(beta)
+        return phi_rank(self, t, beta, targets, sources)
+
+    monkeypatch.setattr(KoszulComplex, "_phi_rank", spy)
+    I = MonomialIdeal(RingConfig((2,)), [(2, 0), (0, 3)])
+    assert reg_monomial_ideal(I) == 4
+    assert set(ranked) == {(2, 0), (0, 3), (2, 3)}
+    rng = random.Random(13)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        I = MonomialIdeal(RingConfig((n,)), [g for g in gens if any(g)] or [(1,) * n])
+        ranked.clear()
+        reg_monomial_ideal(I)
+        assert set(ranked) <= _lcms(I.gens)
+
+
+def test_reg_depends_on_the_field():
+    # the Stanley-Reisner ideal of the 6-vertex RP^2: its 10 non-faces are
+    # squarefree cubics; H~_2(RP^2) and H~_1(RP^2) are nonzero only in
+    # characteristic 2, which puts a Betti number at (3, 6) (Reisner 1976)
+    facets = {frozenset(map(int, f)) for f in "123 134 145 156 126 235 245 246 346 356".split()}
+    nonfaces = [c for c in combinations(range(1, 7), 3) if frozenset(c) not in facets]
+    I = MonomialIdeal(RingConfig((6,)), [tuple(int(k in c) for k in range(1, 7)) for c in nonfaces])
+    assert I.r == 10
+    assert reg_monomial_ideal(I, QQ) == 3
+    assert reg_monomial_ideal(I, PrimeField(3)) == 3
+    assert reg_monomial_ideal(I, PrimeField(2)) == 4
 
 
 def test_ideal_from_dict():
