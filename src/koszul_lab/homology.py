@@ -27,6 +27,7 @@ from .linalg import Echelon, kernel_basis
 from .rings import (
     MonomialIdeal,
     RingConfig,
+    _bounded_compositions,
     _compositions,
     component_basis,
     component_dim,
@@ -194,7 +195,11 @@ class KoszulComplex:
         keys = self.basis(t, alpha)
         if not keys:  # an empty K_t needs no K_{t-1}
             return []
-        index = self.key_index(t - 1, alpha)
+        return self.columns(keys, self.key_index(t - 1, alpha))
+
+    def columns(self, keys: list, index: dict) -> list:
+        """The columns of phi_t on the keys (T, w) of K_t, in the K_{t-1}
+        coordinates `index`, which must hold every boundary key."""
         signs = (self.field.coerce(1), self.field.coerce(-1))
         columns = []
         for T, w in keys:
@@ -377,12 +382,17 @@ def _arrangements(values) -> int:
 
 
 class GradedModule:
-    """Z_t(I, M), or H_t(I, M) = Z_t / B_t, as a graded module (d = 1).
+    """Z_t(I, M), or H_t(I, M) = Z_t / B_t, as a graded module (d = 1), built
+    on the box [0, a] of fine degrees, a = `box`.
 
-    The piece in degree q is the cycle space Z_q, whose RREF basis gives the
-    Z-coordinates of any cycle as its entries on the free columns.  For H_t
-    the boundaries B_q are echelon rows in those coordinates, and the Z-basis
-    vectors off their pivots represent a basis of H_q.
+    The module is positively a-determined (see `tor_dims`), so its Betti
+    numbers read only the fine pieces M_gamma with gamma <= a.  The piece in
+    degree q is the cycle space of phi_t on the keys (T, w) of K_t with
+    u_T w <= a, whose RREF basis gives the Z-coordinates of any cycle as its
+    entries on the free columns.  phi_t is block-diagonal by fine degree, so
+    each basis vector z lies in one fine degree gamma, read off its free key.
+    For H_t the boundaries B_q are echelon rows in those coordinates, and the
+    Z-basis vectors off their pivots represent a basis of H_q.
     """
 
     def __init__(self, kz: KoszulComplex, t: int, quotient: bool):
@@ -395,54 +405,99 @@ class GradedModule:
         self.field = kz.field
         top = t + 1 if quotient else t
         jgens = kz.coeffs.J.gens if kz.coeffs.J else []
-        self.stable_degree = sum(
+        self.box = tuple(
             sum(sorted((u[k] for u in kz.ideal.gens), reverse=True)[:top])
             + max((g[k] for g in jgens), default=0)
             for k in range(self.ring.n)
         )
+        self._pieces = {}
+        self._open = {}
         self._boundaries = {}
         self._images = {}
 
+    @property
+    def stable_degree(self) -> int:
+        """|a|: Tor_i(M, K)_j = 0 for j > |a| (see `tor_dims`)."""
+        return sum(self.box)
+
+    def _keys(self, s: int, q: int) -> list:
+        """The keys (T, w) of K_s in degree q with u_T w <= box and w outside
+        J, in lex order of T; InfeasibleError once they pass the ceiling."""
+        kz, size, keys = self.kz, self.stable_degree, []
+        reduce = kz.coeffs.reduce
+        for T, cap in kz._grown_faces(s, self.box):
+            # deg u_T = |box| - |cap|
+            words = _bounded_compositions(q - size + sum(cap), cap)
+            keys += [(T, w) for w in words if reduce(w) is not None]
+            if len(keys) > kz.ceiling:
+                raise InfeasibleError(
+                    f"K_{s} has at least {len(keys)} keys in degree {q} inside the "
+                    f"box {self.box}, over the ceiling {kz.ceiling}",
+                    estimate=len(keys),
+                )
+        return keys
+
     def piece(self, q: int) -> ComponentBasis:
-        """Z_q with its free columns."""
-        return self.kz.cycle_space(self.t, (q,))
+        """Z_q on the box keys of K_t, with its free columns."""
+        if q not in self._pieces:
+            keys = self._keys(self.t, q)
+            # a boundary keeps its fine degree, so every target is a box key
+            index = {k: c for c, k in enumerate(self._keys(self.t - 1, q))} if keys else {}
+            vecs = kernel_basis(self.kz.columns(keys, index), self.field)
+            free = [max(v) for v in vecs]
+            caps = dict(self.kz._grown_faces(self.t, self.box))
+            # open(z): the k with gamma_k < a_k, i.e. w_k < (a - u_T)_k
+            self._open[q] = [
+                tuple(k for k, (e, c) in enumerate(zip(w, caps[T])) if e < c)
+                for T, w in (keys[f] for f in free)
+            ]
+            self._pieces[q] = ComponentBasis(keys, vecs, free)
+        return self._pieces[q]
 
     def boundaries(self, q: int) -> Echelon:
         """B_q as echelon rows in Z_q-coordinates; empty for Z_t."""
         if q not in self._boundaries:
             ech = Echelon(self.field)
             if self.quotient:
-                pos = {f: b for b, f in enumerate(self.piece(q).free)}
-                for col in self.kz.boundary_image(self.t, (q,)):
+                piece = self.piece(q)
+                index = {k: c for c, k in enumerate(piece.keys)}
+                pos = {f: b for b, f in enumerate(piece.free)}
+                for col in self.kz.columns(self._keys(self.t + 1, q), index):
                     ech.add({pos[c]: v for c, v in col.items() if c in pos})
             self._boundaries[q] = ech
         return self._boundaries[q]
 
-    def dim(self, q: int) -> int:
-        return self.piece(q).dim - self.boundaries(q).rank
+    def opens(self, q: int) -> list:
+        """open(z) for each Z-basis vector z of Z_q: the k with gamma_k < a_k
+        at the fine degree gamma of z."""
+        self.piece(q)
+        return self._open[q]
+
+    def representatives(self, q: int) -> list:
+        """(b, open(z_b)) for the Z-basis vectors z_b representing a basis of
+        M_q: all of them for Z_t, those off the pivots of B_q for H_t."""
+        pivots = self.boundaries(q).rows
+        return [(b, opened) for b, opened in enumerate(self.opens(q)) if b not in pivots]
 
     def shifts(self, q: int) -> list:
-        """For each z representing a basis vector of M_q, the list over k of
-        the Z_{q+1}-coordinates of x_k z."""
+        """For each z representing a basis vector of M_q, (open(z), images),
+        where images[k] holds the Z_{q+1}-coordinates of x_k z for k in open(z)."""
         if q not in self._images:
             piece, nxt = self.piece(q), self.piece(q + 1)
             # keys off the free columns, or dead in S/J, are not in pos
             pos = {nxt.keys[f]: b for b, f in enumerate(nxt.free)}
-            pivots = self.boundaries(q).rows
             out = []
-            for b, z in enumerate(piece.vectors):
-                if b in pivots:
-                    continue
-                images = []
-                for k in range(self.ring.n):
+            for b, opened in self.representatives(q):
+                images = {}
+                for k in opened:
                     image = {}
-                    for col, c in z.items():
+                    for col, c in piece.vectors[b].items():
                         T, w = piece.keys[col]
                         b2 = pos.get((T, w[:k] + (w[k] + 1,) + w[k + 1 :]))
                         if b2 is not None:
                             image[b2] = c
-                    images.append(image)
-                out.append(images)
+                    images[k] = image
+                out.append((opened, images))
             self._images[q] = out
         return self._images[q]
 
@@ -458,11 +513,12 @@ def homology_module(kz: KoszulComplex, t: int) -> GradedModule:
 
 
 def _var_rank(M: GradedModule, i: int, q: int) -> int:
-    """Rank of delta_i : Lambda^i (x) M_q -> Lambda^{i-1} (x) M_{q+1}.
+    """Rank of delta_i : Lambda^i (x) M_q -> Lambda^{i-1} (x) M_{q+1} on the
+    box: the chains e_A (x) z with A in open(z), i.e. gamma(z) + e_A <= a.
 
     The column of e_A (x) z is sum over k in A of +-e_{A - k} (x) x_k z.  For
-    H_t every Lambda^{i-1} block is first seeded with the rows of B_{q+1},
-    whose rank is then subtracted.
+    H_t every Lambda^{i-1} block inside the box is first seeded with the rows
+    of B_{q+1}, whose rank is then subtracted.
     """
     n, f = M.ring.n, M.field
     if not 1 <= i <= n or q < 0:
@@ -471,15 +527,16 @@ def _var_rank(M: GradedModule, i: int, q: int) -> int:
     width = M.piece(q + 1).dim
     offset = {A: a * width for a, A in enumerate(combinations(range(n), i - 1))}
     ech = Echelon(f)
-    for off in offset.values():
-        for row in M.boundaries(q + 1).rows.values():
-            ech.add({off + c: v for c, v in row.items()})
+    opens = M.opens(q + 1)
+    for p, row in M.boundaries(q + 1).rows.items():
+        for A in combinations(opens[p], i - 1):
+            ech.add({offset[A] + c: v for c, v in row.items()})
     seeded = ech.rank
-    for A in combinations(range(n), i):
-        faces = [(offset[A[:p] + A[p + 1 :]], k, p % 2) for p, k in enumerate(A)]
-        for images in shifts:
+    for opened, images in shifts:
+        for A in combinations(opened, i):
             col = {}
-            for off, k, odd in faces:
+            for p, k in enumerate(A):
+                off, odd = offset[A[:p] + A[p + 1 :]], p % 2
                 for b, c in images[k].items():
                     col[off + b] = f.coerce(-c) if odd else c
             ech.add(col)
@@ -487,22 +544,35 @@ def _var_rank(M: GradedModule, i: int, q: int) -> int:
 
 
 def tor_dims(M: GradedModule, i: int, j: int) -> int:
-    """dim Tor_i(M, K)_j = H_i of the variables-Koszul complex on M.
+    """dim Tor_i(M, K)_j = H_i of the variables-Koszul complex on M, built on
+    the box [0, a] of fine degrees, a = M.box.
 
-    It is 0 for j > M.stable_degree = |a|, before M is built: every fine
-    degree beta with |beta| = j has some beta_k > a_k, and the variables-Koszul
-    complex on M at beta is the mapping cone of x_k between two copies of the
-    complex on the other variables, at beta - e_k and at beta.  Its pieces
-    x_k : M_{gamma - e_k} -> M_gamma have gamma_k = beta_k > a_k, so they are
-    isomorphisms and the cone is exact.
+    M is positively a-determined (Miller, J. Algebra 231, 2000): x_k maps
+    M_{gamma - e_k} onto M_gamma isomorphically whenever gamma_k > a_k.  For
+    Z_t this holds on K_t, whose summands S(-u_T) have u_T <= a, and on
+    K_{t-1}, so on the kernel; for H_t also on K_{t+1}, so on B_t and on the
+    quotient; over S/J the exponents of J are added to a.  Take a fine degree
+    beta with some beta_k > a_k.  The variables-Koszul complex on M at beta is
+    the mapping cone of x_k between two copies of the complex on the other
+    variables, at beta - e_k and at beta; its pieces x_k : M_{gamma - e_k} ->
+    M_gamma have gamma_k = beta_k > a_k, so they are isomorphisms, the cone is
+    exact and Tor_i(M, K)_beta = 0.  Hence Tor_i(M, K)_j is the sum over
+    beta <= a with |beta| = j, which is 0 for j > |a| = M.stable_degree,
+    before M is built.  The complex at such a beta is the sum of e_A (x)
+    M_{beta - e_A} over the i-subsets A of the variables, and it reads only
+    pieces M_gamma with gamma <= beta <= a: the box pieces, with the chain
+    e_A (x) z counted only when A lies in open(z).
     """
     n = M.ring.n
     if i < 0 or i > n:
         return 0
     q = j - i
-    if q < 0 or j > M.stable_degree or M.dim(q) == 0:
+    if q < 0 or j > M.stable_degree:
         return 0
-    return comb(n, i) * M.dim(q) - _var_rank(M, i, q) - _var_rank(M, i + 1, q - 1)
+    chains = sum(comb(len(opened), i) for _, opened in M.representatives(q))
+    if chains == 0:
+        return 0
+    return chains - _var_rank(M, i, q) - _var_rank(M, i + 1, q - 1)
 
 
 def tor_violations(M: GradedModule, bound: int, slack: int = 2, i_max=None):

@@ -116,14 +116,21 @@ def mon_key(m: tuple):
 def _compositions(total: int, parts: int):
     """All exponent tuples of length `parts` summing to `total`, lex-descending;
     none when `total` is negative."""
-    if total < 0:
+    return _bounded_compositions(total, (total,) * parts)
+
+
+def _bounded_compositions(total: int, caps: tuple):
+    """All exponent tuples w <= caps componentwise with |w| = `total`,
+    lex-descending; none when no such tuple exists."""
+    if not 0 <= total <= sum(caps):
         return
-    if parts == 1:
+    if len(caps) == 1:
         yield (total,)
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    rest = sum(caps[1:])
+    for first in range(min(total, caps[0]), max(total - rest, 0) - 1, -1):
+        for tail in _bounded_compositions(total - first, caps[1:]):
+            yield (first,) + tail
 
 
 def component_basis(ring: RingConfig, alpha) -> tuple:

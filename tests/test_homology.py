@@ -1,13 +1,15 @@
 import random
+from itertools import combinations
 from math import comb
-from operator import sub
+from operator import le, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszul_lab import homology
 from koszul_lab.exterior import KoszulChain, boundary
 from koszul_lab.fields import QQ, PrimeField
-from koszul_lab.harness import random_monomial_ideal
+from koszul_lab.harness import DEFAULT_CAPS, _regb, _sato, random_monomial_ideal
 from koszul_lab.homology import (
     Coefficients,
     GradedModule,
@@ -344,12 +346,13 @@ def test_cycle_space_and_homology_dim():
 def test_free_module_tor():
     # Z_0(I; S) = K_0 = S for any I
     ring = RingConfig((2,))
-    M = cycle_module(KoszulComplex(power_ideal(ring, 2)), 0)
+    kz = KoszulComplex(power_ideal(ring, 2))
+    M = cycle_module(kz, 0)
     assert tor_dims(M, 0, 0) == 1
     for j in range(1, 5):
         assert tor_dims(M, 0, j) == 0
         assert tor_dims(M, 1, j) == 0
-    assert M.dim(3) == component_dim(ring, 3)
+    assert kz.cycle_space(0, 3).dim == component_dim(ring, 3)
 
 
 def test_quotient_ring_betti_m_squared():
@@ -379,8 +382,9 @@ def test_cycle_and_homology_modules():
     kz = KoszulComplex(I)
     Z = cycle_module(kz, 1)
     H = homology_module(kz, 1)
-    assert Z.dim(3) == 2 and Z.dim(4) == 4
-    assert H.dim(3) == 2 and H.dim(4) == 1 and H.dim(5) == 0
+    assert kz.cycle_space(1, 3).dim == 2 and kz.cycle_space(1, 4).dim == 4
+    assert kz.homology_dim(1, 3) == 2 and kz.homology_dim(1, 4) == 1
+    assert kz.homology_dim(1, 5) == 0
     # Z_1 here is free on two degree-3 generators
     assert tor_dims(Z, 0, 3) == 2
     assert tor_violations(Z, 3, slack=3) == []
@@ -514,13 +518,17 @@ def test_tor_vanishes_past_the_stability_degree(n, data, quotient, over_sj):
     kz = KoszulComplex(I, QQ, coeffs)
     M = GradedModule(kz, t, quotient)
     top = M.stable_degree
-    for j in range(top + 1, top + 4):
-        for i in range(0, n + 1):
-            assert tor_dims(M, i, j) == 0
-    assert kz._kernel == {}
-    # the same module over the same complex with the rule lifted over the scan
+    kernels = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "kernel_basis", lambda cols, field: kernels.append(cols))
+        for j in range(top + 1, top + 4):
+            for i in range(0, n + 1):
+                assert tor_dims(M, i, j) == 0
+    # nothing was built: no piece and no kernel
+    assert M._pieces == {} and kernels == []
+    # the same module over the same complex with the box, and so the rule, lifted
     full = GradedModule(kz, t, quotient)
-    full.stable_degree = top + 3
+    full.box = tuple(a + 3 for a in M.box)
     for j in range(0, top + 4):
         for i in range(0, n + 1):
             assert tor_dims(M, i, j) == tor_dims(full, i, j)
@@ -538,6 +546,118 @@ def test_stability_degree_is_attained():
     ):
         assert M.stable_degree == 4
         assert tor_dims(M, 2, 4) == 1
+
+
+def _coarse_tor(kz, t, quotient, i, j):
+    """dim Tor_i(M, K)_j for M = Z_t(I, M') or H_t(I, M') from the whole
+    coarse pieces: Z_q = kz.cycle_space, B_q from kz.boundary_image, x_k z for
+    every k and C(n, i) dim M_q chains, with no box."""
+    n, f = kz.ring.n, kz.field
+
+    def piece(q):
+        Z, B = kz.cycle_space(t, q), Echelon(f)
+        if quotient:
+            pos = {c: b for b, c in enumerate(Z.free)}
+            for col in kz.boundary_image(t, q):
+                B.add({pos[c]: v for c, v in col.items() if c in pos})
+        return Z, B
+
+    def var_rank(i, q):
+        if not 1 <= i <= n or q < 0:
+            return 0
+        (Z, B), (nxt, nB) = piece(q), piece(q + 1)
+        pos = {nxt.keys[c]: b for b, c in enumerate(nxt.free)}
+        offset = {A: a * nxt.dim for a, A in enumerate(combinations(range(n), i - 1))}
+        ech = Echelon(f)
+        for off in offset.values():
+            for row in nB.rows.values():
+                ech.add({off + c: v for c, v in row.items()})
+        seeded = ech.rank
+        for b, z in enumerate(Z.vectors):
+            if b in B.rows:
+                continue
+            for A in combinations(range(n), i):
+                col = {}
+                for p, k in enumerate(A):
+                    off = offset[A[:p] + A[p + 1 :]]
+                    for c, v in z.items():
+                        T, w = Z.keys[c]
+                        b2 = pos.get((T, w[:k] + (w[k] + 1,) + w[k + 1 :]))
+                        if b2 is not None:
+                            col[off + b2] = f.coerce(-v) if p % 2 else v
+                ech.add(col)
+        return ech.rank - seeded
+
+    q = j - i
+    if not 0 <= i <= n or q < 0:
+        return 0
+    Z, B = piece(q)
+    return comb(n, i) * (Z.dim - B.rank) - var_rank(i, q) - var_rank(i + 1, q - 1)
+
+
+@settings(max_examples=40)
+@given(
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+    quotient=st.booleans(),
+    over_sj=st.booleans(),
+    field=st.sampled_from([QQ, PrimeField(5)]),
+)
+def test_box_tor_matches_the_coarse_tor(n, data, quotient, over_sj, field):
+    # the box [0, a] drops no Betti number: Tor of the module built on the box
+    # equals Tor of the whole coarse pieces in every degree up to |a| + 2
+    ring = RingConfig((n,))
+    I = MonomialIdeal(ring, data.draw(_gens(n)))
+    coeffs = Coefficients(ring, MonomialIdeal(ring, data.draw(_gens(n)))) if over_sj else None
+    t = data.draw(st.integers(0, min(I.r, 2)))
+    kz = KoszulComplex(I, field, coeffs)
+    M = GradedModule(kz, t, quotient)
+    for j in range(0, M.stable_degree + 3):
+        for i in range(0, n + 1):
+            assert tor_dims(M, i, j) == _coarse_tor(kz, t, quotient, i, j)
+
+
+def _fine_degree(I, key):
+    T, w = key
+    return tuple(map(sum, zip(w, *(I.gens[i - 1] for i in T))))
+
+
+def test_tor_suites_build_only_box_pieces(monkeypatch):
+    # regb (Z_t and H_t over S) and sato (Z_t over S/J) cases: the Tor scan
+    # builds no coarse basis or cycle space, only pieces inside the box
+    def refuse(*args):
+        raise AssertionError("coarse piece built")
+
+    monkeypatch.setattr(KoszulComplex, "basis", refuse)
+    monkeypatch.setattr(KoszulComplex, "cycle_space", refuse)
+    built = 0
+    for build in (_regb, _sato):
+        for seed in range(12):
+            _, kz, t, checks, _ = build(random.Random(seed), DEFAULT_CAPS, QQ)
+            for _, M, bound, i_max in checks:
+                tor_violations(M, bound, DEFAULT_CAPS["slack"], i_max)
+                for piece in M._pieces.values():
+                    built += len(piece.keys)
+                    for key in piece.keys:
+                        assert all(map(le, _fine_degree(kz.ideal, key), M.box))
+    assert built > 0
+
+
+def test_box_piece_checks_the_ceiling_before_any_kernel():
+    ring = RingConfig((2,))
+    I = MonomialIdeal(ring, [(2, 0), (1, 1), (0, 3)])
+    keys = len(GradedModule(KoszulComplex(I), 1, False)._keys(1, 4))
+    # the box holds fewer keys than the whole component
+    assert keys < len(KoszulComplex(I).basis(1, 4))
+    kernels = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "kernel_basis", lambda cols, field: kernels.append(cols))
+        M = GradedModule(KoszulComplex(I, ceiling=keys - 1), 1, False)
+        with pytest.raises(InfeasibleError):
+            M.piece(4)
+    assert kernels == [] and M._pieces == {}
+    # at the box's own count the piece is built, though K_1 is larger
+    assert GradedModule(KoszulComplex(I, ceiling=keys), 1, False).piece(4).keys
 
 
 def test_degrees_upto():
