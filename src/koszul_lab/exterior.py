@@ -8,7 +8,8 @@ all the canonical maps are degree 0.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product, starmap
+from operator import gt
 
 from .rings import MonomialIdeal, mon_mul, total_deg
 
@@ -16,10 +17,14 @@ from .rings import MonomialIdeal, mon_mul, total_deg
 def sign(A, B) -> int:
     """sigma(A, B) = (-1)^#{(a,b) in A x B : a > b}; requires A, B disjoint."""
     A, B = tuple(A), tuple(B)
-    if set(A) & set(B):
+    if not set(A).isdisjoint(B):
         raise ValueError(f"overlapping index sets {A} and {B}")
-    eps = sum(1 for a in A for b in B if a > b)
-    return -1 if eps % 2 else 1
+    return _sign(A, B)
+
+
+def _sign(A, B) -> int:
+    """sigma(A, B) for index sets already known to be disjoint."""
+    return -1 if sum(starmap(gt, product(A, B))) % 2 else 1
 
 
 def merge_indices(A, B):
@@ -36,15 +41,8 @@ def sort_bracket(indices):
     indices = tuple(indices)
     if len(set(indices)) != len(indices):
         return None
-    perm = sorted(range(len(indices)), key=lambda p: indices[p])
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    s = -1 if inversions % 2 else 1
-    return s, tuple(sorted(indices))
+    inversions = sum(starmap(gt, combinations(indices, 2)))
+    return (-1 if inversions % 2 else 1), tuple(sorted(indices))
 
 
 class KoszulChain:
@@ -55,6 +53,7 @@ class KoszulChain:
     def __init__(self, ideal: MonomialIdeal, t: int, terms=None):
         self.ideal = ideal
         self.t = t
+        r = ideal.r
         clean = {}
         for (T, w), c in (terms or {}).items():
             if c == 0:
@@ -62,8 +61,8 @@ class KoszulChain:
             T = tuple(T)
             if len(T) != t:
                 raise ValueError(f"index set {T} has size != {t}")
-            if any(not 1 <= i <= ideal.r for i in T):
-                raise ValueError(f"index set {T} out of range [1, {ideal.r}]")
+            if T and (min(T) < 1 or max(T) > r):
+                raise ValueError(f"index set {T} out of range [1, {r}]")
             clean[(T, tuple(w))] = c
         self.terms = clean
 
@@ -173,12 +172,11 @@ def wedge(a: KoszulChain, f: KoszulChain) -> KoszulChain:
         raise ValueError("wedge of chains over different ideals")
     terms = {}
     for (A, wa), ca in a.terms.items():
+        disjoint = set(A).isdisjoint
         for (B, wb), cb in f.terms.items():
-            if set(A) & set(B):
-                continue
-            s, T = merge_indices(A, B)
-            key = (T, mon_mul(wa, wb))
-            terms[key] = terms.get(key, 0) + s * ca * cb
+            if disjoint(B):
+                key = (tuple(sorted(A + B)), mon_mul(wa, wb))
+                terms[key] = terms.get(key, 0) + _sign(A, B) * ca * cb
     return KoszulChain(a.ideal, a.t + f.t, terms)
 
 
@@ -194,10 +192,12 @@ def gamma_map(f: KoszulChain, s: int):
         raise ValueError("subset size exceeds homological degree")
     out = {}
     for (T, w), c in f.terms.items():
-        for I in combinations(T, s):
-            rest = tuple(i for i in T if i not in I)
+        # the complements of the s-subsets of T, in lex order, are the
+        # (t - s)-subsets in reverse lex order
+        rests = reversed(list(combinations(T, f.t - s)))
+        for I, rest in zip(combinations(T, s), rests):
             b = out.setdefault(I, {})
-            b[(rest, w)] = b.get((rest, w), 0) + c * sign(I, rest)
+            b[(rest, w)] = b.get((rest, w), 0) + c * _sign(I, rest)
     result = {}
     for I, terms in out.items():
         chain = KoszulChain(f.ideal, f.t - s, terms)

@@ -19,7 +19,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial, prod
-from operator import le, sub
+from operator import add, le, sub
 
 from .exterior import KoszulChain, boundary
 from .fields import QQ
@@ -338,15 +338,27 @@ class KoszulComplex:
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
-        idx = self.key_index(chain.t, alpha)
+        index = self.key_index(chain.t, alpha)
+        return self._coordinates(self._field_terms(chain), index, self.ring.one())
+
+    def _field_terms(self, chain: KoszulChain) -> list:
+        """(T, m, c) for the terms c e_T (x) m of a chain, c coerced into the field."""
+        coerce = self.field.coerce
+        return [(T, m, coerce(c)) for (T, m), c in chain.terms.items()]
+
+    def _coordinates(self, terms: list, index: dict, w: tuple) -> dict:
+        """Coordinates in `index` of w times the chain with `terms` (from
+        `_field_terms`); the terms w m that die in M and those whose
+        coefficient is 0 in the field are dropped."""
+        reduce = self.coeffs.reduce
         vec = {}
-        for key, c in chain.terms.items():
-            T, w = key
-            w = self.coeffs.reduce(w)
-            if w is None:
-                continue
-            vec[idx[(T, w)]] = self.field.coerce(c)
-        return {i: v for i, v in vec.items() if v}
+        for T, m, c in terms:
+            m = reduce(tuple(map(add, m, w)))
+            if m is not None:
+                k = index[(T, m)]
+                if c:
+                    vec[k] = c
+        return vec
 
     def vector_chain(self, t: int, alpha, vec: dict) -> KoszulChain:
         keys = self.basis(t, alpha)
@@ -363,11 +375,12 @@ class KoszulComplex:
         alpha = self.ring.as_mdeg(alpha)
         ech = Echelon(self.field)
         for beta, g in chains:
-            gap = tuple(a - b for a, b in zip(alpha, beta))
-            if any(x < 0 for x in gap):
+            gap = tuple(map(sub, alpha, beta))
+            if min(gap) < 0:
                 continue
+            index, terms = self.key_index(g.t, alpha), self._field_terms(g)
             for w in component_basis(self.ring, gap):
-                vec = self.chain_vector(g.scale_monomial(w), alpha)
+                vec = self._coordinates(terms, index, w)
                 if vec and ech.add(vec) and ech.rank == stop:
                     return ech
         return ech

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import accumulate, combinations, groupby, product
 from math import comb
+from operator import add, le
 
 from .fields import QQ
 
@@ -26,6 +27,9 @@ class RingConfig:
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) < 1 or any(m < 1 for m in blocks):
             raise ValueError(f"invalid block sizes {blocks}")
+        # the slice of each block's variables, built once for `mdeg`
+        ends = list(accumulate(blocks))
+        object.__setattr__(self, "_parts", tuple(map(slice, [0] + ends, ends)))
 
     @property
     def d(self):
@@ -36,11 +40,7 @@ class RingConfig:
         return sum(self.blocks)
 
     def block_slices(self):
-        out, start = [], 0
-        for m in self.blocks:
-            out.append((start, start + m))
-            start += m
-        return out
+        return [(part.start, part.stop) for part in self._parts]
 
     def block_of(self, var: int) -> int:
         start = 0
@@ -61,14 +61,14 @@ class RingConfig:
 
     def mdeg(self, m: tuple) -> tuple:
         """Multidegree in Z^d: per-block exponent sums."""
-        return tuple(sum(m[a:b]) for a, b in self.block_slices())
+        return tuple(map(sum, map(m.__getitem__, self._parts)))
 
     def as_mdeg(self, alpha) -> tuple:
         if isinstance(alpha, int):
             if self.d != 1:
                 raise ValueError("integer degree given for a multigraded ring")
             return (alpha,)
-        alpha = tuple(int(a) for a in alpha)
+        alpha = tuple(map(int, alpha))
         if len(alpha) != self.d:
             raise ValueError(f"multidegree {alpha} has wrong length")
         return alpha
@@ -97,15 +97,15 @@ def total_deg(m: tuple) -> int:
 
 
 def mon_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mon_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mon_key(m: tuple):

@@ -3,6 +3,7 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from koszul_lab.exterior import (
     KoszulChain,
@@ -40,6 +41,42 @@ def test_sign_consistent_with_sort_bracket():
         s, T = sort_bracket(A + B)
         assert T == tuple(sorted(pool))
         assert s == sign(A, B)
+
+
+@given(
+    pool=st.lists(st.integers(1, 12), unique=True, max_size=9).flatmap(
+        lambda p: st.tuples(st.permutations(p), st.integers(0, len(p)))
+    )
+)
+def test_sign_is_the_brute_force_inversion_parity(pool):
+    # A and B cut from a shuffled pool: disjoint, in any order
+    perm, cut = pool
+    A, B = tuple(perm[:cut]), tuple(perm[cut:])
+    inversions = sum(1 for a in A for b in B if a > b)
+    assert sign(A, B) == (-1) ** inversions
+
+
+@given(
+    A=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    B=st.lists(st.integers(1, 8), max_size=5),
+    shared=st.data(),
+)
+def test_sign_rejects_overlapping_index_sets(A, B, shared):
+    B = B + [shared.draw(st.sampled_from(A))]
+    with pytest.raises(ValueError):
+        sign(A, B)
+
+
+@given(indices=st.lists(st.integers(1, 12), max_size=7))
+def test_sort_bracket_is_the_brute_force_inversion_parity(indices):
+    if len(set(indices)) < len(indices):
+        assert sort_bracket(indices) is None
+        return
+    inversions = sum(
+        1 for a in range(len(indices)) for b in range(a + 1, len(indices))
+        if indices[a] > indices[b]
+    )
+    assert sort_bracket(indices) == ((-1) ** inversions, tuple(sorted(indices)))
 
 
 def test_sort_bracket_parity_and_repeats():
@@ -156,6 +193,12 @@ def test_chain_validation():
         KoszulChain(I, 1, {((5,), (0, 0)): 1})
     with pytest.raises(ValueError):
         KoszulChain(I, 2, {((1,), (0, 0)): 1})
+    # both ends of the range [1, r], r = 3, whatever the order of T
+    for T in [(0,), (-1,), (4,), (2, 0), (4, 1)]:
+        with pytest.raises(ValueError):
+            KoszulChain(I, len(T), {(T, (0, 0)): 1})
+    assert KoszulChain(I, 2, {((1, 3), (0, 0)): 1}).terms == {((1, 3), (0, 0)): 1}
+    assert KoszulChain(I, 0, {((), (1, 0)): 2}).terms == {((), (1, 0)): 2}
 
 
 def test_render_stable():

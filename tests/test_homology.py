@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import le, sub
@@ -658,6 +659,73 @@ def test_box_piece_checks_the_ceiling_before_any_kernel():
     assert kernels == [] and M._pieces == {}
     # at the box's own count the piece is built, though K_1 is larger
     assert GradedModule(KoszulComplex(I, ceiling=keys), 1, False).piece(4).keys
+
+
+def _reference_span(kz, chains, alpha, stop=None):
+    """span_multiples built chain by chain: each multiple w g as a KoszulChain,
+    read into coordinates by chain_vector."""
+    ech = Echelon(kz.field)
+    for beta, g in chains:
+        gap = tuple(a - b for a, b in zip(alpha, beta))
+        if min(gap) < 0:
+            continue
+        for w in component_basis(kz.ring, gap):
+            vec = kz.chain_vector(g.scale_monomial(w), alpha)
+            if vec and ech.add(vec) and ech.rank == stop:
+                return ech
+    return ech
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+@pytest.mark.parametrize("quotient", [False, True])
+@pytest.mark.parametrize("stop", [None, 1, 2])
+def test_span_multiples_matches_the_chain_by_chain_reference(field, quotient, stop):
+    ring = RingConfig((2,))
+    I = power_ideal(ring, 2)  # generators x^2, xy, y^2 = u_1, u_2, u_3
+    J = MonomialIdeal(ring, [(3, 0)])
+    kz = KoszulComplex(I, field, Coefficients(ring, J) if quotient else None)
+    # 5 is 0 in GF(5); x * x^2 = x^3 dies in S/(x^3)
+    g = KoszulChain(I, 1, {((1,), (1, 0)): 5, ((2,), (0, 1)): 1, ((3,), (1, 0)): -3})
+    h = KoszulChain(I, 2, {((1, 2), (0, 0)): 10, ((2, 3), (0, 0)): Fraction(1, 2)})
+    chains = [((3,), g), ((4,), h), ((4,), g.scale_monomial((1, 0)))]
+    for alpha in range(2, 7):
+        for t in (1, 2):
+            picked = [(beta, c) for beta, c in chains if c.t == t]
+            got = kz.span_multiples(picked, alpha, stop=stop)
+            assert got.rows == _reference_span(kz, picked, (alpha,), stop).rows
+    if quotient:
+        assert kz.coeffs.reduce((3, 0)) is None
+    # chain_vector keeps no coordinate that is 0 in the field
+    vec = kz.chain_vector(g, 3)
+    assert all(vec.values()) and len(vec) == (2 if field.characteristic == 5 else 3)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+    field=st.sampled_from([QQ, PrimeField(5)]),
+    quotient=st.booleans(),
+    t=st.integers(1, 2),
+    stop=st.sampled_from([None, 1, 3]),
+)
+def test_span_multiples_matches_the_reference_on_random_chains(n, data, field, quotient, t, stop):
+    ring = RingConfig((n,))
+    I = MonomialIdeal(ring, data.draw(_gens(n)))
+    coeffs = Coefficients(ring, MonomialIdeal(ring, data.draw(_gens(n)))) if quotient else None
+    kz = KoszulComplex(I, field, coeffs)
+    chains = []
+    for j in data.draw(st.lists(st.integers(0, 5), max_size=3)):
+        # keys over S, so that some terms w m of a multiple die in S/J
+        keys = KoszulComplex(I).basis(t, j)
+        if keys:
+            picked = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+            values = st.sampled_from([1, -1, 2, 5, -10, Fraction(3, 2)])
+            terms = {key: data.draw(values) for key in picked}
+            chains.append(((j,), KoszulChain(I, t, terms)))
+    for alpha in range(0, 7):
+        got = kz.span_multiples(chains, alpha, stop=stop)
+        assert got.rows == _reference_span(kz, chains, (alpha,), stop).rows
 
 
 def test_degrees_upto():
