@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 pass, 1 violation found, 2 usage error, 3 infeasible at the
-configured caps.  Reports are deterministic JSON; timing goes to stderr only.
+Exit codes: 0 pass, 1 violation found, 2 usage error, 3 infeasible over the
+size ceiling.  Reports are deterministic JSON; timing goes to stderr only.
 """
 
 from __future__ import annotations

@@ -59,17 +59,10 @@ from .rings import (
 )
 from .veronese import SegreVeroneseSpec, green_lazarsfeld_index
 
-DEFAULT_CAPS = {
-    "slack": 2,
-    "t_max": 3,
-    "component_ceiling": 4000,
-    "surge_degree": 10,
-}
+DEFAULT_CAPS = {"slack": 2, "surge_degree": 10}
 
 # characteristic floor of the suites that reject every prime field
 QQ_ONLY = math.inf
-
-TOR_CAPS = ("slack", "t_max", "component_ceiling")
 
 
 class UnknownSuiteError(ValueError):
@@ -136,13 +129,15 @@ class Suite:
     cases(rng, caps, field) yields (params, verdict, window, details) for each
     case, or None to ask for a redraw; under the auto field it gets QQ.  A
     prime field of characteristic <= char_floor is rejected, and so is a cap
-    key outside `caps`, the keys the suite reads.
+    key outside `caps`, the keys the suite reads.  summarize(cases) returns
+    counts to add to the report's summary.
     """
 
     cases: Callable
     size: int
     char_floor: float = 3
     caps: tuple = ()
+    summarize: Callable = lambda cases: {}
 
 
 def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
@@ -175,7 +170,8 @@ def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
         if len(cases) >= size or redrawn >= 80 * size:
             break
     field_name = "auto" if field is None else field.name
-    return SuiteReport(name, seed, size, caps, field_name, cases, {"redrawn": redrawn})
+    summary = {"redrawn": redrawn, **suite.summarize(cases)}
+    return SuiteReport(name, seed, size, caps, field_name, cases, summary)
 
 
 def _verdict(ok: bool) -> str:
@@ -213,9 +209,8 @@ def artinianize(I: MonomialIdeal, power: int, skip=()) -> MonomialIdeal:
     return MonomialIdeal(ring, gens)
 
 
-def _random_t(rng, caps, r):
-    t = rng.choice([1, 1, 2, 2, 3])
-    return min(t, caps["t_max"], r)
+def _random_t(rng, r):
+    return min(rng.choice([1, 1, 2, 2, 3]), r)
 
 
 # ---------------------------------------------------------------------------
@@ -343,33 +338,42 @@ def _maps(rng, caps, field):
 def _tor_suite(build, size=50, found="violation") -> Suite:
     """A suite whose cases are Tor checks of Z_t(I; M) or H_t(I; M).
 
-    build(rng, caps, field) -> (params, kz, t, checks, window), or None to
-    redraw.  checks are (label, module, bound, i_max) tuples for modules over
-    the complex kz; a case with an entry found gets the verdict `found`.  A
-    case is redrawn when kz's estimate of K_t one degree past the scanned
-    window exceeds the cap `component_ceiling`.
+    build(rng, field) -> (params, checks), or None to redraw.  checks are
+    (label, module, bound, i_max) tuples.  Each module's Tor is scanned in
+    every j - i > bound up to its stability degree |a|, past which it is 0 by
+    theorem, so the window is exact and certified.  A case with an entry
+    found gets the verdict `found`; a case whose scan builds a piece over the
+    complex's ceiling is redrawn.
     """
 
     def cases(rng, caps, field):
         while True:
-            built = build(rng, caps, field)
+            built = build(rng, field)
             if built is None:
                 yield None
                 continue
-            params, kz, t, checks, window = built
-            qmax = max(bound for _, _, bound, _ in checks) + caps["slack"] + 1
-            if kz.estimate(t, qmax) > caps["component_ceiling"]:
+            params, checks = built
+            try:
+                violations = [
+                    {"check": label, "i": i, "j": j, "dim": d, "bound": bound}
+                    for label, module, bound, i_max in checks
+                    for i, j, d in tor_violations(module, bound, i_max)
+                ]
+            except InfeasibleError:
                 yield None
                 continue
-            violations = [
-                {"check": label, "i": i, "j": j, "dim": d, "bound": bound}
-                for label, module, bound, i_max in checks
-                for i, j, d in tor_violations(module, bound, caps["slack"], i_max)
-            ]
-            verdict = found if violations else "pass"
-            yield params, verdict, window, {"violations": violations}
+            bounds = {label: {"bound": b, "stable_degree": M.stable_degree}
+                      for label, M, b, _ in checks}
+            window = {"certified": True, "checks": bounds}
+            yield params, found if violations else "pass", window, {"violations": violations}
 
-    return Suite(cases, size, caps=TOR_CAPS)
+    return Suite(cases, size, summarize=_decided_by_stability)
+
+
+def _decided_by_stability(cases) -> dict:
+    """Checked modules with bound >= |a|: they pass by theorem and cannot falsify."""
+    checks = [ch for c in cases for ch in c.window["checks"].values()]
+    return {"decided_by_stability": sum(ch["bound"] >= ch["stable_degree"] for ch in checks)}
 
 
 def _smallest_power_degree(I: MonomialIdeal) -> int:
@@ -382,47 +386,41 @@ def _smallest_power_degree(I: MonomialIdeal) -> int:
     return c
 
 
-def _regb(rng, caps, field):
+def _regb(rng, field):
     n = rng.choice([2, 2, 3])
     I = artinianize(random_monomial_ideal(rng, RingConfig((n,)), 3, 3), rng.randint(2, 3))
     c = _smallest_power_degree(I)
-    t = _random_t(rng, caps, I.r)
+    t = _random_t(rng, I.r)
     bound_z = t * (c + 1)
-    bound_h = bound_z + c - 1
     params = {"ideal": ideal_params(I), "t": t, "c": c}
-    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
     kz = KoszulComplex(I, field)
     Z, H = cycle_module(kz, t), homology_module(kz, t)
-    return params, kz, t, [("Z", Z, bound_z, None), ("H", H, bound_h, None)], window
+    return params, [("Z", Z, bound_z, None), ("H", H, bound_z + c - 1, None)]
 
 
-def _thm1(rng, caps, field):
+def _thm1(rng, field):
     n = rng.choice([2, 3])
     I = random_monomial_ideal(rng, RingConfig((n,)), 3, 3)
     if monomial_quotient_dim(I) > 1:
         I = artinianize(I, 3, skip=(rng.randrange(n),))
     reg_I = reg_monomial_ideal(I, field)
-    t = _random_t(rng, caps, I.r)
-    bound = t * (reg_I + 1)
+    t = _random_t(rng, I.r)
     params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": monomial_quotient_dim(I)}
-    window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
     kz = KoszulComplex(I, field)
-    return params, kz, t, [("Z", cycle_module(kz, t), bound, None)], window
+    return params, [("Z", cycle_module(kz, t), t * (reg_I + 1), None)]
 
 
-def _greeny(rng, caps, field):
+def _greeny(rng, field):
     n = rng.choice([2, 2, 3])
     I = artinianize(random_monomial_ideal(rng, RingConfig((n,)), 3, 3), rng.randint(2, 3))
     c = I.max_gen_degree()
     v = quotient_component_dim(I, c)
-    t = _random_t(rng, caps, I.r)
+    t = _random_t(rng, I.r)
     bound_z = t * (c + 1) + v
-    bound_h = bound_z + c - 1
     params = {"ideal": ideal_params(I), "t": t, "c": c, "v": v}
-    window = {"bound_z": bound_z, "bound_h": bound_h, "slack": caps["slack"], "certified": False}
     kz = KoszulComplex(I, field)
     Z, H = cycle_module(kz, t), homology_module(kz, t)
-    return params, kz, t, [("Z", Z, bound_z, None), ("H", H, bound_h, None)], window
+    return params, [("Z", Z, bound_z, None), ("H", H, bound_z + c - 1, None)]
 
 
 def _remark_b(rng, caps, field):
@@ -438,22 +436,20 @@ def _remark_b(rng, caps, field):
         yield params, _verdict(ok), {"exact": True, "certified": True}, {"power": c + v}
 
 
-def _piper(rng, caps, field):
+def _piper(rng, field):
     """Generation degrees of Z_t for strongly stable ideals: Tor_0 only."""
     n = rng.choice([2, 3])
     ring = RingConfig((n,))
     seeds = [random_monomial_ideal(rng, ring, 3, 2).gens[0] for _ in range(rng.randint(1, 2))]
     I = borel_closure(ring, seeds)
     c = I.max_gen_degree()
-    t = _random_t(rng, caps, I.r)
-    bound = t * (c + 1)
+    t = _random_t(rng, I.r)
     params = {"ideal": ideal_params(I), "t": t, "reg_I": c}
-    window = {"bound_gen": bound, "slack": caps["slack"], "certified": False}
     kz = KoszulComplex(I, field)
-    return params, kz, t, [("Z", cycle_module(kz, t), bound, 0)], window
+    return params, [("Z", cycle_module(kz, t), t * (c + 1), 0)]
 
 
-def _sato(rng, caps, field):
+def _sato(rng, field):
     """Cycle regularity with quotient coefficients S/J for strongly stable I, J."""
     n = rng.choice([2, 3])
     ring = RingConfig((n,))
@@ -461,8 +457,7 @@ def _sato(rng, caps, field):
     J = borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0]])
     reg_I = I.max_gen_degree()
     reg_SJ = J.max_gen_degree() - 1
-    t = _random_t(rng, caps, I.r)
-    bound = t * (reg_I + 1) + reg_SJ
+    t = _random_t(rng, I.r)
     kz = KoszulComplex(I, field, Coefficients(ring, J))
     params = {
         "ideal": ideal_params(I),
@@ -471,11 +466,10 @@ def _sato(rng, caps, field):
         "reg_I": reg_I,
         "reg_SJ": reg_SJ,
     }
-    window = {"bound_z": bound, "slack": caps["slack"], "certified": False}
-    return params, kz, t, [("Z(I;S/J)", cycle_module(kz, t), bound, None)], window
+    return params, [("Z(I;S/J)", cycle_module(kz, t), t * (reg_I + 1) + reg_SJ, None)]
 
 
-def _probe_q1_case(rng, caps, field):
+def _probe_q1_case(rng, field):
     """reg Z_t against t(reg(I) + 1) for an ideal of positive dimension."""
     n = rng.choice([2, 3])
     I = random_monomial_ideal(rng, RingConfig((n,)), 3, 3)
@@ -483,12 +477,10 @@ def _probe_q1_case(rng, caps, field):
     if dim == 0:
         return None
     reg_I = reg_monomial_ideal(I, field)
-    t = _random_t(rng, caps, I.r)
-    bound = t * (reg_I + 1)
+    t = _random_t(rng, I.r)
     params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": dim}
-    window = {"bound": bound, "slack": caps["slack"], "certified": False}
     kz = KoszulComplex(I, field)
-    return params, kz, t, [("Z", cycle_module(kz, t), bound, None)], window
+    return params, [("Z", cycle_module(kz, t), t * (reg_I + 1), None)]
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +726,12 @@ def run_suite(name, seed=1, size=None, caps=None, field=None) -> SuiteReport:
 
 
 def probe_q1(seed=1, size=None, caps=None, field=None) -> SuiteReport:
-    """Capped scans of reg Z_t for ideals of positive dimension.
+    """Exact scans of reg Z_t for ideals of positive dimension.
 
-    Entries above t(reg(I) + 1) are flagged as candidates, never refutations:
-    the window is capped, not certified.
+    The scan to |a| is exact, so each window is certified.  An entry above
+    t(reg(I) + 1) is still a candidate, never a refutation: the probe asks
+    whether the bound holds in every positive dimension, and an excess is a
+    lead to examine.
     """
     report = _run("probe_q1", _PROBE_Q1, seed, size, caps, field)
     excess = [

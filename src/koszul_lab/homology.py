@@ -588,16 +588,15 @@ def tor_dims(M: GradedModule, i: int, j: int) -> int:
     return chains - _var_rank(M, i, q) - _var_rank(M, i + 1, q - 1)
 
 
-def tor_violations(M: GradedModule, bound: int, slack: int = 2, i_max=None):
-    """Nonzero Tor entries with j - i in (bound, bound + slack].
-
-    Empty output means no regularity violation inside the scanned window.
+def tor_violations(M: GradedModule, bound: int, i_max=None):
+    """Every nonzero Tor_i(M, K)_j with j - i > bound and i <= i_max: exact,
+    since Tor is 0 past j = |a| (`tor_dims`), so bound >= |a| scans nothing.
     """
     n = M.ring.n
     if i_max is None:
         i_max = n
     out = []
-    for q in range(bound + 1, bound + slack + 1):
+    for q in range(bound + 1, M.stable_degree + 1):
         for i in range(0, min(i_max, n) + 1):
             d = tor_dims(M, i, i + q)
             if d > 0:

@@ -118,7 +118,21 @@ def test_probe_q1_runs():
     assert len(rep.cases) == 4
     for c in rep.cases:
         assert c.verdict in ("pass", "candidate")
-        assert c.window["certified"] is False
+        assert c.window["certified"] is True
+
+
+@pytest.mark.parametrize("name", ["greeny", "piper", "probe-q1", "regb", "sato", "thm1"])
+def test_tor_suite_windows_are_certified(name):
+    # each window runs from the bound to the stability degree |a|, and the
+    # summary counts the modules whose window is empty (bound >= |a|)
+    rep = probe_q1(seed=3, size=10) if name == "probe-q1" else run_suite(name, seed=3, size=10)
+    checks = []
+    for c in rep.cases:
+        assert c.window["certified"] is True
+        assert {v["check"] for v in c.details["violations"]} <= set(c.window["checks"])
+        checks += c.window["checks"].values()
+    decided = sum(ch["bound"] >= ch["stable_degree"] for ch in checks)
+    assert rep.summary["decided_by_stability"] == decided
 
 
 def test_suite_registry_complete():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from koszul_lab import homology
 from koszul_lab.exterior import KoszulChain, boundary
 from koszul_lab.fields import QQ, PrimeField
-from koszul_lab.harness import DEFAULT_CAPS, _regb, _sato, random_monomial_ideal
+from koszul_lab.harness import _regb, _sato, random_monomial_ideal
 from koszul_lab.homology import (
     Coefficients,
     GradedModule,
@@ -388,10 +388,24 @@ def test_cycle_and_homology_modules():
     assert kz.homology_dim(1, 5) == 0
     # Z_1 here is free on two degree-3 generators
     assert tor_dims(Z, 0, 3) == 2
-    assert tor_violations(Z, 3, slack=3) == []
+    assert tor_violations(Z, 3) == []
+    assert tor_violations(Z, 2) == [(0, 3, 2)]
     # H_1 has regularity 4 = t(c+1) + c - 1
-    assert tor_violations(H, 4, slack=3) == []
+    assert tor_violations(H, 4) == []
+    assert tor_violations(H, 3) != []
     assert tor_dims(H, 0, 4) == 0  # generated in degree 3
+
+
+def test_tor_violations_scans_up_to_the_stability_degree():
+    # S/I for I = (x1^5, x2): a = (5, 1), and the entries of reg S/I = 4 sit at
+    # j - i = 4, past any fixed window above bound = 1
+    ring = RingConfig((2,))
+    M = homology_module(KoszulComplex(MonomialIdeal(ring, [(5, 0), (0, 1)])), 0)
+    assert M.stable_degree == 6
+    assert tor_violations(M, 1) == [(1, 5, 1), (2, 6, 1)]
+    assert tor_violations(M, 1, i_max=1) == [(1, 5, 1)]
+    # a bound at or past |a| scans nothing: Tor is 0 there by theorem
+    assert tor_violations(M, 4) == [] and tor_violations(M, 6) == []
 
 
 def test_quotient_coefficients_tor():
@@ -634,13 +648,13 @@ def test_tor_suites_build_only_box_pieces(monkeypatch):
     built = 0
     for build in (_regb, _sato):
         for seed in range(12):
-            _, kz, t, checks, _ = build(random.Random(seed), DEFAULT_CAPS, QQ)
+            _, checks = build(random.Random(seed), QQ)
             for _, M, bound, i_max in checks:
-                tor_violations(M, bound, DEFAULT_CAPS["slack"], i_max)
+                tor_violations(M, bound, i_max)
                 for piece in M._pieces.values():
                     built += len(piece.keys)
                     for key in piece.keys:
-                        assert all(map(le, _fine_degree(kz.ideal, key), M.box))
+                        assert all(map(le, _fine_degree(M.kz.ideal, key), M.box))
     assert built > 0
 
 

@@ -16,35 +16,35 @@ IDEAL_3 = '{"blocks": [3], "generators": [[2, 0, 0], [1, 1, 0], [0, 1, 2]]}'
 
 DIGESTS = [
     (["verify", "check", "--seed", "1", "--size", "2"],
-     "b3c6ab1b9cb895d805da871b9125b56b0a9f878f23ed3f14f12c9a2f834b65f9"),
+     "01d38495c9d280dc65755f2fec4bc0aba845cc36cdd67dfc539b3195fc9af7de"),
     (["verify", "gen2", "--seed", "1", "--size", "2"],
-     "4b6ad1bab21ae6f5ab5333b85d379cc801d46af96c79fc2d7de10bcf25f146a4"),
+     "2eccd6b1e7fab3a8a3025ed11fb97b475e663d9e173023d771aa8e2b0321d0a8"),
     (["verify", "greeny", "--seed", "1", "--size", "2"],
-     "1b35674cdf3234b13ef73977b75c4046cbe54b54206299cecec58806626d0515"),
+     "93f043406e0191aad23d7d393ad2377f0e43ce85507bb2eea2af10efc9906a3b"),
     (["verify", "maincyc", "--seed", "1", "--size", "2"],
-     "f61aff9655a14b1bac81da544674709d61910ff5ea26d85ee46a02be0615f60b"),
+     "92b673c540eef216bc098e9aa94f78c954f9a6cbc3df2ac34f09e3f98f3c8c7a"),
     (["verify", "maps", "--seed", "1", "--size", "2"],
-     "ccdc18b86b3cdd0068fa067bff18f5e9b72b8b51c70723139a9cf7ad754d250c"),
+     "b40db03767bf867465d26575982cebf612099c1552509df14beaf733219a62d2"),
     (["verify", "multi", "--seed", "1", "--size", "2"],
-     "aa9d2b1ef23151bb5c201df082f4f224c1c7c1fc818993c5358facc92dc899f6"),
+     "52f86484413fd8a6d11ad76ca20e64c61d44d8c3aae1646913d0c8f14f896587"),
     (["verify", "multi2", "--seed", "1", "--size", "2"],
-     "08abe000f4e73e8f5bf528a7178fff06c49f3a254c9528ff14e7b262fc9f3a47"),
+     "fb550353db9880eb8756c0b5d048f2242422d2e268f4bb21c8b0556347ce507a"),
     (["verify", "piper", "--seed", "1", "--size", "2"],
-     "6865858e69d01c733977296901906048e6f66a6e428f9b67eb197cca0d4ee058"),
+     "1881074f54d49e98c0983add86fc2bc3538c1a37bfbdd8f019440fc39fdb93bf"),
     (["verify", "regb", "--seed", "1", "--size", "2"],
-     "2b261f10a0ede863668c458ddd69a27485cb4c07ed1659bc0314ad91e18db844"),
+     "858534884cf72b652649cc449c1d0eef539bacf495ffe53e4a6ca22e9eb4776f"),
     (["verify", "remark_b", "--seed", "1", "--size", "2"],
-     "81057b6de883ad4692bef975a6ee375eba43fd61658a18b7a438766b2121cec9"),
+     "9894b77535ad8125234370a8d8eacf760c5bb112e7095d238798a83e59747e22"),
     (["verify", "sato", "--seed", "1", "--size", "2"],
-     "d3933fb455252628af12b194e24d3d159ea91a512de00c7e4ea6a014d6a958fa"),
+     "00600c584122c208843d6328db8d36364d340747d570431ec7dc6df720cdf017"),
     (["verify", "signs", "--seed", "1", "--size", "2"],
-     "63bc1375fa53eb201dd1ec34d5359a7af6341f2050ff95aaf51d399e5a0c683a"),
+     "977a876299448780af72daf79fcefde223ae2fdb18aed082f2be13437954dfe3"),
     (["verify", "surge", "--seed", "1", "--size", "2"],
-     "5c3f7998a96414ec3084de4e9e27b40f67f4d52f88d6a211e9cb50a58f083f25"),
+     "096ae1d2a194ad3d793d9a30f7dce2c3be7f4b4cc19ad2edc579c37ef9ac99a9"),
     (["verify", "thm1", "--seed", "1", "--size", "2"],
-     "be7f10827921d1eeceda4b62f490950705b066e3c8fcdd0120931c9a1b0a47c4"),
+     "1b7534b617b89f41454c7406d993849484370f8fcd23463909cd73e7aee2789f"),
     (["probe-q1", "--seed", "1", "--size", "2"],
-     "b292da4c81445aea0d7ecdd8fb71e11d81d5fdc6deaed82edde15de2faa2028e"),
+     "cb1f417e16f325dcf37ac45758545fc1ac873b8be2569b1e85719f13244939a9"),
     (["betti", "--blocks", "3", "--c", "2", "--imax", "3"],
      "630e49d6f1bf8379c4b1f7962633046bcd92000be5d7886cfb6756a64d275e1f"),
     (["index", "--blocks", "3", "--c", "2"],
