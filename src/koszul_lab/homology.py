@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial, prod
 from operator import add, le, sub
@@ -28,7 +29,6 @@ from .rings import (
     MonomialIdeal,
     RingConfig,
     _bounded_compositions,
-    _compositions,
     component_basis,
     component_dim,
     mon_mul,
@@ -90,8 +90,9 @@ class KoszulComplex:
 
     Bases, key indices and cycle spaces are cached per (t, degree), ranks of
     phi_t per (t, fine degree), and the faces e_T per degree of either
-    grading and generator left out; the differentials themselves are
-    assembled on demand.
+    grading and generator left out, each face one int of T and its residual
+    (`_grown_faces`), decoded only for the coarse basis and the box keys
+    (`_faces`); the differentials themselves are assembled on demand.
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
     component of K_t estimated larger, and `homology_dim` and
@@ -116,7 +117,8 @@ class KoszulComplex:
         self._kernel = {}
         self._index = {}
         self._levels = {}
-        self._gen_mdegs = [self.ring.mdeg(g) for g in I.gens]
+        self._decoded = {}
+        self._packings = {}
         # maximal runs of variables of one block whose adjacent swaps fix the
         # generators of I and of J; each permutation of a run maps the fine
         # block at beta isomorphically onto the one at the permuted beta
@@ -132,37 +134,76 @@ class KoszulComplex:
                     start = k
             self._runs.append((start, b))
 
+    def _packing(self, degree) -> tuple:
+        """(bytes per field, guard mask G, packed generators of I, of J, the
+        packing) for the degree's grading and width, the fewest bytes with
+        max(degree) below the guard bit; J is packed at fine degrees only."""
+        key = (len(degree), max(degree).bit_length() // 8 + 1)
+        if key not in self._packings:
+            (length, size), half, r = key, 1 << 8 * key[1] - 1, self.ideal.r
+
+            # an entry past the guard bit, which no residual reaches, packs as it; pack
+            # closes over no self, as a cycle would leave each complex to the collector
+            def pack(w):
+                return sum(min(e, half) << 8 * size * k for k, e in enumerate(w)) << r
+
+            fine = length == self.ring.n
+            gens = self.ideal.gens if fine else list(map(self.ring.mdeg, self.ideal.gens))
+            jgens = self.coeffs.J.gens if fine and self.coeffs.J else ()
+            G = pack([half] * length)
+            self._packings[key] = (size, G, [*map(pack, gens)], [*map(pack, jgens)], pack)
+        return self._packings[key]
+
     def _grown_faces(self, t: int, degree, skip=None) -> list:
-        """(T, degree - deg u_T) for the t-subsets T of the generators other
-        than `skip` whose residual degree is >= 0, in lex order of the 1-based
-        indices T.
+        """The faces T of K_t at the degree, packed (class docstring): the
+        t-subsets of the generators other than `skip` with deg u_T <= degree,
+        in lex order of the 1-based indices T.
 
         The degree is a multidegree (length d) or a fine degree (length n);
         the two gradings coincide when d = n.  The faces are grown one
-        generator at a time, each level cached per (degree, skip).
+        generator at a time, each level cached per (degree, skip): with U_i
+        the packed u_i, a face F grows by i to R | bit i, R = F - U_i, when
+        R & G == G (no field borrowed from its guard bit, i.e. u_i <= w).
         """
-        if not 0 <= t <= self.ideal.r:
+        if not 0 <= t <= self.ideal.r or min(degree) < 0:
             return []
-        levels = self._levels.setdefault(
-            (degree, skip), [[((), degree)] if min(degree) >= 0 else []]
-        )
+        levels = self._levels.get((degree, skip), ())
         if len(levels) <= t:
-            gdegs = self._gen_mdegs if len(degree) == self.ring.d else self.ideal.gens
+            _, G, gens, _, pack = self._packing(degree)
+            root, tmask = pack(degree) | G, (1 << self.ideal.r) - 1
+            levels = self._levels.setdefault((degree, skip), [[root]])
             # only the generators dividing the degree can divide a residual
-            fits = [i for i, g in enumerate(gdegs, 1) if i != skip and all(map(le, g, degree))]
+            fits = [i for i, U in enumerate(gens, 1) if i != skip and (root - U) & G == G]
+            steps = [(gens[i - 1], 1 << i - 1) for i in fits]
+            # the steps after each last index of T, the bit length of F's T bits
+            after = [steps[bisect(fits, last) :] for last in range(self.ideal.r + 1)]
             while len(levels) <= t:
                 levels.append([
-                    (T + (i,), tuple(map(sub, w, gdegs[i - 1])))
-                    for T, w in levels[-1]
-                    for i in fits[bisect(fits, T[-1]) if T else 0 :]
-                    if all(map(le, gdegs[i - 1], w))
+                    R | bit
+                    for F in levels[-1]
+                    for U, bit in after[(F & tmask).bit_length()]
+                    if (R := F - U) & G == G
                 ])
         return levels[t]
+
+    def _faces(self, t: int, degree) -> list:
+        """`_grown_faces` as (T, degree - deg u_T) tuples, decoded once per
+        level, each w from one `to_bytes`."""
+        if (degree, t) not in self._decoded:
+            (size, G, *_), r = self._packing(degree), self.ideal.r
+            width, faces = size * len(degree), []
+            for F in self._grown_faces(t, degree):
+                w = (F - G >> r).to_bytes(width, "little")
+                if size > 1:
+                    w = [int.from_bytes(w[k : k + size], "little") for k in range(0, width, size)]
+                faces.append((tuple(map(int.bit_length, _lowbits(F & (1 << r) - 1))), tuple(w)))
+            self._decoded[degree, t] = faces
+        return self._decoded[degree, t]
 
     def estimate(self, t: int, alpha) -> int:
         """Size of K_t at alpha as checked against the ceiling: dim K_t for
         M = S, an upper bound for M = S/J (dim S_w bounds dim M_w)."""
-        faces = self._grown_faces(t, self.ring.as_mdeg(alpha))
+        faces = self._faces(t, self.ring.as_mdeg(alpha))
         return sum(component_dim(self.ring, wdeg) for _, wdeg in faces)
 
     def basis(self, t: int, alpha) -> list:
@@ -178,7 +219,7 @@ class KoszulComplex:
                     f"over the ceiling {self.ceiling}",
                     estimate=est,
                 )
-            faces = self._grown_faces(t, alpha)
+            faces = self._faces(t, alpha)
             self._basis[key] = [(T, w) for T, wdeg in faces for w in self.coeffs.basis(wdeg)]
         return self._basis[key]
 
@@ -228,32 +269,24 @@ class KoszulComplex:
     def _orbits(self, alpha):
         """(beta, orbit size) for one fine degree beta per orbit of those with
         block sums alpha: the beta that does not increase along any run."""
-        blocks = self.ring.block_slices()
-        for parts in product(*(_compositions(c, b - a) for c, (a, b) in zip(alpha, blocks))):
+        tied = [k > s for s, e in self._runs for k in range(s, e)]  # k continues a run
+        blocks = zip(alpha, self.ring.block_slices())
+        for parts in product(*(_run_compositions(c, tied[a:b], c) for c, (a, b) in blocks)):
             beta = sum(parts, ())
-            if all(beta[k] >= beta[k + 1] for a, b in self._runs for k in range(a, b - 1)):
-                yield beta, prod(_arrangements(beta[a:b]) for a, b in self._runs)
-
-    def _fine_faces(self, t: int, beta) -> list:
-        """The basis of K_t at the fine degree beta: the faces T with
-        u_T <= beta and beta - u_T outside J, in lex order."""
-        return [T for T, w in self._grown_faces(t, beta) if self.coeffs.reduce(w) is not None]
+            yield beta, prod(_arrangements(beta[a:b]) for a, b in self._runs)
 
     def _apex(self, beta):
         """The generator v dividing beta with the most monomials dividing
         beta - u_v, i.e. the largest prod_k (beta_k - u_{v,k} + 1); the first
         in index order on a tie, None when no generator divides beta."""
-        best, most = None, 0
-        for i, u in enumerate(self.ideal.gens, 1):
-            if all(map(le, u, beta)):
-                size = prod(b - e + 1 for b, e in zip(beta, u))
-                if size > most:
-                    best, most = i, size
-        return best
+        up = [b + 1 for b in beta]
+        sizes = [prod(map(sub, up, u)) if all(map(le, u, beta)) else 0 for u in self.ideal.gens]
+        most = max(sizes, default=0)
+        return sizes.index(most) + 1 if most else None
 
     def _block_faces(self, t: int, beta) -> list:
         """The faces of K_{t-1}, K_t and K_{t+1} that `homology_dim` ranks at
-        the fine degree beta.
+        the fine degree beta, as T bitmasks.
 
         For M = S the block is the augmented chain complex of the simplicial
         complex {T : u_T <= beta}.  The closed star of a generator v dividing
@@ -263,18 +296,18 @@ class KoszulComplex:
         boundary terms in the star dropped.  S/J blocks are not reduced.
         """
         v = None if self.coeffs.J is not None else self._apex(beta)
-        if v is None:
-            return [self._fine_faces(s, beta) for s in (t - 1, t, t + 1)]
-        u = self.ideal.gens[v - 1]
-        return [
-            [T for T, w in self._grown_faces(s, beta, v) if not all(map(le, u, w))]
-            for s in (t - 1, t, t + 1)
-        ]
+        (_, G, gens, jgens, _), mask = self._packing(beta), (1 << self.ideal.r) - 1
+        # the top level first, so that one growth serves all three
+        levels = [self._grown_faces(s, beta, v) for s in (t + 1, t, t - 1)][::-1]
+        if v is None:  # the faces whose residual lies outside J
+            return [[F & mask for F in fs if all((F - V) & G != G for V in jgens)] for fs in levels]
+        U = gens[v - 1]  # the faces outside the closed star of v
+        return [[F & mask for F in fs if (F - U) & G != G] for fs in levels]
 
     def _phi_rank(self, t: int, beta, targets: list, sources: list) -> int:
         """Rank of phi_t in the fine degree beta, from the faces `sources` of K_t
-        to the faces `targets` of K_{t-1}; boundary faces not in `targets`
-        are dropped."""
+        to the faces `targets` of K_{t-1}, T bitmasks; boundary faces T ^ bit i,
+        signed by the parity of i's position in T, not in `targets` are dropped."""
         key = (t, beta)
         if key not in self._rank:
             ech = Echelon(self.field)
@@ -282,8 +315,8 @@ class KoszulComplex:
                 rows = {F: k for k, F in enumerate(targets)}
                 signs = (self.field.coerce(1), self.field.coerce(-1))
                 for T in sources:
-                    faces = [T[:pos] + T[pos + 1 :] for pos in range(t)]
-                    ech.add({rows[F]: signs[pos % 2] for pos, F in enumerate(faces) if F in rows})
+                    bits = enumerate(_lowbits(T))
+                    ech.add({rows[T ^ b]: signs[p & 1] for p, b in bits if T ^ b in rows})
             self._rank[key] = ech.rank
         return self._rank[key]
 
@@ -386,6 +419,26 @@ class KoszulComplex:
         return ech
 
 
+@lru_cache(maxsize=None)
+def _lowbits(T: int) -> tuple:
+    """The set bits of the bitmask T, lowest first."""
+    return tuple(1 << k for k in range(T.bit_length()) if T >> k & 1)
+
+
+def _run_compositions(total: int, ties: tuple, cap: int) -> list:
+    """The tuples w of sum `total` with w_0 <= cap and w_k <= w_{k-1} where
+    ties[k], lex-descending."""
+    if not ties or total < 0:
+        return [()] if total == 0 else []
+    # when every later entry is tied, the entries, each <= the first, must reach total
+    low, rest = -(-total // len(ties)) if all(ties[1:]) else 0, ties[1:]
+    return [
+        (first, *tail)
+        for first in range(min(total, cap), low - 1, -1)
+        for tail in _run_compositions(total - first, rest, first if rest and rest[0] else total)
+    ]
+
+
 def _arrangements(values) -> int:
     """Number of distinct orderings of the sequence values."""
     out = factorial(len(values))
@@ -438,7 +491,7 @@ class GradedModule:
         J, in lex order of T; InfeasibleError once they pass the ceiling."""
         kz, size, keys = self.kz, self.stable_degree, []
         reduce = kz.coeffs.reduce
-        for T, cap in kz._grown_faces(s, self.box):
+        for T, cap in kz._faces(s, self.box):
             # deg u_T = |box| - |cap|
             words = _bounded_compositions(q - size + sum(cap), cap)
             keys += [(T, w) for w in words if reduce(w) is not None]
@@ -458,7 +511,7 @@ class GradedModule:
             index = {k: c for c, k in enumerate(self._keys(self.t - 1, q))} if keys else {}
             vecs = kernel_basis(self.kz.columns(keys, index), self.field)
             free = [max(v) for v in vecs]
-            caps = dict(self.kz._grown_faces(self.t, self.box))
+            caps = dict(self.kz._faces(self.t, self.box))
             # open(z): the k with gamma_k < a_k, i.e. w_k < (a - u_T)_k
             self._open[q] = [
                 tuple(k for k, (e, c) in enumerate(zip(w, caps[T])) if e < c)

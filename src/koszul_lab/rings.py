@@ -336,8 +336,9 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
     raise ValueError("ideal dict needs 'generators' or 'power'")
 
 
+@lru_cache(maxsize=None)
 def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
-    """reg(I) over `field`.  Strongly stable: max generator degree.
+    """reg(I) over `field`, memoised.  Strongly stable: max generator degree.
 
     Otherwise reg(S/I) is computed from Tor_i(S/I, K)_beta = H_i(x; S/I)_beta,
     the Koszul homology of the variables with coefficients S/I, at the fine

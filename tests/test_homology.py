@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 from operator import le, sub
 
 import pytest
@@ -27,6 +27,7 @@ from koszul_lab.linalg import Echelon
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
+    _compositions,
     component_basis,
     component_dim,
     power_ideal,
@@ -218,9 +219,11 @@ def test_coarse_basis_is_the_union_of_the_fine_faces(blocks, data, quotient):
         for t in range(0, min(I.r, 4) + 1):
             fine = []
             for beta in component_basis(ring, alpha):
-                for T in kz._fine_faces(t, beta):
+                for T, w in kz._faces(t, beta):
                     u_T = [sum(I.gens[i - 1][k] for i in T) for k in range(ring.n)]
-                    fine.append((T, tuple(map(sub, beta, u_T))))
+                    assert w == tuple(map(sub, beta, u_T))
+                    if kz.coeffs.reduce(w) is not None:
+                        fine.append((T, w))
             fine.sort(key=lambda key: (key[0], [-e for e in key[1]]))
             assert kz.basis(t, alpha) == fine
 
@@ -253,6 +256,135 @@ def test_runs_are_the_variable_swaps_fixing_i_and_j():
     assert KoszulComplex(power_ideal(ring, 1), coeffs=J)._runs == [(0, 2), (2, 3)]
     # a run never crosses a block
     assert KoszulComplex(power_ideal(RingConfig((2, 2)), (1, 1)))._runs == [(0, 2), (2, 4)]
+
+
+def _reference_faces(kz, t, degree, skip=None):
+    """(T, degree - deg u_T) for the t-subsets T of the generators other than
+    skip with deg u_T <= degree, in lex order, by brute force."""
+    fine = len(degree) == kz.ring.n
+    gdegs = kz.ideal.gens if fine else [kz.ring.mdeg(g) for g in kz.ideal.gens]
+    out = []
+    for T in [] if t < 0 else combinations([i for i in range(1, kz.ideal.r + 1) if i != skip], t):
+        w = tuple(e - sum(gdegs[i - 1][k] for i in T) for k, e in enumerate(degree))
+        if min(w) >= 0:
+            out.append((T, w))
+    return out
+
+
+def _mask_tuple(mask):
+    return tuple(i for i in range(1, mask.bit_length() + 1) if mask >> i - 1 & 1)
+
+
+# exponents on both sides of each field width: 127 fits one byte below its
+# guard bit and 128 does not, 255 and 256 fill and pass a whole byte, and
+# 2**63 passes the widest memoryview format
+EDGES = [0, 1, 2, 63, 64, 127, 128, 255, 256, 32767, 32768, 2**63 - 1, 2**63]
+
+
+@settings(max_examples=150)
+@given(
+    blocks=st.sampled_from([(1,), (2,), (3,), (2, 1), (1, 1, 1)]),
+    data=st.data(),
+    fine=st.booleans(),
+)
+def test_grown_faces_match_the_brute_force_subsets(blocks, data, fine):
+    ring = RingConfig(blocks)
+    n = ring.n
+    exps = st.one_of(st.integers(0, 3), st.sampled_from(EDGES))
+    gens = data.draw(st.lists(st.tuples(*[exps] * n).filter(any), min_size=1, max_size=5))
+    kz = KoszulComplex(MonomialIdeal(ring, gens))
+    # a degree at or beside the degree of a product of generators, or an edge
+    chosen = data.draw(st.lists(st.sampled_from(kz.ideal.gens), max_size=3))
+    top = tuple(map(sum, zip(*chosen))) if chosen else (0,) * n
+    if not fine:
+        top = ring.mdeg(top)
+    degree = tuple(
+        data.draw(st.one_of(st.sampled_from([e - 1, e, e + 1]), st.sampled_from(EDGES)))
+        for e in top
+    )
+    skip = data.draw(st.sampled_from([None, *range(1, kz.ideal.r + 1)]))
+    _, G, _, _, pack = kz._packing(degree)
+    for t in range(kz.ideal.r + 2):
+        assert kz._faces(t, degree) == _reference_faces(kz, t, degree)
+        want = _reference_faces(kz, t, degree, skip)
+        assert kz._grown_faces(t, degree, skip) == [
+            sum(1 << i - 1 for i in T) | pack(w) | G for T, w in want
+        ]
+
+
+def _reference_block_faces(kz, t, beta):
+    """The tuple faces T of K_{t-1}, K_t and K_{t+1} that `homology_dim`
+    ranks at beta: the star-reduced block over S, the whole block over S/J."""
+    v = None if kz.coeffs.J is not None else kz._apex(beta)
+    if v is None:
+        keep = lambda w: kz.coeffs.reduce(w) is not None  # noqa: E731
+    else:
+        keep = lambda w: not all(map(le, kz.ideal.gens[v - 1], w))  # noqa: E731
+    return [[T for T, w in _reference_faces(kz, s, beta, v) if keep(w)] for s in (t - 1, t, t + 1)]
+
+
+def _reference_phi_rank(field, t, targets, sources):
+    """Rank of phi_t from tuple faces, with the signs (-1)^pos."""
+    ech = Echelon(field)
+    if t > 0:
+        rows = {F: k for k, F in enumerate(targets)}
+        signs = (field.coerce(1), field.coerce(-1))
+        for T in sources:
+            faces = [T[:pos] + T[pos + 1 :] for pos in range(t)]
+            ech.add({rows[F]: signs[pos % 2] for pos, F in enumerate(faces) if F in rows})
+    return ech.rank
+
+
+@settings(max_examples=60)
+@given(
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+    field=st.sampled_from([QQ, PrimeField(3)]),
+    quotient=st.booleans(),
+)
+def test_block_faces_and_ranks_match_the_tuple_faces(n, data, field, quotient):
+    ring = RingConfig((n,))
+    I = _ideal(ring, data)
+    coeffs = Coefficients(ring, _ideal(ring, data)) if quotient else None
+    kz = KoszulComplex(I, field, coeffs)
+    for alpha in range(7):
+        for beta in component_basis(ring, alpha):
+            for t in range(0, I.r + 1):
+                masks = kz._block_faces(t, beta)
+                faces = [list(map(_mask_tuple, level)) for level in masks]
+                assert faces == _reference_block_faces(kz, t, beta)
+                low, mid, high = faces
+                assert kz._phi_rank(t, beta, masks[0], masks[1]) == _reference_phi_rank(
+                    field, t, low, mid
+                )
+                assert kz._phi_rank(t + 1, beta, masks[1], masks[2]) == _reference_phi_rank(
+                    field, t + 1, mid, high
+                )
+
+
+def _reference_orbits(kz, alpha):
+    """_orbits by filter: every composition of each block, kept when it does
+    not increase along any run."""
+    blocks = kz.ring.block_slices()
+    for parts in product(*(_compositions(c, b - a) for c, (a, b) in zip(alpha, blocks))):
+        beta = sum(parts, ())
+        if all(beta[k] >= beta[k + 1] for a, b in kz._runs for k in range(a, b - 1)):
+            yield beta, prod(homology._arrangements(beta[a:b]) for a, b in kz._runs)
+
+
+@settings(max_examples=100)
+@given(
+    blocks=st.sampled_from([(1,), (3,), (4,), (2, 1), (2, 3), (1, 1, 2)]),
+    data=st.data(),
+    quotient=st.booleans(),
+)
+def test_orbits_enumerate_the_filtered_compositions_in_order(blocks, data, quotient):
+    ring = RingConfig(blocks)
+    I = _ideal(ring, data)
+    coeffs = Coefficients(ring, _ideal(ring, data)) if quotient else None
+    kz = KoszulComplex(I, coeffs=coeffs)
+    alpha = data.draw(st.tuples(*[st.integers(-1, 7)] * ring.d))
+    assert list(kz._orbits(alpha)) == list(_reference_orbits(kz, alpha))
 
 
 def test_homology_dim_enumerates_no_coarse_component():

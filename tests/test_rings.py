@@ -235,6 +235,10 @@ def test_reg_ranks_only_the_lcm_lattice(monkeypatch):
     I = MonomialIdeal(RingConfig((2,)), [(2, 0), (0, 3)])
     assert reg_monomial_ideal(I) == 4
     assert set(ranked) == {(2, 0), (0, 3), (2, 3)}
+    # memoised per (ideal, field): an equal ideal is not ranked again
+    ranked.clear()
+    assert reg_monomial_ideal(MonomialIdeal(RingConfig((2,)), [(0, 3), (2, 0)])) == 4
+    assert ranked == []
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(2, 4)
