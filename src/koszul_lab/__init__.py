@@ -26,7 +26,6 @@ from .exterior import (
     alpha_map,
     boundary,
     gamma_map,
-    merge_indices,
     sign,
     sort_bracket,
     wedge,
@@ -91,7 +90,6 @@ __all__ = [
     "alpha_map",
     "boundary",
     "gamma_map",
-    "merge_indices",
     "sign",
     "sort_bracket",
     "wedge",

@@ -7,6 +7,7 @@ size ceiling.  Reports are deterministic JSON; timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -30,16 +31,6 @@ def _load_ideal(arg: str):
     else:
         data = json.loads(arg)
     return ideal_from_dict(data)
-
-
-def _parse_caps(pairs):
-    caps = {}
-    for pair in pairs or []:
-        key, _, val = pair.partition("=")
-        if not val:
-            raise ValueError(f"cap {pair!r} is not KEY=VALUE")
-        caps[key] = int(val)
-    return caps
 
 
 def _parse_vec(text: str) -> tuple:
@@ -71,19 +62,12 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_verify(args):
+    """`verify <suite>` and `probe-q1`: run the suite and print its report."""
     field = parse_field(args.field) if args.field else None
-    report = run_suite(
-        args.suite, seed=args.seed, size=args.size, caps=_parse_caps(args.cap), field=field
-    )
-    _emit(report.to_dict(), args.format, _suite_table(report))
-    return _verdict_exit(report.verdict)
-
-
-def cmd_probe_q1(args):
-    field = parse_field(args.field) if args.field else None
-    report = probe_q1(
-        seed=args.seed, size=args.size, caps=_parse_caps(args.cap), field=field
-    )
+    if args.command == "probe-q1":
+        report = probe_q1(seed=args.seed, size=args.size, field=field)
+    else:
+        report = run_suite(args.suite, seed=args.seed, size=args.size, field=field)
     _emit(report.to_dict(), args.format, _suite_table(report))
     return _verdict_exit(report.verdict)
 
@@ -155,7 +139,9 @@ def cmd_index(args):
     return EXIT_PASS if res.satisfies(target) else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and reused by every `main`."""
     parser = argparse.ArgumentParser(
         prog="koszul-lab",
         description="Koszul cycles, homology and regularity of monomial ideals",
@@ -177,16 +163,14 @@ def build_parser():
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--cap", action="append", help="KEY=VALUE, repeatable")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("probe-q1", help="capped counterexample probe")
+    p = sub.add_parser("probe-q1", help="counterexample probe of reg Z_t in positive dimension")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--cap", action="append")
     common(p)
-    p.set_defaults(fn=cmd_probe_q1)
+    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("homology", help="dimensions of K, Z, H in one degree")
     common(p, ideal=True)

@@ -27,12 +27,6 @@ def _sign(A, B) -> int:
     return -1 if sum(starmap(gt, product(A, B))) % 2 else 1
 
 
-def merge_indices(A, B):
-    """(sigma(A, B), sorted union) for disjoint A, B."""
-    s = sign(A, B)
-    return s, tuple(sorted(A + B))
-
-
 def sort_bracket(indices):
     """Sort a bracket [u_{i1}, ..., u_{it}] into e_T form: (sign, T) or None.
 

@@ -5,10 +5,10 @@ found inside the certified or capped window recorded with each case.  Reports
 serialize to canonical JSON that is byte-identical for identical inputs, so
 wall-clock timing is reported separately and never embedded.
 
-A suite is data: a case generator, a default size, a characteristic floor
-and the caps it reads (see `Suite`).  One driver, `_run`, validates the
-request, seeds the RNG, pulls and indexes the cases and counts redraws for
-every suite and for `probe_q1`.
+A suite is data: a case generator, a default size and a characteristic
+floor (see `Suite`).  One driver, `_run`, validates the request, seeds the
+RNG, pulls and indexes the cases and counts redraws for every suite and for
+`probe_q1`.
 
 The theorems are statements in characteristic zero, so unless a field is
 forced (`--field`) every suite computes over the rationals; the report names
@@ -59,7 +59,10 @@ from .rings import (
 )
 from .veronese import SegreVeroneseSpec, green_lazarsfeld_index
 
-DEFAULT_CAPS = {"slack": 2, "surge_degree": 10}
+# maincyc checks degrees t(c + 1) .. t(c + 1) + MAINCYC_SLACK; surge
+# tabulates degrees 0 .. SURGE_DEGREE
+MAINCYC_SLACK = 2
+SURGE_DEGREE = 10
 
 # characteristic floor of the suites that reject every prime field
 QQ_ONLY = math.inf
@@ -77,22 +80,12 @@ class CaseRecord:
     window: dict | None = None
     details: dict = dc_field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "index": self.index,
-            "params": self.params,
-            "verdict": self.verdict,
-            "window": self.window,
-            "details": self.details,
-        }
-
 
 @dataclass
 class SuiteReport:
     suite: str
     seed: int
     size: int
-    caps: dict
     field_name: str
     cases: list
     summary: dict = dc_field(default_factory=dict)
@@ -111,11 +104,12 @@ class SuiteReport:
             "suite": self.suite,
             "seed": self.seed,
             "size": self.size,
-            "caps": self.caps,
             "field": self.field_name,
             "verdict": self.verdict,
             "summary": self.summary,
-            "cases": [c.to_dict() for c in self.cases],
+            # the fields of each record, shallow: asdict would deep-copy every
+            # params and details dict of every case
+            "cases": [dict(vars(c)) for c in self.cases],
         }
 
     def to_json(self):
@@ -126,43 +120,28 @@ class SuiteReport:
 class Suite:
     """A verification suite as data.
 
-    cases(rng, caps, field) yields (params, verdict, window, details) for each
-    case, or None to ask for a redraw; under the auto field it gets QQ.  A
-    prime field of characteristic <= char_floor is rejected, and so is a cap
-    key outside `caps`, the keys the suite reads.  summarize(cases) returns
-    counts to add to the report's summary.
+    cases(rng, field) yields (params, verdict, window, details) for each case,
+    or None to ask for a redraw; under the auto field it gets QQ.  A prime
+    field of characteristic <= char_floor is rejected.  summarize(cases)
+    returns counts to add to the report's summary.
     """
 
     cases: Callable
     size: int
     char_floor: float = 3
-    caps: tuple = ()
     summarize: Callable = lambda cases: {}
 
 
-def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
+def _run(name, suite: Suite, seed, size, field) -> SuiteReport:
     """Validate the request, pull up to `size` cases and build the report."""
     size = suite.size if size is None else size
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    caps = caps or {}
-    unknown = sorted(set(caps) - set(DEFAULT_CAPS))
-    if unknown:
-        raise ValueError(f"unknown caps {unknown}; valid keys are {sorted(DEFAULT_CAPS)}")
-    for key, value in sorted(caps.items()):
-        if value < 1:
-            raise ValueError(f"cap {key} must be >= 1, got {value}")
-    unread = sorted(set(caps) - set(suite.caps))
-    if unread:
-        raise ValueError(
-            f"suite {name} does not read caps {unread}; it reads {sorted(suite.caps)}"
-        )
-    caps = {**DEFAULT_CAPS, **caps}
     if field is not None and 0 < field.characteristic <= suite.char_floor:
         needs = "0" if suite.char_floor == QQ_ONLY else f"0 or > {suite.char_floor}"
         raise ValueError(f"suite {name} needs characteristic {needs}, got {field.name}")
     cases, redrawn = [], 0
-    for case in suite.cases(random.Random(seed), caps, QQ if field is None else field):
+    for case in suite.cases(random.Random(seed), QQ if field is None else field):
         if case is None:
             redrawn += 1
         else:
@@ -171,7 +150,7 @@ def _run(name, suite: Suite, seed, size, caps, field) -> SuiteReport:
             break
     field_name = "auto" if field is None else field.name
     summary = {"redrawn": redrawn, **suite.summarize(cases)}
-    return SuiteReport(name, seed, size, caps, field_name, cases, summary)
+    return SuiteReport(name, seed, size, field_name, cases, summary)
 
 
 def _verdict(ok: bool) -> str:
@@ -218,7 +197,7 @@ def _random_t(rng, r):
 # ---------------------------------------------------------------------------
 
 
-def _signs(rng, caps, field):
+def _signs(rng, field):
     """Associativity and graded anticommutativity of the wedge sign."""
     failures = []
     # every assignment of {1..6} to (unused, A, B, C)
@@ -275,7 +254,7 @@ def _formal_equal(left: dict, right: dict) -> bool:
     return True
 
 
-def _maps(rng, caps, field):
+def _maps(rng, field):
     """phi^2 = 0, the Leibniz rule and the gamma/alpha maps on random chains.
 
     The chain arithmetic is over the integers, so the suite runs over QQ only.
@@ -346,7 +325,7 @@ def _tor_suite(build, size=50, found="violation") -> Suite:
     complex's ceiling is redrawn.
     """
 
-    def cases(rng, caps, field):
+    def cases(rng, field):
         while True:
             built = build(rng, field)
             if built is None:
@@ -423,7 +402,7 @@ def _greeny(rng, field):
     return params, [("Z", Z, bound_z, None), ("H", H, bound_z + c - 1, None)]
 
 
-def _remark_b(rng, caps, field):
+def _remark_b(rng, field):
     """m^(c + v) lies in I; a power-containment fact, so no field is used."""
     while True:
         n = rng.choice([2, 2, 3])
@@ -491,7 +470,7 @@ def _probe_q1_case(rng, field):
 MULTI_SPECS = [((2, 2), (1, 1)), ((2, 2), (2, 1)), ((2, 2), (1, 2))]
 
 
-def _multi(rng, caps, field):
+def _multi(rng, field):
     """Z_1 and Z_2 of m^c generated by low-degree cycles and one-cycle wedges.
 
     The candidates are integer chains built from kernel vectors, so the suite
@@ -537,7 +516,7 @@ MULTI2_CONFIGS = [
 ]
 
 
-def _multi2(rng, caps, field):
+def _multi2(rng, field):
     for cfg in MULTI2_CONFIGS:
         checker = Multi2Checker(RingConfig(cfg["blocks"]), cfg["c"], cfg["block"], field)
         failures = []
@@ -566,7 +545,7 @@ def _multi2(rng, caps, field):
 MAINCYC_COMBOS = [(n, c, t) for n in (2, 3) for c in (1, 2) for t in (1, 2, 3)]
 
 
-def _maincyc(rng, caps, field):
+def _maincyc(rng, field):
     """Z_t = Z_1^t in the generating window for powers of the maximal ideal."""
     for n, c, t in MAINCYC_COMBOS:
         params = {"n": n, "c": c, "t": t}
@@ -579,13 +558,13 @@ def _maincyc(rng, caps, field):
         start = t * (c + 1)
         mismatches = []
         dims = {}
-        for j in range(start, start + caps["slack"] + 1):
+        for j in range(start, start + MAINCYC_SLACK + 1):
             dz = kz.cycle_space(t, j).dim
             dp = kz.span_multiples(prods, j).rank
             dims[str(j)] = {"Z": dz, "Z1_power": dp}
             if dz != dp:
                 mismatches.append(j)
-        window = {"degrees": [start, start + caps["slack"]], "certified": True}
+        window = {"degrees": [start, start + MAINCYC_SLACK], "certified": True}
         details = {"dims": dims, "mismatch_degrees": mismatches}
         yield params, _verdict(not mismatches), window, details
 
@@ -593,7 +572,7 @@ def _maincyc(rng, caps, field):
 GEN2_SPECS = [(2, 2), (2, 3), (3, 2)]
 
 
-def _gen2(rng, caps, field):
+def _gen2(rng, field):
     for n, c in GEN2_SPECS:
         ideal = power_ideal(RingConfig((n,)), c)
         families = gen2_families(n, c)
@@ -608,7 +587,7 @@ def _gen2(rng, caps, field):
 CHECK_SPECS = [((3,), (2,)), ((2, 2), (1, 1))]
 
 
-def _check(rng, caps, field):
+def _check(rng, field):
     for blocks, cvec in CHECK_SPECS:
         spec = SegreVeroneseSpec(blocks, cvec)
         params = {"blocks": list(blocks), "c": list(cvec)}
@@ -677,14 +656,14 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
     return dim_p - rel.rank - mu.rank
 
 
-def _surge(rng, caps, field):
+def _surge(rng, field):
     """Tor_1(S/I, Z_1)_j = 0 iff one-cycle products span (Z_2)_j, for I = m^2."""
     ideal = power_ideal(RingConfig((2,)), 2)
     kz = KoszulComplex(ideal, field)
     prods = z1_products(kz, 2)
     mismatches = []
     table = {}
-    for j in range(0, caps["surge_degree"] + 1):
+    for j in range(0, SURGE_DEGREE + 1):
         dz2 = kz.cycle_space(2, j).dim
         prod_rank = kz.span_multiples(prods, j).rank
         surjective = prod_rank == dz2
@@ -692,7 +671,7 @@ def _surge(rng, caps, field):
         table[str(j)] = {"dim_Z2": dz2, "product_rank": prod_rank, "tor1": tor1}
         if (tor1 == 0) != surjective:
             mismatches.append(j)
-    window = {"degrees": [0, caps["surge_degree"]], "certified": True}
+    window = {"degrees": [0, SURGE_DEGREE], "certified": True}
     details = {"by_degree": table, "mismatch_degrees": mismatches}
     yield {"n": 2, "c": 2, "s": 1, "t": 1}, _verdict(not mismatches), window, details
 
@@ -708,24 +687,24 @@ SUITES = {
     "sato": _tor_suite(_sato),
     "multi": Suite(_multi, len(MULTI_SPECS), QQ_ONLY),
     "multi2": Suite(_multi2, len(MULTI2_CONFIGS)),
-    "maincyc": Suite(_maincyc, len(MAINCYC_COMBOS), caps=("slack",)),
+    "maincyc": Suite(_maincyc, len(MAINCYC_COMBOS)),
     "gen2": Suite(_gen2, len(GEN2_SPECS), char_floor=2),
     "check": Suite(_check, len(CHECK_SPECS)),
-    "surge": Suite(_surge, 1, caps=("surge_degree",)),
+    "surge": Suite(_surge, 1),
 }
 
 _PROBE_Q1 = _tor_suite(_probe_q1_case, size=20, found="candidate")
 
 
-def run_suite(name, seed=1, size=None, caps=None, field=None) -> SuiteReport:
+def run_suite(name, seed=1, size=None, field=None) -> SuiteReport:
     if name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
         )
-    return _run(name, SUITES[name], seed, size, caps, field)
+    return _run(name, SUITES[name], seed, size, field)
 
 
-def probe_q1(seed=1, size=None, caps=None, field=None) -> SuiteReport:
+def probe_q1(seed=1, size=None, field=None) -> SuiteReport:
     """Exact scans of reg Z_t for ideals of positive dimension.
 
     The scan to |a| is exact, so each window is certified.  An entry above
@@ -733,7 +712,7 @@ def probe_q1(seed=1, size=None, caps=None, field=None) -> SuiteReport:
     whether the bound holds in every positive dimension, and an excess is a
     lead to examine.
     """
-    report = _run("probe_q1", _PROBE_Q1, seed, size, caps, field)
+    report = _run("probe_q1", _PROBE_Q1, seed, size, field)
     excess = [
         v["j"] - v["i"] - v["bound"] for c in report.cases for v in c.details["violations"]
     ]

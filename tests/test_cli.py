@@ -125,9 +125,10 @@ def test_usage_errors(capsys):
         run_cli(capsys, "homology", "--ideal", "not json", "-t", "1", "--degree", "2")[0]
         == EXIT_USAGE
     )
-    assert (
-        run_cli(capsys, "verify", "regb", "--cap", "slack")[0] == EXIT_USAGE
-    )
+    for argv in (["verify", "maincyc", "--cap", "slack=1"], ["probe-q1", "--cap", "slack=1"]):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown option
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_infeasible_exit(capsys):
@@ -158,37 +159,6 @@ def test_size_limits_fixed_suites(capsys):
     code, out = run_cli(capsys, "verify", "maincyc", "--size", "3")
     assert code == EXIT_PASS
     assert len(json.loads(out)["cases"]) == 3
-
-
-def test_unknown_cap_exits_usage(capsys):
-    for cap in ("bogus=3", "component_ceiling=1", "t_max=2"):
-        code = main(["verify", "regb", "--cap", cap])
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert f"unknown caps ['{cap.split('=')[0]}']" in err
-        assert "valid keys are ['slack', 'surge_degree']" in err
-    assert main(["probe-q1", "--cap", "bogus=3"]) == EXIT_USAGE
-    code = main(["verify", "maincyc", "--cap", "char_floor=1", "--field", "p=3"])
-    assert code == EXIT_USAGE
-
-
-@pytest.mark.parametrize(
-    "argv, reads",
-    [
-        (["verify", "signs", "--cap", "slack=5", "--cap", "surge_degree=2"], []),
-        (["verify", "multi", "--cap", "slack=1"], []),
-        (["verify", "maincyc", "--cap", "surge_degree=2"], ["slack"]),
-        (["verify", "surge", "--cap", "slack=3"], ["surge_degree"]),
-        (["verify", "regb", "--cap", "surge_degree=3"], []),
-        (["probe-q1", "--cap", "slack=1", "--cap", "surge_degree=3"], []),
-    ],
-    ids=["signs", "multi", "maincyc", "surge", "regb", "probe-q1"],
-)
-def test_unread_cap_exits_usage(capsys, argv, reads):
-    code = main(argv)
-    out, err = capsys.readouterr()
-    assert code == EXIT_USAGE and out == ""
-    assert f"it reads {reads}" in err
 
 
 def test_ideal_must_be_object(capsys):
@@ -227,19 +197,3 @@ def test_suite_with_every_draw_redrawn_is_infeasible(capsys, monkeypatch):
     data = json.loads(out)
     assert data["cases"] == [] and data["summary"]["redrawn"] == 240
     assert data["verdict"] == "infeasible" and code == EXIT_INFEASIBLE
-
-
-@pytest.mark.parametrize(
-    "suite, cap",
-    [
-        ("regb", "slack=0"),
-        ("regb", "slack=-3"),
-        ("surge", "surge_degree=-5"),
-    ],
-)
-def test_cap_below_one_exits_usage(capsys, suite, cap):
-    code = main(["verify", suite, "--cap", cap])
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert f"cap {cap.split('=')[0]} must be >= 1" in err
-    assert main(["probe-q1", "--cap", cap]) == EXIT_USAGE

@@ -11,7 +11,6 @@ from koszul_lab.exterior import (
     boundary,
     formal_boundary,
     gamma_map,
-    merge_indices,
     sign,
     sort_bracket,
     wedge,
@@ -88,11 +87,6 @@ def test_sort_bracket_parity_and_repeats():
         )
         assert s == (-1) ** inv
     assert sort_bracket((1, 2, 1)) is None
-
-
-def test_merge_indices():
-    s, T = merge_indices((3,), (1, 2))
-    assert T == (1, 2, 3) and s == 1
 
 
 def _random_chain(rng, ideal, t):

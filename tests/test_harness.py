@@ -69,10 +69,10 @@ def test_report_shape_and_verdicts():
     assert isinstance(rep, SuiteReport)
     assert all(isinstance(c, CaseRecord) for c in rep.cases)
     d = rep.to_dict()
-    assert set(d) == {"suite", "seed", "size", "caps", "field", "verdict", "summary", "cases"}
-    bad = SuiteReport("x", 1, 1, {}, "rat", [CaseRecord(0, {}, "violation")])
+    assert set(d) == {"suite", "seed", "size", "field", "verdict", "summary", "cases"}
+    bad = SuiteReport("x", 1, 1, "rat", [CaseRecord(0, {}, "violation")])
     assert bad.verdict == "violation"
-    inf = SuiteReport("x", 1, 1, {}, "rat", [CaseRecord(0, {}, "infeasible")])
+    inf = SuiteReport("x", 1, 1, "rat", [CaseRecord(0, {}, "infeasible")])
     assert inf.verdict == "infeasible"
 
 

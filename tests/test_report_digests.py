@@ -16,35 +16,35 @@ IDEAL_3 = '{"blocks": [3], "generators": [[2, 0, 0], [1, 1, 0], [0, 1, 2]]}'
 
 DIGESTS = [
     (["verify", "check", "--seed", "1", "--size", "2"],
-     "01d38495c9d280dc65755f2fec4bc0aba845cc36cdd67dfc539b3195fc9af7de"),
+     "568a92bfb5a456391fe72a31fc0b3f2928a5a990c7302e4b03d4aacf6d1b622a"),
     (["verify", "gen2", "--seed", "1", "--size", "2"],
-     "2eccd6b1e7fab3a8a3025ed11fb97b475e663d9e173023d771aa8e2b0321d0a8"),
+     "337fa82a6a789b7c4692a1dc349136f1fc8ace530a36f0383a8ae55ee26db494"),
     (["verify", "greeny", "--seed", "1", "--size", "2"],
-     "93f043406e0191aad23d7d393ad2377f0e43ce85507bb2eea2af10efc9906a3b"),
+     "15f7711ea5c8e4119f1a586811e88fc173ae53eea91500ec4cae121035f1d3a8"),
     (["verify", "maincyc", "--seed", "1", "--size", "2"],
-     "92b673c540eef216bc098e9aa94f78c954f9a6cbc3df2ac34f09e3f98f3c8c7a"),
+     "3f98b28531c4e39f1d46f613745b4f1c77df2714064cc330700628c956ac809a"),
     (["verify", "maps", "--seed", "1", "--size", "2"],
-     "b40db03767bf867465d26575982cebf612099c1552509df14beaf733219a62d2"),
+     "3718c7e8248ba52d479ec9490a9321d79a50cadf0901d6ae833f19600d8f6f90"),
     (["verify", "multi", "--seed", "1", "--size", "2"],
-     "52f86484413fd8a6d11ad76ca20e64c61d44d8c3aae1646913d0c8f14f896587"),
+     "b0a109abcb0e382789390e38ebc43ca30e28d89d9420c4c95add52dba045f8d5"),
     (["verify", "multi2", "--seed", "1", "--size", "2"],
-     "fb550353db9880eb8756c0b5d048f2242422d2e268f4bb21c8b0556347ce507a"),
+     "d2278690959b7bb12433005e6f4554290411ef11407c91c9429a06f426ae60b3"),
     (["verify", "piper", "--seed", "1", "--size", "2"],
-     "1881074f54d49e98c0983add86fc2bc3538c1a37bfbdd8f019440fc39fdb93bf"),
+     "617df63c2f9474428c7c2f8dd7f1c055817970d391e7e3f17eaf55da4f67abe6"),
     (["verify", "regb", "--seed", "1", "--size", "2"],
-     "858534884cf72b652649cc449c1d0eef539bacf495ffe53e4a6ca22e9eb4776f"),
+     "2ea8579a6e0f2bdc404341a87c61dca98fac03e2451f7054049a05d3871abb54"),
     (["verify", "remark_b", "--seed", "1", "--size", "2"],
-     "9894b77535ad8125234370a8d8eacf760c5bb112e7095d238798a83e59747e22"),
+     "45946e53ad97a7c7179be4101215814407b453e915b2b1ea2f53a044a391258e"),
     (["verify", "sato", "--seed", "1", "--size", "2"],
-     "00600c584122c208843d6328db8d36364d340747d570431ec7dc6df720cdf017"),
+     "db4b3e765777c4fefc33915f6ca021bf79477d0e29f5953e7d02911bb4ac8e6d"),
     (["verify", "signs", "--seed", "1", "--size", "2"],
-     "977a876299448780af72daf79fcefde223ae2fdb18aed082f2be13437954dfe3"),
+     "5fa5a09d2f6adf9a86c3ac37a62a04f78eb32121acec8f95a234db56dc1b818d"),
     (["verify", "surge", "--seed", "1", "--size", "2"],
-     "096ae1d2a194ad3d793d9a30f7dce2c3be7f4b4cc19ad2edc579c37ef9ac99a9"),
+     "cc370e43fa1bd7cc29fb92b884dedced6efa3c1fa404ff10a87f1d85a7431760"),
     (["verify", "thm1", "--seed", "1", "--size", "2"],
-     "1b7534b617b89f41454c7406d993849484370f8fcd23463909cd73e7aee2789f"),
+     "c1d09ba300b87a30a2bae23f86f9ca53404eefa5eb910e9360914990aa4f6fe3"),
     (["probe-q1", "--seed", "1", "--size", "2"],
-     "cb1f417e16f325dcf37ac45758545fc1ac873b8be2569b1e85719f13244939a9"),
+     "2b545856d90c34999f174474bf090985cb6b4a0176c473f42c200fb0ba8078e3"),
     (["betti", "--blocks", "3", "--c", "2", "--imax", "3"],
      "630e49d6f1bf8379c4b1f7962633046bcd92000be5d7886cfb6756a64d275e1f"),
     (["index", "--blocks", "3", "--c", "2"],
