@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .fields import FieldError, parse_field
 from .harness import SUITES, probe_q1, run_suite
@@ -37,9 +38,52 @@ def _parse_vec(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
+def _write(obj, indent: str, out):
+    """Pass the text of obj to out in pieces: strings through the C encoder,
+    ints through int.__repr__, a list of ints in one piece.  `indent` is the
+    line break and indentation of obj's own level."""
+    if type(obj) is int:
+        out(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict) and obj:
+        inner, sep = indent + "  ", "{"
+        for k in sorted(obj):
+            key = k if isinstance(k, str) else json.dumps(k)
+            out(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write(obj[k], inner, out)
+            sep = ","
+        out(indent + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner, sep = indent + "  ", "["
+        if all(type(x) is int for x in obj):
+            out(sep + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]")
+        else:
+            for x in obj:
+                out(sep + inner)
+                _write(x, inner, out)
+                sep = ","
+            out(indent + "]")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    else:
+        out(json.dumps(obj))
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, without the
+    pure-Python encoder that `indent` selects, and with one join of the
+    pieces instead of one string per nesting level."""
+    parts = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts)
+
+
 def _emit(report_dict, fmt, table_lines):
     if fmt == "json":
-        print(json.dumps(report_dict, sort_keys=True, indent=2))
+        print(_dumps(report_dict))
     else:
         for line in table_lines:
             print(line)

@@ -1,9 +1,24 @@
 """Betti tables and Green-Lazarsfeld index of Segre-Veronese rings.
 
 Everything flows through the identity beta^T_{i,j} = dim H_i(m^c, S)_{jc}:
-the presentation ring is never materialized.  Entries outside the finite
-window with (j - i - 1) min(c) >= i are zero by the multigraded generator
-bound, so each table row is a complete, certified computation.
+the presentation ring is never materialized.  Row i >= 1 is the window
+i <= j < i + 1 + ceil(i / min(c)); the entries past it, with
+(j - i - 1) min(c) >= i, are zero by the multigraded generator bound, so each
+table row is a complete, certified computation.
+
+The first entry of each row, beta_{i,i} = dim H_i(m^c, S)_{ic} for i >= 1,
+is zero over every field and is recorded without a rank.  In degree ic,
+K_{i+1} = 0, since its faces have deg u_T = (i+1)c, which exceeds ic.  K_i is
+spanned by the faces e_T with |T| = i and coefficient 1, and K_{i-1} by the
+e_T' with |T'| = i - 1 and a coefficient in S_c.  The generators of m^c are a
+basis of S_c, so in this degree phi_i is the Koszul differential of Sym(S_c)
+from exterior degree i, polynomial degree 0: e_T -> sum_t +-u_t e_{T - t}.
+That map is injective over every field, because the key (T - t, u_t)
+recovers T: the columns have disjoint supports, and none is empty.  So
+H_i = ker phi_i / im phi_{i+1} = 0.
+
+The Green-Lazarsfeld index reads only the entries j >= i + 2 of the windows;
+it stops at the first nonzero one, so no row past it is built.
 """
 
 from __future__ import annotations
@@ -85,17 +100,17 @@ def _window_cut(i: int, min_c: int) -> int:
 
 
 def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
-    """Graded Betti numbers of the Segre-Veronese ring up to row i_max."""
+    """Graded Betti numbers of the Segre-Veronese ring up to row i_max;
+    beta_{i,i} = 0 for i >= 1 is recorded without a rank (module docstring)."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    ring = spec.ring
-    ideal = power_ideal(ring, spec.c)
-    kz = KoszulComplex(ideal, field)
+    kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
     entries, windows = {(0, 0): 1}, {0: (0, 1)}
     for i in range(1, i_max + 1):
         cut = _window_cut(i, spec.min_c)
         windows[i] = (i, cut)
-        for j in range(i, cut):
+        entries[(i, i)] = 0
+        for j in range(i + 1, cut):
             entries[(i, j)] = kz.homology_dim(i, tuple(j * a for a in spec.c))
     return BettiTable(entries, i_max, windows)
 
@@ -107,7 +122,6 @@ class IndexResult:
     exact: bool
     value: int  # the index when exact, else the verified lower bound i_max
     witness: tuple | None  # violating (i, j) when exact
-    table: BettiTable
 
     def satisfies(self, p: int) -> bool:
         return self.value >= p
@@ -119,15 +133,18 @@ class IndexResult:
 
 
 def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> IndexResult:
-    """Largest p <= i_max with t_i <= i + 1 for i = 1..p, from certified windows."""
-    table = veronese_betti(spec, i_max, field)
+    """Largest p <= i_max with t_i <= i + 1 for i = 1..p, from certified windows.
+
+    Only the entries that can break the bound are computed: row by row, the
+    beta_{i,j} with i + 2 <= j below the window cut, in increasing j.  The
+    first nonzero one is the witness, and the rows after it are never built.
+    The linear strand j <= i + 1 cannot decide the index and is not ranked.
+    """
+    if i_max < 1:
+        raise ValueError("i_max must be >= 1")
+    kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
     for i in range(1, i_max + 1):
-        ti = table.t_i(i)
-        if ti is not None and ti > i + 1:
-            violating_j = min(
-                j
-                for (ii, j), d in table.entries.items()
-                if ii == i and j > i + 1 and d > 0
-            )
-            return IndexResult(True, i - 1, (i, violating_j), table)
-    return IndexResult(False, i_max, None, table)
+        for j in range(i + 2, _window_cut(i, spec.min_c)):
+            if kz.homology_dim(i, tuple(j * a for a in spec.c)):
+                return IndexResult(True, i - 1, (i, j))
+    return IndexResult(False, i_max, None)

@@ -2,11 +2,13 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul_lab.cli import (
     EXIT_INFEASIBLE,
     EXIT_PASS,
     EXIT_USAGE,
+    _dumps,
     main,
 )
 from koszul_lab import harness
@@ -197,3 +199,19 @@ def test_suite_with_every_draw_redrawn_is_infeasible(capsys, monkeypatch):
     data = json.loads(out)
     assert data["cases"] == [] and data["summary"]["redrawn"] == 240
     assert data["verdict"] == "infeasible" and code == EXIT_INFEASIBLE
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(st.integers(), max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(JSON_VALUES)
+def test_report_encoder_prints_the_bytes_of_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)

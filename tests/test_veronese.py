@@ -1,10 +1,11 @@
 import time
-from math import comb
+from math import ceil, comb
 
 import pytest
 
-from koszul_lab.homology import DEFAULT_COMPONENT_CEILING, InfeasibleError
-from koszul_lab.rings import RingConfig, component_dim
+from koszul_lab.fields import QQ, PrimeField
+from koszul_lab.homology import DEFAULT_COMPONENT_CEILING, InfeasibleError, KoszulComplex
+from koszul_lab.rings import RingConfig, component_dim, power_ideal
 from koszul_lab.veronese import (
     BettiTable,
     SegreVeroneseSpec,
@@ -96,6 +97,68 @@ def test_index_results():
     assert res.satisfies(2) and res.witness is None
     with pytest.raises(ValueError):
         green_lazarsfeld_index(SEGRE_P1P1, 0)
+
+
+def whole_table_index(spec, i_max):
+    """The index by the rule on the whole table: the first row i with a
+    nonzero entry at j > i + 1, and the smallest such j."""
+    table = veronese_betti(spec, i_max)
+    for i in range(1, i_max + 1):
+        ti = table.t_i(i)
+        if ti is not None and ti > i + 1:
+            j = min(j for (ii, j), d in table.entries.items() if ii == i and j > i + 1 and d)
+            return True, i - 1, (i, j)
+    return False, i_max, None
+
+
+INDEX_CASES = [
+    (VERONESE_SURFACE, 3, None),
+    (SEGRE_P1P1, 2, None),
+    (SegreVeroneseSpec((3,), (3,)), 7, (7, 9)),
+    (SegreVeroneseSpec((4,), (2,)), 6, (6, 8)),
+    (SegreVeroneseSpec((2, 2), (2, 2)), 6, (6, 8)),
+    (SegreVeroneseSpec((2, 3), (1, 1)), 4, None),
+]
+
+
+@pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
+def test_index_agrees_with_the_whole_table(spec, target, witness):
+    res = green_lazarsfeld_index(spec, target)
+    assert (res.exact, res.value, res.witness) == whole_table_index(spec, target)
+    assert res.witness == witness
+
+
+@pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
+def test_index_ranks_only_the_deciding_entries(spec, target, witness, monkeypatch):
+    # the entries j >= i + 2 of each row's window, in order, up to the
+    # witness: none of the linear strand, none past a window, none after it
+    asked = []
+    homology_dim = KoszulComplex.homology_dim
+
+    def spy(self, t, alpha):
+        asked.append((t, alpha[0] // spec.c[0]))
+        return homology_dim(self, t, alpha)
+
+    monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
+    green_lazarsfeld_index(spec, target)
+    want = [
+        (i, j) for i in range(1, target + 1) for j in range(i + 2, i + 1 + ceil(i / spec.min_c))
+    ]
+    if witness:
+        want = want[: want.index(witness) + 1]
+    assert asked == want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
+def test_first_entry_of_each_row_is_zero(field):
+    # veronese_betti records beta_{i,i} = 0 without a rank (module docstring);
+    # the engine agrees wherever it is asked
+    for blocks, c in [((2,), (2,)), ((2,), (3,)), ((3,), (2,)), ((3,), (3,)), ((4,), (2,)),
+                      ((2, 2), (1, 1)), ((2, 2), (1, 2)), ((2, 3), (1, 1))]:
+        spec = SegreVeroneseSpec(blocks, c)
+        kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
+        for i in range(1, 6):
+            assert kz.homology_dim(i, tuple(i * a for a in spec.c)) == 0
 
 
 def test_segre_quadric_hypersurface():
