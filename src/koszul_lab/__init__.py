@@ -31,7 +31,6 @@ from .exterior import (
     wedge,
 )
 from .homology import (
-    Coefficients,
     ComponentBasis,
     GradedModule,
     InfeasibleError,
@@ -93,7 +92,6 @@ __all__ = [
     "sign",
     "sort_bracket",
     "wedge",
-    "Coefficients",
     "ComponentBasis",
     "GradedModule",
     "InfeasibleError",

@@ -17,7 +17,6 @@ that choice "auto".
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field as dc_field
@@ -36,7 +35,6 @@ from .exterior import (
 )
 from .fields import QQ
 from .homology import (
-    Coefficients,
     InfeasibleError,
     KoszulComplex,
     cycle_module,
@@ -111,9 +109,6 @@ class SuiteReport:
             # params and details dict of every case
             "cases": [dict(vars(c)) for c in self.cases],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 @dataclass(frozen=True)
@@ -437,7 +432,7 @@ def _sato(rng, field):
     reg_I = I.max_gen_degree()
     reg_SJ = J.max_gen_degree() - 1
     t = _random_t(rng, I.r)
-    kz = KoszulComplex(I, field, Coefficients(ring, J))
+    kz = KoszulComplex(I, field, J)
     params = {
         "ideal": ideal_params(I),
         "coeff_ideal": ideal_params(J),

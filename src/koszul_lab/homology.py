@@ -45,28 +45,6 @@ class InfeasibleError(RuntimeError):
         self.estimate = estimate
 
 
-class Coefficients:
-    """Coefficient module for Koszul complexes: S, or S/J for monomial J."""
-
-    def __init__(self, ring: RingConfig, J: MonomialIdeal | None = None):
-        if J is not None and J.ring != ring:
-            raise ValueError("coefficient ideal over a different ring")
-        self.ring = ring
-        self.J = J
-
-    def basis(self, alpha) -> list:
-        mons = component_basis(self.ring, alpha)
-        if self.J is None:
-            return mons
-        return [m for m in mons if not self.J.contains(m)]
-
-    def reduce(self, w):
-        """Image of the monomial w, or None when it dies in the quotient."""
-        if self.J is not None and self.J.contains(w):
-            return None
-        return w
-
-
 @dataclass
 class ComponentBasis:
     """Ordered basis of a graded piece with coordinate vectors inside it.
@@ -86,7 +64,8 @@ class ComponentBasis:
 
 
 class KoszulComplex:
-    """K(I, M) for a monomial ideal I.
+    """K(I, M) for a monomial ideal I, with M = S, or M = S/J when the monomial
+    ideal J (over the ring of I) is given.
 
     Bases, key indices and cycle spaces are cached per (t, degree), ranks of
     phi_t per (t, fine degree), and the faces e_T per degree of either
@@ -104,13 +83,15 @@ class KoszulComplex:
         self,
         I: MonomialIdeal,
         field=QQ,
-        coeffs: Coefficients | None = None,
+        J: MonomialIdeal | None = None,
         ceiling: int = DEFAULT_COMPONENT_CEILING,
     ):
+        if J is not None and J.ring != I.ring:
+            raise ValueError("coefficient ideal over a different ring")
         self.ideal = I
         self.ring = I.ring
         self.field = field
-        self.coeffs = coeffs or Coefficients(I.ring)
+        self.J = J
         self.ceiling = ceiling
         self._basis = {}
         self._rank = {}
@@ -122,7 +103,7 @@ class KoszulComplex:
         # maximal runs of variables of one block whose adjacent swaps fix the
         # generators of I and of J; each permutation of a run maps the fine
         # block at beta isomorphically onto the one at the permuted beta
-        gensets = [set(I.gens)] + ([set(self.coeffs.J.gens)] if self.coeffs.J else [])
+        gensets = [set(I.gens)] + ([set(J.gens)] if J else [])
         self._runs = []
         for a, b in self.ring.block_slices():
             start = a
@@ -149,7 +130,7 @@ class KoszulComplex:
 
             fine = length == self.ring.n
             gens = self.ideal.gens if fine else list(map(self.ring.mdeg, self.ideal.gens))
-            jgens = self.coeffs.J.gens if fine and self.coeffs.J else ()
+            jgens = self.J.gens if fine and self.J else ()
             G = pack([half] * length)
             self._packings[key] = (size, G, [*map(pack, gens)], [*map(pack, jgens)], pack)
         return self._packings[key]
@@ -219,8 +200,13 @@ class KoszulComplex:
                     f"over the ceiling {self.ceiling}",
                     estimate=est,
                 )
-            faces = self._faces(t, alpha)
-            self._basis[key] = [(T, w) for T, wdeg in faces for w in self.coeffs.basis(wdeg)]
+            faces, J = self._faces(t, alpha), self.J
+            self._basis[key] = [
+                (T, w)
+                for T, wdeg in faces
+                for w in component_basis(self.ring, wdeg)
+                if J is None or not J.contains(w)
+            ]
         return self._basis[key]
 
     def key_index(self, t: int, alpha) -> dict:
@@ -241,13 +227,13 @@ class KoszulComplex:
     def columns(self, keys: list, index: dict) -> list:
         """The columns of phi_t on the keys (T, w) of K_t, in the K_{t-1}
         coordinates `index`, which must hold every boundary key."""
-        signs = (self.field.coerce(1), self.field.coerce(-1))
+        signs, J = (self.field.coerce(1), self.field.coerce(-1)), self.J
         columns = []
         for T, w in keys:
             col = {}
             for pos, i in enumerate(T):
-                uw = self.coeffs.reduce(mon_mul(w, self.ideal.gens[i - 1]))
-                if uw is not None:
+                uw = mon_mul(w, self.ideal.gens[i - 1])
+                if J is None or not J.contains(uw):
                     col[index[(T[:pos] + T[pos + 1 :], uw)]] = signs[pos % 2]
             columns.append(col)
         return columns
@@ -295,7 +281,7 @@ class KoszulComplex:
         faces T without v for which u_v does not divide beta - u_T, with the
         boundary terms in the star dropped.  S/J blocks are not reduced.
         """
-        v = None if self.coeffs.J is not None else self._apex(beta)
+        v = None if self.J is not None else self._apex(beta)
         (_, G, gens, jgens, _), mask = self._packing(beta), (1 << self.ideal.r) - 1
         # the top level first, so that one growth serves all three
         levels = [self._grown_faces(s, beta, v) for s in (t + 1, t, t - 1)][::-1]
@@ -383,11 +369,10 @@ class KoszulComplex:
         """Coordinates in `index` of w times the chain with `terms` (from
         `_field_terms`); the terms w m that die in M and those whose
         coefficient is 0 in the field are dropped."""
-        reduce = self.coeffs.reduce
-        vec = {}
+        J, vec = self.J, {}
         for T, m, c in terms:
-            m = reduce(tuple(map(add, m, w)))
-            if m is not None:
+            m = tuple(map(add, m, w))
+            if J is None or not J.contains(m):
                 k = index[(T, m)]
                 if c:
                     vec[k] = c
@@ -470,7 +455,7 @@ class GradedModule:
         self.ring = kz.ring
         self.field = kz.field
         top = t + 1 if quotient else t
-        jgens = kz.coeffs.J.gens if kz.coeffs.J else []
+        jgens = kz.J.gens if kz.J else []
         self.box = tuple(
             sum(sorted((u[k] for u in kz.ideal.gens), reverse=True)[:top])
             + max((g[k] for g in jgens), default=0)
@@ -489,12 +474,11 @@ class GradedModule:
     def _keys(self, s: int, q: int) -> list:
         """The keys (T, w) of K_s in degree q with u_T w <= box and w outside
         J, in lex order of T; InfeasibleError once they pass the ceiling."""
-        kz, size, keys = self.kz, self.stable_degree, []
-        reduce = kz.coeffs.reduce
+        kz, J, size, keys = self.kz, self.kz.J, self.stable_degree, []
         for T, cap in kz._faces(s, self.box):
             # deg u_T = |box| - |cap|
             words = _bounded_compositions(q - size + sum(cap), cap)
-            keys += [(T, w) for w in words if reduce(w) is not None]
+            keys += [(T, w) for w in words if J is None or not J.contains(w)]
             if len(keys) > kz.ceiling:
                 raise InfeasibleError(
                     f"K_{s} has at least {len(keys)} keys in degree {q} inside the "

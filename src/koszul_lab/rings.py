@@ -355,9 +355,9 @@ def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
         raise ValueError("regularity over the standard grading only")
     if is_strongly_stable(I):
         return I.max_gen_degree()
-    from .homology import Coefficients, KoszulComplex
+    from .homology import KoszulComplex
 
-    kz = KoszulComplex(power_ideal(I.ring, 1), field, Coefficients(I.ring, I))
+    kz = KoszulComplex(power_ideal(I.ring, 1), field, I)
     lattice = set()
     for u in I.gens:
         lattice |= {mon_lcm(u, b) for b in lattice} | {u}

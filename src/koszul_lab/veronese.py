@@ -23,7 +23,6 @@ it stops at the first nonzero one, so no row past it is built.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import ceil, comb
 
@@ -81,9 +80,6 @@ class BettiTable:
             "cap": self.i_max,
             "windows": {str(i): list(w) for i, w in sorted(self.windows.items())},
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def quadric_relation_count(spec: SegreVeroneseSpec) -> int:

@@ -6,6 +6,7 @@ per-criterion pass/fail report.
 
 import json
 
+from koszul_lab.cli import _dumps
 from koszul_lab.fields import QQ
 from koszul_lab.harness import probe_q1, run_suite
 from koszul_lab.veronese import (
@@ -103,10 +104,10 @@ def test_criterion_9_byte_identical_json():
         ("maincyc", {}),
         ("multi2", {}),
     ]:
-        a = run_suite(name, **kwargs).to_json()
-        b = run_suite(name, **kwargs).to_json()
+        a = _dumps(run_suite(name, **kwargs).to_dict())
+        b = _dumps(run_suite(name, **kwargs).to_dict())
         ok = ok and a == b and json.loads(a)["suite"] == name
-    a = probe_q1(seed=2, size=3).to_json()
-    b = probe_q1(seed=2, size=3).to_json()
+    a = _dumps(probe_q1(seed=2, size=3).to_dict())
+    b = _dumps(probe_q1(seed=2, size=3).to_dict())
     ok = ok and a == b
     report("9 (byte-identical JSON across identical-seed reruns)", ok)

@@ -127,10 +127,22 @@ def test_usage_errors(capsys):
         run_cli(capsys, "homology", "--ideal", "not json", "-t", "1", "--degree", "2")[0]
         == EXIT_USAGE
     )
+    assert run_cli(capsys, "betti", "--blocks", "3", "--c", "2", "--imax", "0")[0] == EXIT_USAGE
+    assert run_cli(capsys, "index", "--blocks", "3", "--c", "2", "--target", "0")[0] == EXIT_USAGE
     for argv in (["verify", "maincyc", "--cap", "slack=1"], ["probe-q1", "--cap", "slack=1"]):
         with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown option
             main(argv)
         assert exc.value.code == EXIT_USAGE
+
+
+def test_ideal_from_file(capsys, tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text('{"blocks": [2], "power": [2]}')
+    code, out = run_cli(capsys, "homology", "--ideal", f"@{path}", "-t", "1", "--degree", "4")
+    assert code == EXIT_PASS
+    assert json.loads(out)["dim_H"] == 1
+    missing = f"@{tmp_path / 'missing.json'}"
+    assert run_cli(capsys, "homology", "--ideal", missing, "-t", "1", "--degree", "4")[0] == EXIT_USAGE
 
 
 def test_infeasible_exit(capsys):

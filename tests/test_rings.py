@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from koszul_lab import rings
 from koszul_lab.fields import QQ, PrimeField
-from koszul_lab.homology import Coefficients, KoszulComplex
+from koszul_lab.homology import KoszulComplex
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
@@ -191,7 +191,7 @@ def test_reg_random_vs_taylor_bound():
 def _taylor_cap_scan(I, field):
     """reg(I) from dim Tor_i(S/I, K)_j at every degree j <= cap_i (`taylor_caps`),
     with no strongly-stable shortcut."""
-    kz = KoszulComplex(power_ideal(I.ring, 1), field, Coefficients(I.ring, I))
+    kz = KoszulComplex(power_ideal(I.ring, 1), field, I)
     reg = 0
     for i, cap in taylor_caps(I).items():
         for j in range(i, cap + 1):
