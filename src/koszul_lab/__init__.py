@@ -19,7 +19,6 @@ from .rings import (
     power_ideal,
     quotient_component_dim,
     reg_monomial_ideal,
-    taylor_caps,
 )
 from .exterior import (
     KoszulChain,
@@ -55,7 +54,6 @@ from .veronese import (
     IndexResult,
     SegreVeroneseSpec,
     green_lazarsfeld_index,
-    quadric_relation_count,
     veronese_betti,
 )
 from .harness import (
@@ -84,7 +82,6 @@ __all__ = [
     "power_ideal",
     "quotient_component_dim",
     "reg_monomial_ideal",
-    "taylor_caps",
     "KoszulChain",
     "alpha_map",
     "boundary",
@@ -112,7 +109,6 @@ __all__ = [
     "IndexResult",
     "SegreVeroneseSpec",
     "green_lazarsfeld_index",
-    "quadric_relation_count",
     "veronese_betti",
     "CaseRecord",
     "SuiteReport",

@@ -38,6 +38,13 @@ def _parse_vec(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
+def _positive(text: str) -> int:
+    """An option value that must be an integer >= 1; argparse names the option."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _write(obj, indent: str, out):
     """Pass the text of obj to out in pieces: strings through the C encoder,
     ints through int.__repr__, a list of ints in one piece.  `indent` is the
@@ -225,12 +232,12 @@ def build_parser():
     p.set_defaults(fn=cmd_cycles)
 
     p = sub.add_parser("betti", help="graded Betti table of a Segre-Veronese ring")
-    p.add_argument("--imax", type=int, default=2)
+    p.add_argument("--imax", type=_positive, default=2)
     common(p, spec=True)
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("index", help="Green-Lazarsfeld index / N_p check")
-    p.add_argument("--target", type=int, default=None)
+    p.add_argument("--target", type=_positive, default=None)
     common(p, spec=True)
     p.set_defaults(fn=cmd_index)
 

@@ -74,9 +74,8 @@ class KoszulComplex:
     (`_faces`); the differentials themselves are assembled on demand.
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
-    component of K_t estimated larger, and `homology_dim` and
-    `fine_homology_dim` the fine blocks they would rank, before any of them is
-    built.
+    component of K_t estimated larger, and `homology_dim` the fine blocks it
+    would rank, before any of them is built.
     """
 
     def __init__(
@@ -194,12 +193,9 @@ class KoszulComplex:
         key = (t, alpha)
         if key not in self._basis:
             est = self.estimate(t, alpha)
-            if est > self.ceiling:
-                raise InfeasibleError(
-                    f"component K_{t} at degree {alpha} has dimension {est} "
-                    f"over the ceiling {self.ceiling}",
-                    estimate=est,
-                )
+            self._check_ceiling(
+                est, lambda: f"component K_{t} at degree {alpha} has dimension {est}"
+            )
             faces, J = self._faces(t, alpha), self.J
             self._basis[key] = [
                 (T, w)
@@ -306,54 +302,42 @@ class KoszulComplex:
             self._rank[key] = ech.rank
         return self._rank[key]
 
-    def _check_ceiling(self, t: int, degree, count: int):
-        """Raise InfeasibleError when `count` faces of the fine blocks of
-        K_{t-1}, K_t and K_{t+1} at degree are over the ceiling."""
+    def _check_ceiling(self, count: int, what):
+        """Raise InfeasibleError carrying `count` when it is over the ceiling;
+        what() says what was counted, and is formatted only then."""
         if count > self.ceiling:
-            raise InfeasibleError(
-                f"the fine blocks of K_{t - 1}, K_{t} and K_{t + 1} at degree {degree} "
-                f"have at least {count} faces, over the ceiling {self.ceiling}",
-                estimate=count,
-            )
+            raise InfeasibleError(f"{what()} over the ceiling {self.ceiling}", estimate=count)
 
-    def _block_dim(self, t: int, beta, low: list, mid: list, high: list) -> int:
-        """dim H_t of the fine block at beta from its faces (`_block_faces`)."""
-        return len(mid) - self._phi_rank(t, beta, low, mid) - self._phi_rank(t + 1, beta, mid, high)
-
-    def homology_dim(self, t: int, alpha) -> int:
-        """dim H_t(I, M) in internal degree alpha, summed over the fine degrees
-        with block sums alpha, one per orbit weighted by the orbit size; for
+    def homology_dim(self, t: int, degree) -> int:
+        """dim H_t(I, M) in an internal degree: at a multidegree (length d, or
+        an int when d = 1) the sum over the fine degrees with those block
+        sums, one per orbit weighted by the orbit size; at a fine degree
+        (length n) its one block.  When d = n the two readings coincide.  For
         M = S each block is star-reduced (`_block_faces`).  The faces of
         K_{t-1}, K_t and K_{t+1} in the blocks to rank are counted first; past
         the ceiling, InfeasibleError is raised before any rank.  H_t = 0 for
         t < 0 and t > r, where K_t = 0."""
         if not 0 <= t <= self.ideal.r:
             return 0
-        alpha = self.ring.as_mdeg(alpha)
+        if isinstance(degree, int) or len(degree) != self.ring.n:
+            degree = self.ring.as_mdeg(degree)
+            orbits = self._orbits(degree)
+        else:
+            degree = tuple(degree)
+            orbits = [(degree, 1)]
         blocks, count = [], 0
-        for beta, size in self._orbits(alpha):
+        for beta, size in orbits:
             faces = self._block_faces(t, beta)
             if faces[1]:
                 count += sum(map(len, faces))
-                self._check_ceiling(t, alpha, count)
+                self._check_ceiling(count, lambda: f"the fine blocks of K_{t - 1}, K_{t} and "
+                                    f"K_{t + 1} at degree {degree} have at least {count} faces,")
                 blocks.append((beta, size, faces))
-        return sum(size * self._block_dim(t, beta, *faces) for beta, size, faces in blocks)
-
-    def fine_homology_dim(self, t: int, beta) -> int:
-        """dim H_t(I, M) at the fine degree beta, a tuple of length n: one
-        block as `homology_dim` ranks it, with the same faces, ceiling and rank
-        formula.  When d = n the two gradings coincide and so do the two
-        dimensions.  H_t = 0 for t < 0 and t > r."""
-        beta = tuple(beta)
-        if len(beta) != self.ring.n:
-            raise ValueError(f"fine degree {beta} has wrong length")
-        if not 0 <= t <= self.ideal.r:
-            return 0
-        faces = self._block_faces(t, beta)
-        if not faces[1]:
-            return 0
-        self._check_ceiling(t, beta, sum(map(len, faces)))
-        return self._block_dim(t, beta, *faces)
+        rank = self._phi_rank
+        return sum(
+            size * (len(mid) - rank(t, beta, low, mid) - rank(t + 1, beta, mid, high))
+            for beta, size, (low, mid, high) in blocks
+        )
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
@@ -479,12 +463,8 @@ class GradedModule:
             # deg u_T = |box| - |cap|
             words = _bounded_compositions(q - size + sum(cap), cap)
             keys += [(T, w) for w in words if J is None or not J.contains(w)]
-            if len(keys) > kz.ceiling:
-                raise InfeasibleError(
-                    f"K_{s} has at least {len(keys)} keys in degree {q} inside the "
-                    f"box {self.box}, over the ceiling {kz.ceiling}",
-                    estimate=len(keys),
-                )
+            kz._check_ceiling(len(keys), lambda: f"K_{s} has at least {len(keys)} keys in "
+                              f"degree {q} inside the box {self.box},")
         return keys
 
     def piece(self, q: int) -> ComponentBasis:

@@ -295,23 +295,6 @@ def power_containment(I: MonomialIdeal, k: int) -> bool:
     return all(I.contains(m) for m in monomials_of_total_degree(I.ring, k))
 
 
-def taylor_caps(I: MonomialIdeal) -> dict:
-    """Degree caps from the Taylor complex: t_i(S/I) <= max deg lcm of i gens."""
-    caps = {}
-    for i in range(1, min(I.r, I.ring.n) + 1):
-        caps[i] = max(
-            total_deg(_lcm_of(subset)) for subset in combinations(I.gens, i)
-        )
-    return caps
-
-
-def _lcm_of(monomials):
-    out = monomials[0]
-    for m in monomials[1:]:
-        out = mon_lcm(out, m)
-    return out
-
-
 def _int_list(value, what) -> tuple:
     if not isinstance(value, list) or any(type(x) is not int for x in value):
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
@@ -364,6 +347,6 @@ def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
     reg = 0
     for beta in sorted(lattice, key=mon_key):
         for i in range(1, min(I.r, I.ring.n) + 1):
-            if kz.fine_homology_dim(i, beta) > 0:
+            if kz.homology_dim(i, beta) > 0:
                 reg = max(reg, total_deg(beta) - i)
     return reg + 1

@@ -24,11 +24,11 @@ it stops at the first nonzero one, so no row past it is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb
+from math import ceil
 
 from .fields import QQ
 from .homology import KoszulComplex
-from .rings import RingConfig, component_dim, power_ideal
+from .rings import RingConfig, power_ideal
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,6 @@ class BettiTable:
             "cap": self.i_max,
             "windows": {str(i): list(w) for i, w in sorted(self.windows.items())},
         }
-
-
-def quadric_relation_count(spec: SegreVeroneseSpec) -> int:
-    """Independent oracle for beta_{1,2}: quadrics through the embedding."""
-    ring = spec.ring
-    dim_c = component_dim(ring, spec.c)
-    dim_2c = component_dim(ring, tuple(2 * a for a in spec.c))
-    return comb(dim_c + 1, 2) - dim_2c
 
 
 def _window_cut(i: int, min_c: int) -> int:

@@ -9,12 +9,9 @@ import json
 from koszul_lab.cli import _dumps
 from koszul_lab.fields import QQ
 from koszul_lab.harness import probe_q1, run_suite
-from koszul_lab.veronese import (
-    SegreVeroneseSpec,
-    green_lazarsfeld_index,
-    quadric_relation_count,
-    veronese_betti,
-)
+from koszul_lab.veronese import SegreVeroneseSpec, green_lazarsfeld_index, veronese_betti
+
+from oracles import quadric_relation_count
 
 
 def report(name, ok):

@@ -127,8 +127,11 @@ def test_usage_errors(capsys):
         run_cli(capsys, "homology", "--ideal", "not json", "-t", "1", "--degree", "2")[0]
         == EXIT_USAGE
     )
-    assert run_cli(capsys, "betti", "--blocks", "3", "--c", "2", "--imax", "0")[0] == EXIT_USAGE
-    assert run_cli(capsys, "index", "--blocks", "3", "--c", "2", "--target", "0")[0] == EXIT_USAGE
+    for option, command in (("--imax", "betti"), ("--target", "index")):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the value
+            main([command, "--blocks", "3", "--c", "2", option, "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {option}: must be an integer >= 1, got '0'" in capsys.readouterr().err
     for argv in (["verify", "maincyc", "--cap", "slack=1"], ["probe-q1", "--cap", "slack=1"]):
         with pytest.raises(SystemExit) as exc:  # argparse rejects an unknown option
             main(argv)

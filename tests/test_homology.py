@@ -427,42 +427,54 @@ def test_homology_dim_checks_ceiling_before_building():
     assert kz._rank == {} and kz._basis == {}
 
 
-def test_fine_homology_dim_guards():
-    # m^2 in three variables, r = 6; at (2, 2, 2) the star-reduced block of
-    # K_1, K_2 and K_3 has 2 + 5 + 1 faces and H_2 has dimension 2
+def test_homology_dim_at_a_fine_degree_guards():
+    # m^2 in three variables, r = 6; at the fine degree (2, 2, 2) the
+    # star-reduced block of K_1, K_2 and K_3 has 2 + 5 + 1 faces and H_2 has
+    # dimension 2
     ring = RingConfig((3,))
     kz = KoszulComplex(power_ideal(ring, 2))
-    for beta in [(6,), (2, 2), (2, 2, 2, 0)]:
+    for beta in [(2, 2), (2, 2, 2, 0)]:
         with pytest.raises(ValueError):
-            kz.fine_homology_dim(2, beta)
+            kz.homology_dim(2, beta)
     for t in (-1, 7, 8, 60):
-        assert kz.fine_homology_dim(t, (2, 2, 2)) == 0
+        assert kz.homology_dim(t, (2, 2, 2)) == 0
     assert kz._levels == {} and kz._rank == {}
     tight = KoszulComplex(power_ideal(ring, 2), ceiling=7)
     with pytest.raises(InfeasibleError) as exc:
-        tight.fine_homology_dim(2, (2, 2, 2))
+        tight.homology_dim(2, (2, 2, 2))
     assert exc.value.estimate == 8
-    assert str(exc.value).endswith("over the ceiling 7")
+    assert str(exc.value) == (
+        "the fine blocks of K_1, K_2 and K_3 at degree (2, 2, 2) have at least 8 faces, "
+        "over the ceiling 7"
+    )
     assert tight._rank == {}
-    assert KoszulComplex(power_ideal(ring, 2), ceiling=8).fine_homology_dim(2, (2, 2, 2)) == 2
+    assert KoszulComplex(power_ideal(ring, 2), ceiling=8).homology_dim(2, (2, 2, 2)) == 2
+    # a tuple of length d is a multidegree: (6,) is beta_{2,3} = 8 of v_2(P^2)
+    assert kz.homology_dim(2, (6,)) == 8
 
 
 @settings(max_examples=40)
 @given(
-    blocks=st.sampled_from([(1,), (1, 1), (1, 1, 1)]),
+    blocks=st.sampled_from([(2,), (3,), (2, 1), (1, 2), (2, 2)]),
     data=st.data(),
-    field=st.sampled_from([QQ, PrimeField(2)]),
+    field=st.sampled_from([QQ, PrimeField(2), PrimeField(5)]),
     quotient=st.booleans(),
 )
-def test_fine_homology_dim_is_homology_dim_when_d_is_n(blocks, data, field, quotient):
-    # every block is one variable, so a multidegree is a fine degree
+def test_homology_dim_is_the_sum_over_its_fine_degrees(blocks, data, field, quotient):
+    # brute force for the orbit weights: every fine degree beta with block
+    # sums alpha ranked on its own, in a complex of its own
     ring = RingConfig(blocks)
     I = _ideal(ring, data)
     J = _ideal(ring, data) if quotient else None
     fine, coarse = KoszulComplex(I, field, J), KoszulComplex(I, field, J)
-    for beta in degrees_upto(ring, (3,) * ring.d):
+    for alpha in degrees_upto(ring, (4,) if ring.d == 1 else (2, 2)):
+        betas = [
+            sum(parts, ())
+            for parts in product(*(_compositions(a, m) for a, m in zip(alpha, blocks)))
+        ]
         for t in range(-1, min(I.r, 4) + 2):
-            assert fine.fine_homology_dim(t, beta) == coarse.homology_dim(t, beta)
+            total = sum(fine.homology_dim(t, beta) for beta in betas)
+            assert coarse.homology_dim(t, alpha) == total
 
 
 def test_star_reduced_quartic_veronese_strand_fits_the_ceiling():

@@ -28,9 +28,10 @@ from koszul_lab.rings import (
     power_ideal,
     quotient_component_dim,
     reg_monomial_ideal,
-    taylor_caps,
     total_deg,
 )
+
+from oracles import taylor_caps
 
 
 def test_ring_config_basics():

@@ -11,9 +11,10 @@ from koszul_lab.veronese import (
     BettiTable,
     SegreVeroneseSpec,
     green_lazarsfeld_index,
-    quadric_relation_count,
     veronese_betti,
 )
+
+from oracles import hilbert_alternating_sum, quadric_relation_count
 
 VERONESE_SURFACE = SegreVeroneseSpec((3,), (2,))
 SEGRE_P1P1 = SegreVeroneseSpec((2, 2), (1, 1))
@@ -78,6 +79,20 @@ def test_veronese_surface_euler_characteristic():
             if k - j >= 0
         )
         assert resolved == hilbert_R
+
+
+@pytest.mark.parametrize(
+    "blocks, c",
+    [((3,), (2,)), ((3,), (3,)), ((4,), (2,)), ((2, 2), (1, 1)), ((2, 2), (1, 2))],
+)
+def test_betti_rows_match_the_hilbert_series(blocks, c):
+    # every beta_{i,j} with j <= 4 lies in rows 0..4 (beta_{i,j} = 0 for i > j),
+    # so each degree j <= 4 of the table is complete
+    spec = SegreVeroneseSpec(blocks, c)
+    table = veronese_betti(spec, 4)
+    for j in range(5):
+        euler = sum((-1) ** i * table.entry(i, j) for i in range(j + 1))
+        assert euler == hilbert_alternating_sum(spec, j), j
 
 
 def test_window_semantics():
