@@ -55,7 +55,7 @@ from .rings import (
     reg_monomial_ideal,
     total_deg,
 )
-from .veronese import SegreVeroneseSpec, green_lazarsfeld_index, veronese_betti
+from .veronese import SegreVeroneseSpec, veronese_betti
 
 # maincyc checks degrees t(c + 1) .. t(c + 1) + MAINCYC_SLACK; surge
 # tabulates degrees 0 .. SURGE_DEGREE
@@ -588,8 +588,8 @@ def _check(rng, field):
         params = {"blocks": list(blocks), "c": list(cvec)}
         target = spec.min_c + 1
         try:
-            res = green_lazarsfeld_index(spec, target, field)
             table = veronese_betti(spec, target, field)
+            res = table.index()
         except InfeasibleError as exc:
             yield params, "infeasible", None, {"estimate": exc.estimate}
             continue

@@ -8,9 +8,10 @@ dimensions are sums over the fine (Z^n) degrees inside the multidegree, one
 fine block per orbit of the variable permutations that fix I and J, or one
 fine block alone; for M = S each block is ranked modulo the closed star of one
 generator, a cone.
-GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading, whose
-Betti numbers are computed as Koszul homology against the variables; they
-vanish past the module's stability degree, where nothing is built.
+GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading by its
+fine pieces, whose Betti numbers are computed as Koszul homology against the
+variables; they vanish past the module's stability degree, where nothing is
+built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, le, sub
 
 from .exterior import KoszulChain, boundary
@@ -47,16 +48,11 @@ class InfeasibleError(RuntimeError):
 
 @dataclass
 class ComponentBasis:
-    """Ordered basis of a graded piece with coordinate vectors inside it.
-
-    The vectors are an RREF basis: vectors[b] is 1 on column free[b] and 0 on
-    every other free column, so the coordinates of a vector in their span are
-    its entries on the free columns.
-    """
+    """Ordered basis `keys` of a graded piece, and the RREF basis `vectors`
+    (`kernel_basis`) of a subspace in those coordinates."""
 
     keys: list
     vectors: list  # dicts {column index: scalar}
-    free: list
 
     @property
     def dim(self):
@@ -70,8 +66,8 @@ class KoszulComplex:
     Bases, key indices and cycle spaces are cached per (t, degree), ranks of
     phi_t per (t, fine degree), and the faces e_T per degree of either
     grading and generator left out, each face one int of T and its residual
-    (`_grown_faces`), decoded only for the coarse basis and the box keys
-    (`_faces`); the differentials themselves are assembled on demand.
+    (`_grown_faces`), decoded only for the coarse basis (`_faces`); the
+    differentials themselves are assembled on demand.
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
     component of K_t estimated larger, and `homology_dim` the fine blocks it
@@ -218,12 +214,8 @@ class KoszulComplex:
         keys = self.basis(t, alpha)
         if not keys:  # an empty K_t needs no K_{t-1}
             return []
-        return self.columns(keys, self.key_index(t - 1, alpha))
-
-    def columns(self, keys: list, index: dict) -> list:
-        """The columns of phi_t on the keys (T, w) of K_t, in the K_{t-1}
-        coordinates `index`, which must hold every boundary key."""
-        signs, J = (self.field.coerce(1), self.field.coerce(-1)), self.J
+        index, J = self.key_index(t - 1, alpha), self.J
+        signs = (self.field.coerce(1), self.field.coerce(-1))
         columns = []
         for T, w in keys:
             col = {}
@@ -240,8 +232,7 @@ class KoszulComplex:
         key = (t, alpha)
         if key not in self._kernel:
             vecs = kernel_basis(self.boundary_columns(t, alpha), self.field)
-            # kernel_basis puts each vector's free column after all its other columns
-            self._kernel[key] = ComponentBasis(self.basis(t, alpha), vecs, [max(v) for v in vecs])
+            self._kernel[key] = ComponentBasis(self.basis(t, alpha), vecs)
         return self._kernel[key]
 
     def boundary_image(self, t: int, alpha) -> list:
@@ -288,8 +279,7 @@ class KoszulComplex:
 
     def _phi_rank(self, t: int, beta, targets: list, sources: list) -> int:
         """Rank of phi_t in the fine degree beta, from the faces `sources` of K_t
-        to the faces `targets` of K_{t-1}, T bitmasks; boundary faces T ^ bit i,
-        signed by the parity of i's position in T, not in `targets` are dropped."""
+        to the faces `targets` of K_{t-1}, T bitmasks (`_boundary_column`)."""
         key = (t, beta)
         if key not in self._rank:
             ech = Echelon(self.field)
@@ -297,8 +287,7 @@ class KoszulComplex:
                 rows = {F: k for k, F in enumerate(targets)}
                 signs = (self.field.coerce(1), self.field.coerce(-1))
                 for T in sources:
-                    bits = enumerate(_lowbits(T))
-                    ech.add({rows[T ^ b]: signs[p & 1] for p, b in bits if T ^ b in rows})
+                    ech.add(_boundary_column(T, rows, signs))
             self._rank[key] = ech.rank
         return self._rank[key]
 
@@ -394,6 +383,13 @@ def _lowbits(T: int) -> tuple:
     return tuple(1 << k for k in range(T.bit_length()) if T >> k & 1)
 
 
+def _boundary_column(T: int, rows: dict, signs: tuple) -> dict:
+    """The column of the face T (bits) under phi in the rows `rows` of faces:
+    the boundary face T ^ bit i, signed (signs = (1, -1) in the field) by the
+    parity of i's position in T, or dropped when it is not in `rows`."""
+    return {rows[T ^ b]: signs[p & 1] for p, b in enumerate(_lowbits(T)) if T ^ b in rows}
+
+
 def _run_compositions(total: int, ties: tuple, cap: int) -> list:
     """The tuples w of sum `total` with w_0 <= cap and w_k <= w_{k-1} where
     ties[k], lex-descending."""
@@ -421,13 +417,14 @@ class GradedModule:
     on the box [0, a] of fine degrees, a = `box`.
 
     The module is positively a-determined (see `tor_dims`), so its Betti
-    numbers read only the fine pieces M_gamma with gamma <= a.  The piece in
-    degree q is the cycle space of phi_t on the keys (T, w) of K_t with
-    u_T w <= a, whose RREF basis gives the Z-coordinates of any cycle as its
-    entries on the free columns.  phi_t is block-diagonal by fine degree, so
-    each basis vector z lies in one fine degree gamma, read off its free key.
-    For H_t the boundaries B_q are echelon rows in those coordinates, and the
-    Z-basis vectors off their pivots represent a basis of H_q.
+    numbers read only the fine pieces M_gamma with gamma <= a.  phi_t is
+    block-diagonal by fine degree, and at gamma K_s is spanned by its faces
+    e_T (x) w, w = gamma - u_T, each named by its T bits (`_faces`).  The
+    piece at gamma is the RREF kernel Z_gamma of phi_t on them, whose free
+    columns give the Z-coordinates of any cycle; for H_t the boundaries
+    B_gamma are echelon rows in those coordinates, and the Z-basis vectors off
+    their pivots represent a basis of H_gamma.  x_k takes the face T at gamma
+    to the face T at gamma + e_k.
     """
 
     def __init__(self, kz: KoszulComplex, t: int, quotient: bool):
@@ -445,91 +442,72 @@ class GradedModule:
             + max((g[k] for g in jgens), default=0)
             for k in range(self.ring.n)
         )
+        self._signs = (kz.field.coerce(1), kz.field.coerce(-1))
+        self._face_bits = {}
         self._pieces = {}
-        self._open = {}
-        self._boundaries = {}
-        self._images = {}
+        self._guarded = set()
 
     @property
     def stable_degree(self) -> int:
         """|a|: Tor_i(M, K)_j = 0 for j > |a| (see `tor_dims`)."""
         return sum(self.box)
 
-    def _keys(self, s: int, q: int) -> list:
-        """The keys (T, w) of K_s in degree q with u_T w <= box and w outside
-        J, in lex order of T; InfeasibleError once they pass the ceiling."""
-        kz, J, size, keys = self.kz, self.kz.J, self.stable_degree, []
-        for T, cap in kz._faces(s, self.box):
-            # deg u_T = |box| - |cap|
-            words = _bounded_compositions(q - size + sum(cap), cap)
-            keys += [(T, w) for w in words if J is None or not J.contains(w)]
-            kz._check_ceiling(len(keys), lambda: f"K_{s} has at least {len(keys)} keys in "
-                              f"degree {q} inside the box {self.box},")
-        return keys
-
-    def piece(self, q: int) -> ComponentBasis:
-        """Z_q on the box keys of K_t, with its free columns."""
-        if q not in self._pieces:
-            keys = self._keys(self.t, q)
-            # a boundary keeps its fine degree, so every target is a box key
-            index = {k: c for c, k in enumerate(self._keys(self.t - 1, q))} if keys else {}
-            vecs = kernel_basis(self.kz.columns(keys, index), self.field)
-            free = [max(v) for v in vecs]
-            caps = dict(self.kz._faces(self.t, self.box))
-            # open(z): the k with gamma_k < a_k, i.e. w_k < (a - u_T)_k
-            self._open[q] = [
-                tuple(k for k, (e, c) in enumerate(zip(w, caps[T])) if e < c)
-                for T, w in (keys[f] for f in free)
+    def _faces(self, s: int, gamma: tuple) -> list:
+        """The T bits of the faces of K_s at the fine degree gamma <= box whose
+        residual gamma - u_T lies outside J, in lex order of T.  They are
+        grown once at the box: with D the packed box - gamma, a face F there
+        has u_T <= gamma when (F - D) & G == G, and F - D is its face at gamma."""
+        if (s, gamma) not in self._face_bits:
+            kz, (_, G, _, jgens, pack) = self.kz, self.kz._packing(self.box)
+            D, mask = pack(map(sub, self.box, gamma)), (1 << kz.ideal.r) - 1
+            self._face_bits[s, gamma] = [
+                R & mask
+                for F in kz._grown_faces(s, self.box)
+                if (R := F - D) & G == G and all((R - V) & G != G for V in jgens)
             ]
-            self._pieces[q] = ComponentBasis(keys, vecs, free)
-        return self._pieces[q]
+        return self._face_bits[s, gamma]
 
-    def boundaries(self, q: int) -> Echelon:
-        """B_q as echelon rows in Z_q-coordinates; empty for Z_t."""
-        if q not in self._boundaries:
-            ech = Echelon(self.field)
+    def _guard(self, q: int):
+        """Check the ceiling once per degree q, before any kernel there: the
+        faces over the gamma <= box with |gamma| = q of K_t, of K_{t-1} when
+        K_t has any, and of K_{t+1} for H_t, each level on its own."""
+        if q in self._guarded:
+            return
+        gammas = list(_bounded_compositions(q, self.box))
+
+        def check(s):
+            count = sum(len(self._faces(s, gamma)) for gamma in gammas)
+            self.kz._check_ceiling(count, lambda: f"K_{s} has {count} faces in degree {q} "
+                                   f"inside the box {self.box},")
+            return count
+
+        if check(self.t):
+            check(self.t - 1)
+        if self.quotient:
+            check(self.t + 1)
+        self._guarded.add(q)
+
+    def piece(self, gamma: tuple) -> tuple:
+        """(coordinates, representatives, boundaries) at the fine degree
+        gamma <= box: the Z-coordinate of each free face T of Z_gamma, the
+        Z-basis vectors {T: coefficient} representing a basis of M_gamma (all
+        of them for Z_t, those off the pivots of B_gamma for H_t), and the
+        echelon rows of B_gamma in Z-coordinates (none for Z_t)."""
+        if gamma not in self._pieces:
+            self._guard(sum(gamma))
+            t, signs, faces = self.t, self._signs, self._faces(self.t, gamma)
+            rows = {T: c for c, T in enumerate(self._faces(t - 1, gamma))}
+            vecs = kernel_basis([_boundary_column(T, rows, signs) for T in faces], self.field)
+            # kernel_basis puts each vector's free column after all its other columns
+            coords = {faces[max(v)]: b for b, v in enumerate(vecs)}
+            bounds = Echelon(self.field)
             if self.quotient:
-                piece = self.piece(q)
-                index = {k: c for c, k in enumerate(piece.keys)}
-                pos = {f: b for b, f in enumerate(piece.free)}
-                for col in self.kz.columns(self._keys(self.t + 1, q), index):
-                    ech.add({pos[c]: v for c, v in col.items() if c in pos})
-            self._boundaries[q] = ech
-        return self._boundaries[q]
-
-    def opens(self, q: int) -> list:
-        """open(z) for each Z-basis vector z of Z_q: the k with gamma_k < a_k
-        at the fine degree gamma of z."""
-        self.piece(q)
-        return self._open[q]
-
-    def representatives(self, q: int) -> list:
-        """(b, open(z_b)) for the Z-basis vectors z_b representing a basis of
-        M_q: all of them for Z_t, those off the pivots of B_q for H_t."""
-        pivots = self.boundaries(q).rows
-        return [(b, opened) for b, opened in enumerate(self.opens(q)) if b not in pivots]
-
-    def shifts(self, q: int) -> list:
-        """For each z representing a basis vector of M_q, (open(z), images),
-        where images[k] holds the Z_{q+1}-coordinates of x_k z for k in open(z)."""
-        if q not in self._images:
-            piece, nxt = self.piece(q), self.piece(q + 1)
-            # keys off the free columns, or dead in S/J, are not in pos
-            pos = {nxt.keys[f]: b for b, f in enumerate(nxt.free)}
-            out = []
-            for b, opened in self.representatives(q):
-                images = {}
-                for k in opened:
-                    image = {}
-                    for col, c in piece.vectors[b].items():
-                        T, w = piece.keys[col]
-                        b2 = pos.get((T, w[:k] + (w[k] + 1,) + w[k + 1 :]))
-                        if b2 is not None:
-                            image[b2] = c
-                    images[k] = image
-                out.append((opened, images))
-            self._images[q] = out
-        return self._images[q]
+                for T in self._faces(t + 1, gamma):
+                    bounds.add(_boundary_column(T, coords, signs))
+            reps = [{faces[c]: x for c, x in v.items()} for b, v in enumerate(vecs)
+                    if b not in bounds.rows]
+            self._pieces[gamma] = coords, reps, list(bounds.rows.values())
+        return self._pieces[gamma]
 
 
 def cycle_module(kz: KoszulComplex, t: int) -> GradedModule:
@@ -542,35 +520,49 @@ def homology_module(kz: KoszulComplex, t: int) -> GradedModule:
     return GradedModule(kz, t, quotient=True)
 
 
-def _var_rank(M: GradedModule, i: int, q: int) -> int:
-    """Rank of delta_i : Lambda^i (x) M_q -> Lambda^{i-1} (x) M_{q+1} on the
-    box: the chains e_A (x) z with A in open(z), i.e. gamma(z) + e_A <= a.
+def _tor_at(M: GradedModule, i: int, beta: tuple) -> int:
+    """dim H_i at beta <= box of the variables-Koszul complex on M, whose
+    i-chains are the e_A (x) M_{beta - e_A} over the i-subsets A of the
+    support of beta.
 
-    The column of e_A (x) z is sum over k in A of +-e_{A - k} (x) x_k z.  For
-    H_t every Lambda^{i-1} block inside the box is first seeded with the rows
-    of B_{q+1}, whose rank is then subtracted.
+    The column of e_A (x) z is the sum over k in A of +-e_{A - k} (x) x_k z.
+    For H_t the rank of delta_i is taken with the target blocks first seeded
+    with the rows of their B, whose rank is then subtracted.
     """
-    n, f = M.ring.n, M.field
-    if not 1 <= i <= n or q < 0:
+    f, support = M.field, [k for k, e in enumerate(beta) if e]
+
+    def piece(A):
+        return M.piece(tuple(e - (k in A) for k, e in enumerate(beta)))
+
+    chains = sum(len(piece(A)[1]) for A in combinations(support, i))
+    if not chains:
         return 0
-    shifts = M.shifts(q)
-    width = M.piece(q + 1).dim
-    offset = {A: a * width for a, A in enumerate(combinations(range(n), i - 1))}
-    ech = Echelon(f)
-    opens = M.opens(q + 1)
-    for p, row in M.boundaries(q + 1).rows.items():
-        for A in combinations(opens[p], i - 1):
-            ech.add({offset[A] + c: v for c, v in row.items()})
-    seeded = ech.rank
-    for opened, images in shifts:
-        for A in combinations(opened, i):
-            col = {}
-            for p, k in enumerate(A):
-                off, odd = offset[A[:p] + A[p + 1 :]], p % 2
-                for b, c in images[k].items():
-                    col[off + b] = f.coerce(-c) if odd else c
-            ech.add(col)
-    return ech.rank - seeded
+
+    def rank(i):
+        if not 1 <= i <= len(support):
+            return 0
+        ech, targets, width = Echelon(f), {}, 0
+        for A in combinations(support, i - 1):
+            coords, _, bounds = piece(A)
+            targets[A] = width, coords
+            for row in bounds:
+                ech.add({width + c: v for c, v in row.items()})
+            width += len(coords)
+        seeded = ech.rank
+        for A in combinations(support, i):
+            for z in piece(A)[1]:
+                col = {}
+                for p, k in enumerate(A):
+                    off, coords = targets[A[:p] + A[p + 1 :]]
+                    # x_k z in Z-coordinates: its entries on the free faces at beta - e_{A - k},
+                    # where a face dead in S/J has none
+                    for T, v in z.items():
+                        if T in coords:
+                            col[off + coords[T]] = f.coerce(-v) if p & 1 else v
+                ech.add(col)
+        return ech.rank - seeded
+
+    return chains - rank(i) - rank(i + 1)
 
 
 def tor_dims(M: GradedModule, i: int, j: int) -> int:
@@ -589,20 +581,12 @@ def tor_dims(M: GradedModule, i: int, j: int) -> int:
     exact and Tor_i(M, K)_beta = 0.  Hence Tor_i(M, K)_j is the sum over
     beta <= a with |beta| = j, which is 0 for j > |a| = M.stable_degree,
     before M is built.  The complex at such a beta is the sum of e_A (x)
-    M_{beta - e_A} over the i-subsets A of the variables, and it reads only
-    pieces M_gamma with gamma <= beta <= a: the box pieces, with the chain
-    e_A (x) z counted only when A lies in open(z).
+    M_{beta - e_A} over the i-subsets A of the variables (`_tor_at`), and it
+    reads only pieces M_gamma with gamma <= beta <= a: the box pieces.
     """
-    n = M.ring.n
-    if i < 0 or i > n:
+    if not 0 <= i <= M.ring.n or j < i or j > M.stable_degree:
         return 0
-    q = j - i
-    if q < 0 or j > M.stable_degree:
-        return 0
-    chains = sum(comb(len(opened), i) for _, opened in M.representatives(q))
-    if chains == 0:
-        return 0
-    return chains - _var_rank(M, i, q) - _var_rank(M, i + 1, q - 1)
+    return sum(_tor_at(M, i, beta) for beta in _bounded_compositions(j, M.box))
 
 
 def tor_violations(M: GradedModule, bound: int, i_max=None):

@@ -18,7 +18,8 @@ recovers T: the columns have disjoint supports, and none is empty.  So
 H_i = ker phi_i / im phi_{i+1} = 0.
 
 The Green-Lazarsfeld index reads only the entries j >= i + 2 of the windows;
-it stops at the first nonzero one, so no row past it is built.
+it stops at the first nonzero one, so no row past it is built.  The same
+witness loop (`_index`) reads it off a computed table (`BettiTable.index`).
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ class BettiTable:
         if i in self.windows and j >= self.windows[i][1]:
             return 0
         raise KeyError((i, j))
+
+    def index(self) -> IndexResult:
+        """The Green-Lazarsfeld index to row i_max, read off the entries."""
+        return _index(self.i_max, lambda i: self.windows[i][1], self.entry)
 
     def t_i(self, i):
         """Largest j with a nonzero entry in row i, or None."""
@@ -131,8 +136,16 @@ def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> Ind
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
+    return _index(i_max, lambda i: _window_cut(i, spec.min_c),
+                  lambda i, j: kz.homology_dim(i, tuple(j * a for a in spec.c)))
+
+
+def _index(i_max: int, cut, entry) -> IndexResult:
+    """The index from entry(i, j) = beta_{i,j} for i = 1..i_max and
+    i + 2 <= j < cut(i), row by row in increasing j: exact at the first
+    nonzero entry, the witness, after which nothing is read."""
     for i in range(1, i_max + 1):
-        for j in range(i + 2, _window_cut(i, spec.min_c)):
-            if kz.homology_dim(i, tuple(j * a for a in spec.c)):
+        for j in range(i + 2, cut(i)):
+            if entry(i, j):
                 return IndexResult(True, i - 1, (i, j))
     return IndexResult(False, i_max, None)

@@ -5,6 +5,7 @@ import pytest
 
 from koszul_lab.cli import _dumps
 from koszul_lab.fields import PrimeField, QQ
+from koszul_lab.homology import KoszulComplex
 from koszul_lab.harness import (
     MAINCYC_COMBOS,
     SUITES,
@@ -179,3 +180,18 @@ def test_suite_computes_in_reported_field(name, monkeypatch):
 def test_size_limits_every_suite():
     for name in SUITES:
         assert len(run_suite(name, size=1).cases) == 1
+
+
+def test_check_asks_each_entry_once(monkeypatch):
+    # the index is read off the printed table, so no (t, degree) is ranked twice
+    asked = []
+    homology_dim = KoszulComplex.homology_dim
+
+    def spy(self, t, degree):
+        asked.append((self.ring.blocks, t, degree))
+        return homology_dim(self, t, degree)
+
+    monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
+    report = run_suite("check", seed=1)
+    assert asked and len(asked) == len(set(asked))
+    assert [c.verdict for c in report.cases] == ["pass", "pass"]

@@ -22,7 +22,7 @@ from koszul_lab.homology import (
     tor_dims,
     tor_violations,
 )
-from koszul_lab.linalg import Echelon
+from koszul_lab.linalg import Echelon, kernel_basis
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
@@ -558,6 +558,41 @@ def test_tor_violations_scans_up_to_the_stability_degree():
     assert tor_violations(M, 4) == [] and tor_violations(M, 6) == []
 
 
+def test_tor_on_a_box_wider_than_one_byte():
+    # S/(x^130, y): a = (130, 1), past one byte below the guard bit, so each
+    # packed field of the box faces takes two bytes
+    ring = RingConfig((2,))
+    M = homology_module(KoszulComplex(MonomialIdeal(ring, [(130, 0), (0, 1)])), 0)
+    assert M.box == (130, 1) and M.kz._packing(M.box)[0] == 2
+    assert tor_violations(M, 0) == [(1, 130, 1), (2, 131, 1)]
+
+
+@settings(max_examples=150)
+@given(
+    n=st.sampled_from([1, 2, 3]),
+    data=st.data(),
+    quotient=st.booleans(),
+    over_sj=st.booleans(),
+)
+def test_module_faces_match_the_brute_force_subsets(n, data, quotient, over_sj):
+    # the faces of K_s at gamma <= box, filtered from the faces grown at the
+    # box, against every s-subset T with u_T <= gamma and gamma - u_T outside J
+    ring = RingConfig((n,))
+    exps = st.one_of(st.integers(0, 3), st.sampled_from(EDGES))
+    gens = st.lists(st.tuples(*[exps] * n).filter(any), min_size=1, max_size=4)
+    I = MonomialIdeal(ring, data.draw(gens))
+    J = MonomialIdeal(ring, data.draw(gens)) if over_sj else None
+    kz = KoszulComplex(I, QQ, J)
+    t = data.draw(st.integers(0, min(I.r, 2)))
+    M = GradedModule(kz, t, quotient)
+    # per coordinate, an end, the middle or an edge of [0, a_k]
+    ends = [sorted({0, a // 2, max(a - 1, 0), a} | {e for e in EDGES if e <= a}) for a in M.box]
+    gamma = tuple(data.draw(st.sampled_from(values)) for values in ends)
+    for s in range(t - 1, t + 3):
+        want = [T for T, w in _reference_faces(kz, s, gamma) if J is None or not J.contains(w)]
+        assert list(map(_mask_tuple, M._faces(s, gamma))) == want
+
+
 def test_quotient_coefficients_tor():
     # H_0(I; S/J) = S/(I + J) and Z_0(I; S/J) = S/J = H_0(J; S): the same
     # modules built once through the coefficients and once through generators
@@ -580,7 +615,8 @@ def test_quotient_coefficients_tor():
 
 
 def test_cycle_basis_free_columns():
-    # GradedModule reads Z-coordinates off the free columns of the basis
+    # GradedModule reads Z-coordinates off the free columns of kernel_basis,
+    # each vector's free column being its largest
     rng = random.Random(33)
     for field in (QQ, PrimeField(5)):
         for _ in range(15):
@@ -588,18 +624,19 @@ def test_cycle_basis_free_columns():
             I = random_monomial_ideal(rng, RingConfig((n,)), 3, 4)
             kz = KoszulComplex(I, field)
             t = rng.randint(0, min(3, I.r))
-            cb = kz.cycle_space(t, (rng.randint(t, 3 * t + 3),))
-            assert len(cb.free) == cb.dim == len(set(cb.free))
-            for b, v in enumerate(cb.vectors):
-                assert v[cb.free[b]] == 1
-                assert all(f not in v for a, f in enumerate(cb.free) if a != b)
+            vecs = kernel_basis(kz.boundary_columns(t, (rng.randint(t, 3 * t + 3),)), field)
+            free = [max(v) for v in vecs]
+            assert len(set(free)) == len(vecs)
+            for b, v in enumerate(vecs):
+                assert v[free[b]] == 1
+                assert all(f not in v for a, f in enumerate(free) if a != b)
             # a combination of the basis has its coefficients on the free columns
-            coeffs = [field.coerce(rng.randint(-3, 3)) for _ in cb.vectors]
+            coeffs = [field.coerce(rng.randint(-3, 3)) for _ in vecs]
             z = {}
-            for c, v in zip(coeffs, cb.vectors):
+            for c, v in zip(coeffs, vecs):
                 for col, x in v.items():
                     z[col] = field.coerce(z.get(col, 0) + c * x)
-            assert [z.get(f, 0) for f in cb.free] == coeffs
+            assert [z.get(f, 0) for f in free] == coeffs
 
 
 def test_integer_complex_stays_in_ints(monkeypatch):
@@ -722,7 +759,7 @@ def _coarse_tor(kz, t, quotient, i, j):
     def piece(q):
         Z, B = kz.cycle_space(t, q), Echelon(f)
         if quotient:
-            pos = {c: b for b, c in enumerate(Z.free)}
+            pos = {max(v): b for b, v in enumerate(Z.vectors)}
             for col in kz.boundary_image(t, q):
                 B.add({pos[c]: v for c, v in col.items() if c in pos})
         return Z, B
@@ -731,7 +768,7 @@ def _coarse_tor(kz, t, quotient, i, j):
         if not 1 <= i <= n or q < 0:
             return 0
         (Z, B), (nxt, nB) = piece(q), piece(q + 1)
-        pos = {nxt.keys[c]: b for b, c in enumerate(nxt.free)}
+        pos = {nxt.keys[max(v)]: b for b, v in enumerate(nxt.vectors)}
         offset = {A: a * nxt.dim for a, A in enumerate(combinations(range(n), i - 1))}
         ech = Echelon(f)
         for off in offset.values():
@@ -762,7 +799,7 @@ def _coarse_tor(kz, t, quotient, i, j):
 
 @settings(max_examples=40)
 @given(
-    n=st.sampled_from([2, 3]),
+    n=st.sampled_from([2, 3, 4]),
     data=st.data(),
     quotient=st.booleans(),
     over_sj=st.booleans(),
@@ -789,7 +826,8 @@ def _fine_degree(I, key):
 
 def test_tor_suites_build_only_box_pieces(monkeypatch):
     # regb (Z_t and H_t over S) and sato (Z_t over S/J) cases: the Tor scan
-    # builds no coarse basis or cycle space, only pieces inside the box
+    # builds no coarse basis or cycle space, only fine pieces inside the box,
+    # each of them on faces e_T with u_T <= gamma
     def refuse(*args):
         raise AssertionError("coarse piece built")
 
@@ -801,28 +839,35 @@ def test_tor_suites_build_only_box_pieces(monkeypatch):
             _, checks = build(random.Random(seed), QQ)
             for _, M, bound, i_max in checks:
                 tor_violations(M, bound, i_max)
-                for piece in M._pieces.values():
-                    built += len(piece.keys)
-                    for key in piece.keys:
-                        assert all(map(le, _fine_degree(M.kz.ideal, key), M.box))
+                for gamma, (coords, reps, _) in M._pieces.items():
+                    assert all(map(le, gamma, M.box))
+                    built += len(coords)
+                    for T in coords.keys() | {T for z in reps for T in z}:
+                        u_T = _fine_degree(M.kz.ideal, (_mask_tuple(T), (0,) * M.ring.n))
+                        assert all(map(le, u_T, gamma))
     assert built > 0
 
 
 def test_box_piece_checks_the_ceiling_before_any_kernel():
     ring = RingConfig((2,))
     I = MonomialIdeal(ring, [(2, 0), (1, 1), (0, 3)])
-    keys = len(GradedModule(KoszulComplex(I), 1, False)._keys(1, 4))
-    # the box holds fewer keys than the whole component
-    assert keys < len(KoszulComplex(I).basis(1, 4))
+    box = GradedModule(KoszulComplex(I), 1, False).box
+    # the keys of K_1 in degree 4 whose fine degree lies in the box: the faces
+    # the ceiling counts there, fewer than the whole component
+    coarse = KoszulComplex(I).basis(1, 4)
+    keys = sum(all(map(le, _fine_degree(I, key), box)) for key in coarse)
+    assert keys < len(coarse)
+    gamma = (2, 2)  # a fine degree of degree 4 in the box, where Z_1 is nonzero
     kernels = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homology, "kernel_basis", lambda cols, field: kernels.append(cols))
         M = GradedModule(KoszulComplex(I, ceiling=keys - 1), 1, False)
-        with pytest.raises(InfeasibleError):
-            M.piece(4)
+        with pytest.raises(InfeasibleError) as exc:
+            M.piece(gamma)
+    assert exc.value.estimate == keys
     assert kernels == [] and M._pieces == {}
     # at the box's own count the piece is built, though K_1 is larger
-    assert GradedModule(KoszulComplex(I, ceiling=keys), 1, False).piece(4).keys
+    assert GradedModule(KoszulComplex(I, ceiling=keys), 1, False).piece(gamma)[1]
 
 
 def _reference_span(kz, chains, alpha, stop=None):

@@ -145,6 +145,12 @@ def test_index_agrees_with_the_whole_table(spec, target, witness):
 
 
 @pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
+def test_table_index_is_the_index(spec, target, witness):
+    # the index read off the table is the one computed entry by entry
+    assert veronese_betti(spec, target).index() == green_lazarsfeld_index(spec, target)
+
+
+@pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
 def test_index_ranks_only_the_deciding_entries(spec, target, witness, monkeypatch):
     # the entries j >= i + 2 of each row's window, in order, up to the
     # witness: none of the linear strand, none past a window, none after it
