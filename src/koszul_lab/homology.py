@@ -71,7 +71,8 @@ class KoszulComplex:
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
     component of K_t estimated larger, and `homology_dim` the fine blocks it
-    would rank, before any of them is built.
+    would rank, before any of them is built; `_grown_faces` refuses a level
+    of faces that passes it while the level is grown.
     """
 
     def __init__(
@@ -140,6 +141,9 @@ class KoszulComplex:
         generator at a time, each level cached per (degree, skip): with U_i
         the packed u_i, a face F grows by i to R | bit i, R = F - U_i, when
         R & G == G (no field borrowed from its guard bit, i.e. u_i <= w).
+        A level is grown from slices of the one before, and InfeasibleError
+        is raised once it has more than `ceiling` faces; a refused level is
+        not cached.
         """
         if not 0 <= t <= self.ideal.r or min(degree) < 0:
             return []
@@ -153,13 +157,20 @@ class KoszulComplex:
             steps = [(gens[i - 1], 1 << i - 1) for i in fits]
             # the steps after each last index of T, the bit length of F's T bits
             after = [steps[bisect(fits, last) :] for last in range(self.ideal.r + 1)]
+            # a slice of the previous level grows at most ceiling + r faces
+            width = self.ceiling // max(len(steps), 1) + 1
             while len(levels) <= t:
-                levels.append([
-                    R | bit
-                    for F in levels[-1]
-                    for U, bit in after[(F & tmask).bit_length()]
-                    if (R := F - U) & G == G
-                ])
+                prev, level = levels[-1], []
+                for k in range(0, len(prev), width):
+                    level += [
+                        R | bit
+                        for F in prev[k : k + width]
+                        for U, bit in after[(F & tmask).bit_length()]
+                        if (R := F - U) & G == G
+                    ]
+                    self._check_ceiling(len(level), lambda: f"K_{len(levels)} has at least "
+                                        f"{len(level)} faces at degree {degree},")
+                levels.append(level)
         return levels[t]
 
     def _faces(self, t: int, degree) -> list:

@@ -17,6 +17,17 @@ That map is injective over every field, because the key (T - t, u_t)
 recovers T: the columns have disjoint supports, and none is empty.  So
 H_i = ker phi_i / im phi_{i+1} = 0.
 
+The linear strand beta_{i,i+1} is not ranked either: it is read off the
+Euler characteristic of its column.  In degree jc, K(m^c, S) is a finite
+complex with dim K_s = C(N, s) dim S_{(j-s)c}, N = r = dim S_c, so
+sum_s (-1)^s beta_{s,j} = chi_j = sum_s (-1)^s C(N, s) dim S_{(j-s)c}, over
+every field.  In column j = i + 1 every other entry is known: beta_{0,j} = 0;
+beta_{s,j} for 1 <= s < i has j >= s + 2, so it was ranked in row s or lies
+past that row's cut, where it is zero; beta_{j,j} = 0 by the argument above;
+and K_s = 0 for s > j, since deg u_T = sc exceeds jc.  Hence
+beta_{i,i+1} = (-1)^i (chi_{i+1} - sum_{1 <= s < i} (-1)^s beta_{s,i+1}), and
+a table ranks only the entries j >= i + 2.
+
 The Green-Lazarsfeld index reads only the entries j >= i + 2 of the windows;
 it stops at the first nonzero one, so no row past it is built.  The same
 witness loop (`_index`) reads it off a computed table (`BettiTable.index`).
@@ -25,11 +36,11 @@ witness loop (`_index`) reads it off a computed table (`BettiTable.index`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, comb
 
 from .fields import QQ
 from .homology import KoszulComplex
-from .rings import RingConfig, power_ideal
+from .rings import RingConfig, component_dim, power_ideal
 
 
 @dataclass(frozen=True)
@@ -92,9 +103,19 @@ def _window_cut(i: int, min_c: int) -> int:
     return i + 1 + ceil(i / min_c)
 
 
+def _euler(spec: SegreVeroneseSpec, j: int) -> int:
+    """chi_j = sum_s (-1)^s dim K_s(m^c, S)_{jc} (module docstring)."""
+    N = component_dim(spec.ring, spec.c)
+    return sum(
+        (-1) ** s * comb(N, s) * component_dim(spec.ring, tuple((j - s) * a for a in spec.c))
+        for s in range(min(j, N) + 1)
+    )
+
+
 def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
-    """Graded Betti numbers of the Segre-Veronese ring up to row i_max;
-    beta_{i,i} = 0 for i >= 1 is recorded without a rank (module docstring)."""
+    """Graded Betti numbers of the Segre-Veronese ring up to row i_max; only
+    the entries j >= i + 2 are ranked, beta_{i,i} = 0 and beta_{i,i+1} are
+    recorded without a rank (module docstring)."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
@@ -103,7 +124,10 @@ def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
         cut = _window_cut(i, spec.min_c)
         windows[i] = (i, cut)
         entries[(i, i)] = 0
-        for j in range(i + 1, cut):
+        # column i + 1 above row i: ranked in the earlier rows, or zero past their cuts
+        earlier = sum((-1) ** s * entries.get((s, i + 1), 0) for s in range(1, i))
+        entries[(i, i + 1)] = (-1) ** i * (_euler(spec, i + 1) - earlier)
+        for j in range(i + 2, cut):
             entries[(i, j)] = kz.homology_dim(i, tuple(j * a for a in spec.c))
     return BettiTable(entries, i_max, windows)
 

@@ -453,6 +453,25 @@ def test_homology_dim_at_a_fine_degree_guards():
     assert kz.homology_dim(2, (6,)) == 8
 
 
+def test_face_growth_stops_at_the_ceiling():
+    # m^2 in four variables, r = 10: every t-subset of the generators fits the
+    # degree 8, so level t has C(10, t) faces; with the ceiling at 100, level 3
+    # (120 faces) is refused while it is grown, and only levels 0..2 are kept
+    ring = RingConfig((4,))
+    kz = KoszulComplex(power_ideal(ring, 2), ceiling=100)
+    assert len(kz._grown_faces(2, (8,))) == 45
+    with pytest.raises(InfeasibleError) as exc:
+        kz._grown_faces(4, (8,))
+    # refused after a slice of level 2, before the whole level is grown
+    assert 100 < exc.value.estimate < 120
+    assert str(exc.value) == (
+        f"K_3 has at least {exc.value.estimate} faces at degree (8,), over the ceiling 100"
+    )
+    assert len(kz._levels[(8,), None]) == 3
+    kz.ceiling = 1000
+    assert kz._grown_faces(4, (8,)) == KoszulComplex(power_ideal(ring, 2))._grown_faces(4, (8,))
+
+
 @settings(max_examples=40)
 @given(
     blocks=st.sampled_from([(2,), (3,), (2, 1), (1, 2), (2, 2)]),

@@ -93,6 +93,10 @@ def test_betti_rows_match_the_hilbert_series(blocks, c):
     for j in range(5):
         euler = sum((-1) ** i * table.entry(i, j) for i in range(j + 1))
         assert euler == hilbert_alternating_sum(spec, j), j
+    # the table derives its linear strand from this sum, so check it against ranks
+    kz = KoszulComplex(power_ideal(spec.ring, spec.c))
+    for i in range(1, 5):
+        assert table.entry(i, i + 1) == kz.homology_dim(i, tuple((i + 1) * a for a in spec.c))
 
 
 def test_window_semantics():
@@ -171,6 +175,40 @@ def test_index_ranks_only_the_deciding_entries(spec, target, witness, monkeypatc
     assert asked == want
 
 
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(32003)], ids=["QQ", "GF2", "GF32003"]
+)
+def test_linear_strand_matches_the_ranked_entry(field):
+    # veronese_betti derives beta_{i,i+1} from the Euler characteristic of its
+    # column (module docstring); the engine's rank agrees over every field
+    for blocks, c in [((2,), (3,)), ((3,), (2,)), ((3,), (3,)), ((4,), (2,)), ((3,), (4,)),
+                      ((2, 2), (1, 1)), ((2, 2), (1, 2)), ((2, 3), (1, 1)), ((2, 2, 2), (1, 1, 1))]:
+        spec = SegreVeroneseSpec(blocks, c)
+        table = veronese_betti(spec, 5, field)
+        kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
+        for i in range(1, 6):
+            ranked = kz.homology_dim(i, tuple((i + 1) * a for a in spec.c))
+            assert table.entry(i, i + 1) == ranked, (blocks, c, i)
+
+
+@pytest.mark.parametrize("spec,target", [case[:2] for case in INDEX_CASES])
+def test_betti_ranks_only_the_entries_past_the_linear_strand(spec, target, monkeypatch):
+    # the entries j >= i + 2 of each row's window, in order: beta_{i,i} and
+    # beta_{i,i+1} are recorded without a rank
+    asked = []
+    homology_dim = KoszulComplex.homology_dim
+
+    def spy(self, t, alpha):
+        asked.append((t, alpha[0] // spec.c[0]))
+        return homology_dim(self, t, alpha)
+
+    monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
+    veronese_betti(spec, target)
+    assert asked == [
+        (i, j) for i in range(1, target + 1) for j in range(i + 2, i + 1 + ceil(i / spec.min_c))
+    ]
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
 def test_first_entry_of_each_row_is_zero(field):
     # veronese_betti records beta_{i,i} = 0 without a rank (module docstring);
@@ -198,7 +236,7 @@ def test_sextic_veronese_quadrics_fit_the_ceiling():
 
 
 def test_infeasible_ceiling():
-    spec = SegreVeroneseSpec((6,), (6,))
+    spec = SegreVeroneseSpec((6,), (3,))
     with pytest.raises(InfeasibleError) as exc:
-        veronese_betti(spec, 2)
+        veronese_betti(spec, 4)
     assert exc.value.estimate > DEFAULT_COMPONENT_CEILING
