@@ -30,7 +30,6 @@ from .exterior import (
     wedge,
 )
 from .homology import (
-    ComponentBasis,
     GradedModule,
     InfeasibleError,
     KoszulComplex,
@@ -41,9 +40,8 @@ from .homology import (
     tor_violations,
 )
 from .cycles import (
-    CycleFamily,
-    Multi2Checker,
     gen2_families,
+    multi2_failures,
     symmetrized_cycle,
     z1_generator,
     z1_generator_family,
@@ -89,7 +87,6 @@ __all__ = [
     "sign",
     "sort_bracket",
     "wedge",
-    "ComponentBasis",
     "GradedModule",
     "InfeasibleError",
     "KoszulComplex",
@@ -98,9 +95,8 @@ __all__ = [
     "homology_module",
     "tor_dims",
     "tor_violations",
-    "CycleFamily",
-    "Multi2Checker",
     "gen2_families",
+    "multi2_failures",
     "symmetrized_cycle",
     "z1_generator",
     "z1_generator_family",

@@ -130,18 +130,18 @@ def cmd_homology(args):
     kz = KoszulComplex(ideal, field)
     t = args.t
     dim_k = len(kz.basis(t, alpha))
-    cyc = kz.cycle_space(t, alpha)
+    dim_z = len(kz.cycle_space(t, alpha))
     nbound = len(kz.boundary_image(t, alpha))
     out = {
         "ideal": {"blocks": list(ideal.ring.blocks), "generators": [list(g) for g in ideal.gens]},
         "t": t,
         "degree": list(alpha),
         "dim_K": dim_k,
-        "dim_Z": len(cyc.vectors),
+        "dim_Z": dim_z,
         "dim_H": kz.homology_dim(t, alpha),
     }
     table = [
-        f"K_{t} at degree {alpha}: dim K = {dim_k}, dim Z = {len(cyc.vectors)}, "
+        f"K_{t} at degree {alpha}: dim K = {dim_k}, dim Z = {dim_z}, "
         f"boundary spanning vectors = {nbound}, dim H = {out['dim_H']}"
     ]
     _emit(out, args.format, table)
@@ -153,8 +153,7 @@ def cmd_cycles(args):
     field = parse_field(args.field) if args.field else parse_field("rat")
     alpha = _parse_vec(args.degree)
     kz = KoszulComplex(ideal, field)
-    cyc = kz.cycle_space(args.t, alpha)
-    chains = [kz.vector_chain(args.t, alpha, v).render() for v in cyc.vectors]
+    chains = [c.render() for c in kz.cycle_chains(args.t, alpha)]
     out = {"t": args.t, "degree": list(alpha), "dim": len(chains), "cycles": chains}
     _emit(out, args.format, [f"dim Z = {len(chains)}"] + [f"  {c}" for c in chains])
     return EXIT_PASS

@@ -3,20 +3,19 @@
 Covers the two-term generators z_b(x_j, x_k) of the first cycles, the
 alternating symmetrized cycles, powers of the one-cycle module, and the
 factorial membership check placing scaled products inside
-m_i^{c_i} Z_{c_i} + B_{c_i}.
+m_i^{c_i} Z_{c_i} + B_{c_i} (`multi2_failures`).  Every family is a plain
+list of `KoszulChain`s.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial
 
 from .exterior import KoszulChain, boundary, sort_bracket, wedge
 from .fields import QQ
 from .homology import KoszulComplex, degrees_upto
-from .linalg import Echelon
 from .rings import (
     MonomialIdeal,
     RingConfig,
@@ -24,15 +23,6 @@ from .rings import (
     mon_mul,
     power_ideal,
 )
-
-FAMILY_ENUMERATION_WARN = 10**5
-
-
-@dataclass
-class CycleFamily:
-    label: str  # z1_generator | gen2_type1 | gen2_type2
-    params: tuple
-    chain: KoszulChain
 
 
 def _power_degree(ideal: MonomialIdeal) -> tuple:
@@ -77,9 +67,7 @@ def z1_generator_family(ideal: MonomialIdeal) -> list:
             continue
         for b in component_basis(ring, tuple(bdeg)):
             for j, k in combinations(range(lo, hi), 2):
-                out.append(
-                    CycleFamily("z1_generator", (b, j, k), z1_generator(ideal, b, j, k))
-                )
+                out.append(z1_generator(ideal, b, j, k))
     return out
 
 
@@ -117,15 +105,13 @@ def symmetrized_cycle(ideal: MonomialIdeal, a_list, b_list) -> KoszulChain:
 
 def z1_products(kz: KoszulComplex, t: int) -> list:
     """The nonzero t-fold wedges of the z_b generators, as (multidegree, chain)
-    pairs; kz.span_multiples of them in degree alpha spans (Z_1^t)_alpha."""
+    pairs; kz.span_multiples of them in degree alpha spans (Z_1^t)_alpha.
+    InfeasibleError is raised when the C(#gens, t) products pass kz's ceiling."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    gens = [fam.chain for fam in z1_generator_family(kz.ideal)]
+    gens = z1_generator_family(kz.ideal)
     count = comb(len(gens), t)
-    if count > FAMILY_ENUMERATION_WARN:
-        warnings.warn(
-            f"z1 power enumeration has {count} candidate products", stacklevel=2
-        )
+    kz._check_ceiling(count, lambda: f"Z_1^{t} has {count} candidate products,")
     prods = []
     for combo in combinations(gens, t):
         prod = combo[0]
@@ -138,78 +124,47 @@ def z1_products(kz: KoszulComplex, t: int) -> list:
     return prods
 
 
-class Multi2Checker:
-    """Membership oracle for (c_i+1)! m^b U_i^{c_i} in m_i^{c_i} Z_{c_i} + B_{c_i}.
-
-    The span on the right is degree-fixed across trials, so it is echelonized
-    once and every trial reduces against it.
-    """
-
-    def __init__(self, ring: RingConfig, c, block: int, field=QQ):
-        self.ring = ring
-        self.c = ring.as_mdeg(c)
-        self.block = block
-        self.u = self.c[block]
-        if self.u < 1:
-            raise ValueError("c_i must be positive for the membership lemma")
-        self.ideal = power_ideal(ring, self.c)
-        self.kz = KoszulComplex(self.ideal, field)
-        self.alpha = self._target_degree()
-        self._span = None
-
-    def _target_degree(self) -> tuple:
-        # deg = u*(c + e_i) + (c - e_i) = (u+1)c + (u-1)e_i
-        alpha = [a * (self.u + 1) for a in self.c]
-        alpha[self.block] += self.u - 1
-        return tuple(alpha)
-
-    def _build_span(self) -> Echelon:
-        """m_i^{c_i} Z_{c_i} + B_{c_i} in degree alpha, echelonized."""
-        u, kz = self.u, self.kz
-        cycles = [
-            (delta, z)
-            for delta in degrees_upto(self.ring, self.alpha)
-            if self.alpha[self.block] - delta[self.block] >= u
-            for z in kz.cycle_chains(u, delta)
-        ]
-        ech = kz.span_multiples(cycles, self.alpha)
-        for col in kz.boundary_image(u, self.alpha):
-            ech.add(col)
-        return ech
-
-    def trial_chain(self, a_monomials, y_pairs, a_extra) -> KoszulChain:
-        if len(a_monomials) != self.u or len(y_pairs) != self.u:
-            raise ValueError(f"need {self.u} one-cycle factors")
-        prod = None
-        for a, (y0, y1) in zip(a_monomials, y_pairs):
-            z = z1_generator(self.ideal, a, y0, y1)
-            prod = z if prod is None else wedge(prod, z)
-        chain = prod.scale_monomial(tuple(a_extra)).scale(factorial(self.u + 1))
-        if chain.multidegree() not in (None, self.alpha):
-            raise ValueError("trial has the wrong internal degree")
-        return chain
-
-    def check(self, a_monomials, y_pairs, a_extra) -> bool:
-        """Whether one trial lies in the span."""
-        if self._span is None:
-            self._span = self._build_span()
-        chain = self.trial_chain(a_monomials, y_pairs, a_extra)
-        return chain.is_zero() or self._span.contains(self.kz.chain_vector(chain, self.alpha))
-
-    def enumerate_trials(self):
-        """All trials: u block-local one-cycles plus one extra b-degree monomial."""
-        ring = self.ring
-        bdeg = list(self.c)
-        bdeg[self.block] -= 1
-        b_monomials = component_basis(ring, tuple(bdeg))
-        lo, hi = ring.block_slices()[self.block]
-        pairs = list(combinations(range(lo, hi), 2))
-        factor_choices = [(a, yp) for a in b_monomials for yp in pairs]
-        for factors in combinations_with_replacement(factor_choices, self.u):
-            a_monomials = [f[0] for f in factors]
-            y_pairs = [f[1] for f in factors]
-            for a_extra in b_monomials:
-                yield a_monomials, y_pairs, a_extra
+def multi2_failures(ring: RingConfig, c, block: int, field=QQ):
+    """Check (c_i+1)! m^b U_i^{c_i} in m_i^{c_i} Z_{c_i} + B_{c_i}, c_i = u, on
+    every trial: u block-local one-cycles z_b(x_j, x_k), b of degree c - e_i,
+    wedged and times one more such monomial.  Returns (trials, failures), each
+    failure as its factor monomials, variable pairs and extra monomial."""
+    c = ring.as_mdeg(c)
+    u = c[block]
+    if u < 1:
+        raise ValueError("c_i must be positive for the membership lemma")
+    ideal = power_ideal(ring, c)
+    kz = KoszulComplex(ideal, field)
+    # deg = u*(c + e_i) + (c - e_i) = (u+1)c + (u-1)e_i
+    alpha = tuple(a * (u + 1) + (u - 1) * (k == block) for k, a in enumerate(c))
+    cycles = [
+        (delta, z)
+        for delta in degrees_upto(ring, alpha)
+        if alpha[block] - delta[block] >= u
+        for z in kz.cycle_chains(u, delta)
+    ]
+    span = kz.span_multiples(cycles, alpha)
+    for col in kz.boundary_image(u, alpha):
+        span.add(col)
+    b_monomials = component_basis(ring, tuple(a - (k == block) for k, a in enumerate(c)))
+    lo, hi = ring.block_slices()[block]
+    choices = [(a, yp) for a in b_monomials for yp in combinations(range(lo, hi), 2)]
+    trials, failures = 0, []
+    for factors in combinations_with_replacement(choices, u):
+        prod = reduce(wedge, (z1_generator(ideal, a, *yp) for a, yp in factors))
+        prod = prod.scale(factorial(u + 1))
+        for extra in b_monomials:
+            trials += 1
+            chain = prod.scale_monomial(extra)
+            if not chain.is_zero() and not span.contains(kz.chain_vector(chain, alpha)):
+                failures.append(
+                    {
+                        "a": [list(a) for a, _ in factors],
+                        "pairs": [list(yp) for _, yp in factors],
+                        "extra": list(extra),
+                    }
+                )
+    return trials, failures
 
 
 def _normalized_terms(chain: KoszulChain):
@@ -221,36 +176,28 @@ def _normalized_terms(chain: KoszulChain):
 
 
 def gen2_families(n: int, c: int) -> list:
-    """Candidate generators of Z_2(m^c, S): symmetrized cycles of degree 2c+1
-    and pairwise products of one-cycle generators of degree 2c+2.  They are
-    integer chains; the statement they test needs char != 2."""
+    """Candidate generators of Z_2(m^c, S), up to scalars: symmetrized cycles
+    of degree 2c+1 and pairwise products of one-cycle generators of degree
+    2c+2.  They are integer chains; the statement they test needs char != 2."""
     ring = RingConfig((n,))
     ideal = power_ideal(ring, c)
-    families = []
-    seen = set()
     variables = [ring.var(k) for k in range(n)]
     b_monomials = component_basis(ring, c - 1)
-    for a_triple in combinations(variables, 3):
-        for b_pair in combinations_with_replacement(b_monomials, 2):
-            chain = symmetrized_cycle(ideal, list(a_triple), list(b_pair))
-            if chain.is_zero():
-                continue
-            canon = _normalized_terms(chain)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            families.append(CycleFamily("gen2_type1", (a_triple, b_pair), chain))
-    z1 = z1_generator_family(ideal)
-    for f1, f2 in combinations(z1, 2):
-        chain = wedge(f1.chain, f2.chain)
+    candidates = [
+        symmetrized_cycle(ideal, list(a_triple), list(b_pair))
+        for a_triple in combinations(variables, 3)
+        for b_pair in combinations_with_replacement(b_monomials, 2)
+    ]
+    candidates += [wedge(f, g) for f, g in combinations(z1_generator_family(ideal), 2)]
+    families, seen = [], set()
+    for chain in candidates:
         if chain.is_zero():
             continue
         canon = _normalized_terms(chain)
         if canon in seen:
             continue
         seen.add(canon)
-        families.append(CycleFamily("gen2_type2", (f1.params, f2.params), chain))
-    for fam in families:
-        if not boundary(fam.chain).is_zero():
-            raise AssertionError(f"family member {fam.label}{fam.params} is not a cycle")
+        if not boundary(chain).is_zero():
+            raise AssertionError(f"family member {chain.render()} is not a cycle")
+        families.append(chain)
     return families

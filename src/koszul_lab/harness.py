@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from typing import Callable
 
-from .cycles import Multi2Checker, gen2_families, z1_products
+from .cycles import gen2_families, multi2_failures, z1_products
 from .exterior import (
     KoszulChain,
     alpha_map,
@@ -291,9 +291,8 @@ def _maps(rng, field):
             if alpha_map(gamma_map(f, gsize), I, t) != f.scale(math.comb(t, gsize)):
                 failed["binomial_recombination"] = "failed"
         cyc = kz.cycle_space(t, alpha)
-        if cyc.vectors:
-            vec = cyc.vectors[rng.randrange(len(cyc.vectors))]
-            z = kz.vector_chain(t, alpha, vec)
+        if cyc:
+            z = kz.vector_chain(t, alpha, cyc[rng.randrange(len(cyc))])
             gsize = rng.randint(1, t)
             gm = gamma_map(z, gsize)
             if any(not boundary(b).is_zero() for b in gm.values()):
@@ -513,27 +512,14 @@ MULTI2_CONFIGS = [
 
 def _multi2(rng, field):
     for cfg in MULTI2_CONFIGS:
-        checker = Multi2Checker(RingConfig(cfg["blocks"]), cfg["c"], cfg["block"], field)
-        failures = []
-        count = 0
-        for a_mons, y_pairs, a_extra in checker.enumerate_trials():
-            ok = checker.check(a_mons, y_pairs, a_extra)
-            count += 1
-            if not ok:
-                failures.append(
-                    {
-                        "a": [list(a) for a in a_mons],
-                        "pairs": [list(p) for p in y_pairs],
-                        "extra": list(a_extra),
-                    }
-                )
+        trials, failures = multi2_failures(RingConfig(cfg["blocks"]), cfg["c"], cfg["block"], field)
         params = {
             "blocks": list(cfg["blocks"]),
             "c": list(cfg["c"]),
             "block": cfg["block"],
-            "factor": checker.u + 1,
+            "factor": cfg["c"][cfg["block"]] + 1,
         }
-        window = {"exhaustive_trials": count, "certified": True}
+        window = {"exhaustive_trials": trials, "certified": True}
         yield params, _verdict(not failures), window, {"failures": failures}
 
 
@@ -554,7 +540,7 @@ def _maincyc(rng, field):
         mismatches = []
         dims = {}
         for j in range(start, start + MAINCYC_SLACK + 1):
-            dz = kz.cycle_space(t, j).dim
+            dz = len(kz.cycle_space(t, j))
             dp = kz.span_multiples(prods, j).rank
             dims[str(j)] = {"Z": dz, "Z1_power": dp}
             if dz != dp:
@@ -573,7 +559,7 @@ def _gen2(rng, field):
         families = gen2_families(n, c)
         D = 2 * c + 2
         kz = KoszulComplex(ideal, field)
-        generated, first_fail = generates_up_to(kz, [f.chain for f in families], 2, D)
+        generated, first_fail = generates_up_to(kz, families, 2, D)
         params = {"n": n, "c": c, "families": len(families)}
         details = {"first_fail": list(first_fail) if first_fail else None}
         yield params, _verdict(generated), {"degree_bound": D, "certified": True}, details
@@ -610,27 +596,20 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
     I = kz.ideal
     field = kz.field
     gdeg = [total_deg(g) for g in I.gens]
-    offsets, comps = {}, {}
-    offset = 0
-    for gi in range(I.r):
-        q = j - gdeg[gi]
-        comps[gi] = (q, kz.cycle_space(1, q) if q >= 0 else None)
-        offsets[gi] = offset
-        offset += len(kz.basis(1, q)) if q >= 0 else 0
-    dim_p = sum(len(cb.vectors) for _, cb in comps.values() if cb is not None)
+    offsets, offset, dim_p = [], 0, 0
+    for d in gdeg:
+        offsets.append(offset)
+        if j >= d:
+            offset += len(kz.basis(1, j - d))
+            dim_p += len(kz.cycle_space(1, j - d))
     if dim_p == 0:
         return 0
 
     rel = Echelon(field)
     for e in range(0, j + 1):
-        zb = kz.cycle_space(1, e)
-        ncb = kz.cycle_space(1, j - e) if j - e >= 0 else None
-        if not zb.vectors or ncb is None or not ncb.vectors:
-            continue
-        for zvec in zb.vectors:
-            zchain = kz.vector_chain(1, e, zvec)
-            for mvec in ncb.vectors:
-                mchain = kz.vector_chain(1, j - e, mvec)
+        right = kz.cycle_chains(1, j - e)
+        for zchain in kz.cycle_chains(1, e) if right else ():
+            for mchain in right:
                 total = {}
                 for (T, w), cz in zchain.terms.items():
                     gi = T[0] - 1
@@ -642,13 +621,9 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
                 rel.add(total)
 
     mu = Echelon(field)
-    for gi in range(I.r):
-        q, cb = comps[gi]
-        if cb is None:
-            continue
-        for vec in cb.vectors:
-            chain = kz.vector_chain(1, q, vec).scale_monomial(I.gens[gi])
-            mu.add(kz.chain_vector(chain, (j,)))
+    for g, d in zip(I.gens, gdeg):
+        for z in kz.cycle_chains(1, j - d) if j >= d else ():
+            mu.add(kz.chain_vector(z.scale_monomial(g), (j,)))
     return dim_p - rel.rank - mu.rank
 
 
@@ -660,7 +635,7 @@ def _surge(rng, field):
     mismatches = []
     table = {}
     for j in range(0, SURGE_DEGREE + 1):
-        dz2 = kz.cycle_space(2, j).dim
+        dz2 = len(kz.cycle_space(2, j))
         prod_rank = kz.span_multiples(prods, j).rank
         surjective = prod_rank == dz2
         tor1 = _surge_tor1_dim(kz, j)

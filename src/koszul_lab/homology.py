@@ -17,7 +17,6 @@ built.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
@@ -44,19 +43,6 @@ class InfeasibleError(RuntimeError):
     def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-
-
-@dataclass
-class ComponentBasis:
-    """Ordered basis `keys` of a graded piece, and the RREF basis `vectors`
-    (`kernel_basis`) of a subspace in those coordinates."""
-
-    keys: list
-    vectors: list  # dicts {column index: scalar}
-
-    @property
-    def dim(self):
-        return len(self.vectors)
 
 
 class KoszulComplex:
@@ -237,13 +223,13 @@ class KoszulComplex:
             columns.append(col)
         return columns
 
-    def cycle_space(self, t: int, alpha) -> ComponentBasis:
-        """Basis of Z_t(I, M)_alpha; Z_0 is the whole component."""
+    def cycle_space(self, t: int, alpha) -> list:
+        """RREF basis of Z_t(I, M)_alpha, as dicts {index in basis(t, alpha):
+        scalar} (`kernel_basis`); Z_0 is the whole component."""
         alpha = self.ring.as_mdeg(alpha)
         key = (t, alpha)
         if key not in self._kernel:
-            vecs = kernel_basis(self.boundary_columns(t, alpha), self.field)
-            self._kernel[key] = ComponentBasis(self.basis(t, alpha), vecs)
+            self._kernel[key] = kernel_basis(self.boundary_columns(t, alpha), self.field)
         return self._kernel[key]
 
     def boundary_image(self, t: int, alpha) -> list:
@@ -368,7 +354,7 @@ class KoszulComplex:
 
     def cycle_chains(self, t: int, alpha) -> list:
         """The basis of Z_t(I, M)_alpha as chains."""
-        return [self.vector_chain(t, alpha, v) for v in self.cycle_space(t, alpha).vectors]
+        return [self.vector_chain(t, alpha, v) for v in self.cycle_space(t, alpha)]
 
     def span_multiples(self, chains, alpha, stop=None) -> Echelon:
         """Echelon spanned by the monomial multiples w g in degree alpha of the
@@ -632,7 +618,7 @@ def generates_up_to(kz: KoszulComplex, candidates, t: int, D):
             raise ValueError("candidate is not a cycle")
     cands = [(g.multidegree(), g) for g in candidates if not g.is_zero()]
     for alpha in degrees_upto(kz.ring, D):
-        target_dim = kz.cycle_space(t, alpha).dim
+        target_dim = len(kz.cycle_space(t, alpha))
         if target_dim and kz.span_multiples(cands, alpha, stop=target_dim).rank < target_dim:
             return False, alpha
     return True, None

@@ -82,11 +82,6 @@ class BettiTable:
         """The Green-Lazarsfeld index to row i_max, read off the entries."""
         return _index(self.i_max, lambda i: self.windows[i][1], self.entry)
 
-    def t_i(self, i):
-        """Largest j with a nonzero entry in row i, or None."""
-        js = [j for (ii, j), d in self.entries.items() if ii == i and d > 0]
-        return max(js) if js else None
-
     def to_dict(self):
         return {
             "entries": [

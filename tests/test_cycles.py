@@ -4,8 +4,8 @@ from math import factorial
 import pytest
 
 from koszul_lab.cycles import (
-    Multi2Checker,
     gen2_families,
+    multi2_failures,
     symmetrized_cycle,
     z1_generator,
     z1_generator_family,
@@ -13,7 +13,7 @@ from koszul_lab.cycles import (
 )
 from koszul_lab.exterior import boundary, wedge
 from koszul_lab.fields import PrimeField, QQ
-from koszul_lab.homology import KoszulComplex
+from koszul_lab.homology import InfeasibleError, KoszulComplex
 from koszul_lab.linalg import Echelon
 from koszul_lab.rings import RingConfig, component_basis, power_ideal
 
@@ -46,13 +46,12 @@ def test_z1_family_spans_z1():
     for n, c in [(2, 2), (2, 3), (3, 2)]:
         ring = RingConfig((n,))
         I = power_ideal(ring, c)
-        fams = z1_generator_family(I)
         kz = KoszulComplex(I)
-        for fam in fams:
-            assert boundary(fam.chain).is_zero()
-            assert fam.chain.multidegree() == (c + 1,)
+        for z in z1_generator_family(I):
+            assert boundary(z).is_zero()
+            assert z.multidegree() == (c + 1,)
         assert kz.span_multiples(z1_products(kz, 1), c + 1).rank == len(
-            kz.cycle_space(1, c + 1).vectors
+            kz.cycle_space(1, c + 1)
         )
 
 
@@ -123,45 +122,62 @@ def test_z1_products_span_z1_squared(field):
         z1_products(kz, 0)
 
 
+def test_z1_products_guarded_by_the_ceiling():
+    # 9 generators z_b(x_j, x_k) for m^2 in three variables: C(9, 3) = 84
+    # triple products pass a ceiling of 50, the C(9, 2) = 36 pairs do not
+    kz = KoszulComplex(power_ideal(RingConfig((3,)), 2), ceiling=50)
+    with pytest.raises(InfeasibleError) as err:
+        z1_products(kz, 3)
+    assert err.value.estimate == 84
+    assert z1_products(kz, 2)
+
+
 def test_multi2_checker_certificates():
+    # a trial for c = (2,) in three variables: two one-cycles of degree 3
+    # wedged, times one extra monomial of degree 1, scaled by (u+1)! = 3!
     ring = RingConfig((3,))
-    checker = Multi2Checker(ring, (2,), 0, QQ)
-    assert checker.alpha == (7,)  # (u+1)c + (u-1) with u = 2
-    trial = next(
-        t for t in checker.enumerate_trials()
-        if not checker.trial_chain(*t).is_zero()
-    )
-    assert checker.check(*trial)
-    # the scaled trial chain really carries the (u+1)! factor
-    chain = checker.trial_chain(*trial)
-    vals = set(chain.terms.values())
-    assert all(v % factorial(checker.u + 1) == 0 for v in vals)
+    I = power_ideal(ring, 2)
+    prod = wedge(z1_generator(I, (1, 0, 0), 0, 1), z1_generator(I, (0, 1, 0), 1, 2))
+    chain = prod.scale_monomial((0, 0, 1)).scale(factorial(3))
+    assert not chain.is_zero() and boundary(chain).is_zero()
+    assert chain.multidegree() == (7,)  # (u+1)c + (u-1) with u = 2
+    assert all(v % factorial(3) == 0 for v in chain.terms.values())
+    # every trial lies in m^2 Z_2 + B_2, in characteristic 0 and p
+    for field in (QQ, PrimeField(32003)):
+        assert multi2_failures(ring, (2,), 0, field) == (135, [])
 
 
-def test_multi2_oneshot_and_blocks():
+def test_multi2_oneshot_and_blocks(monkeypatch):
     ring = RingConfig((2, 2))
-    checker = Multi2Checker(ring, (1, 1), 0, QQ)
-    trials = list(checker.enumerate_trials())
-    assert trials
-    assert Multi2Checker(ring, (1, 1), 0, QQ).check(*trials[0]) is True
+    for field in (QQ, PrimeField(32003)):
+        assert multi2_failures(ring, (1, 1), 0, field) == (4, [])
+    with pytest.raises(ValueError):
+        multi2_failures(ring, (0, 1), 0)  # c_i = 0 has no membership lemma
+    # against an empty span every nonzero trial is reported as a failure
+    monkeypatch.setattr(KoszulComplex, "cycle_chains", lambda self, t, alpha: [])
+    monkeypatch.setattr(KoszulComplex, "boundary_image", lambda self, t, alpha: [])
+    trials, failures = multi2_failures(ring, (1, 1), 0)
+    assert trials == len(failures) == 4
+    for f in failures:
+        assert len(f["a"]) == len(f["pairs"]) == 1 and len(f["extra"]) == 4
 
 
 def test_gen2_families_properties():
+    # families sit in degrees 2c+1 (symmetrized) and 2c+2 (products)
     fams = gen2_families(3, 2)
     assert fams
-    labels = {f.label for f in fams}
-    assert labels == {"gen2_type1", "gen2_type2"}
-    for f in fams:
-        assert f.chain.t == 2
-        assert boundary(f.chain).is_zero()
-        assert sum(f.chain.multidegree()) in (5, 6)  # 2c+1 and 2c+2
+    for z in fams:
+        assert z.t == 2
+        assert boundary(z).is_zero()
+    assert {sum(z.multidegree()) for z in fams} == {5, 6}
     # two variables leave no room for the three-variable symmetrized family
-    assert {f.label for f in gen2_families(2, 2)} == {"gen2_type2"}
+    fams = gen2_families(2, 2)
+    assert fams and {sum(z.multidegree()) for z in fams} == {6}
 
 
 def test_wedge_of_z1_generators_is_cycle():
     ring = RingConfig((3,))
     I = power_ideal(ring, 2)
     fams = z1_generator_family(I)
-    w = wedge(fams[0].chain, fams[3].chain)
+    w = wedge(fams[0], fams[3])
     assert boundary(w).is_zero()

@@ -55,7 +55,7 @@ def test_cycles_are_in_kernel():
         kz = KoszulComplex(I)
         t = rng.randint(1, min(3, I.r))
         j = rng.randint(t, t * 3 + 2)
-        for v in kz.cycle_space(t, (j,)).vectors:
+        for v in kz.cycle_space(t, (j,)):
             assert boundary(kz.vector_chain(t, (j,), v)).is_zero()
 
 
@@ -509,7 +509,7 @@ def test_star_reduced_quartic_veronese_strand_fits_the_ceiling():
 
 def test_cycle_space_and_homology_dim():
     kz = KoszulComplex(power_ideal(RingConfig((2,)), 2))
-    assert kz.cycle_space(1, 3).dim == 2
+    assert len(kz.cycle_space(1, 3)) == 2
     assert kz.homology_dim(1, 3) == 2
 
 
@@ -522,7 +522,7 @@ def test_free_module_tor():
     for j in range(1, 5):
         assert tor_dims(M, 0, j) == 0
         assert tor_dims(M, 1, j) == 0
-    assert kz.cycle_space(0, 3).dim == component_dim(ring, 3)
+    assert len(kz.cycle_space(0, 3)) == component_dim(ring, 3)
 
 
 def test_quotient_ring_betti_m_squared():
@@ -552,7 +552,7 @@ def test_cycle_and_homology_modules():
     kz = KoszulComplex(I)
     Z = cycle_module(kz, 1)
     H = homology_module(kz, 1)
-    assert kz.cycle_space(1, 3).dim == 2 and kz.cycle_space(1, 4).dim == 4
+    assert len(kz.cycle_space(1, 3)) == 2 and len(kz.cycle_space(1, 4)) == 4
     assert kz.homology_dim(1, 3) == 2 and kz.homology_dim(1, 4) == 1
     assert kz.homology_dim(1, 5) == 0
     # Z_1 here is free on two degree-3 generators
@@ -679,7 +679,7 @@ def test_integer_complex_stays_in_ints(monkeypatch):
         kz = KoszulComplex(I, QQ)
         for t in (1, 2, 3):
             for j in range(0, 10):
-                for v in kz.cycle_space(t, j).vectors:
+                for v in kz.cycle_space(t, j):
                     assert all(type(x) is int for x in v.values())
         monkeypatch.setattr(Echelon, "add", spy)
         for t in (1, 2, 3):
@@ -778,7 +778,7 @@ def _coarse_tor(kz, t, quotient, i, j):
     def piece(q):
         Z, B = kz.cycle_space(t, q), Echelon(f)
         if quotient:
-            pos = {max(v): b for b, v in enumerate(Z.vectors)}
+            pos = {max(v): b for b, v in enumerate(Z)}
             for col in kz.boundary_image(t, q):
                 B.add({pos[c]: v for c, v in col.items() if c in pos})
         return Z, B
@@ -787,14 +787,15 @@ def _coarse_tor(kz, t, quotient, i, j):
         if not 1 <= i <= n or q < 0:
             return 0
         (Z, B), (nxt, nB) = piece(q), piece(q + 1)
-        pos = {nxt.keys[max(v)]: b for b, v in enumerate(nxt.vectors)}
-        offset = {A: a * nxt.dim for a, A in enumerate(combinations(range(n), i - 1))}
+        keys, nxt_keys = kz.basis(t, q), kz.basis(t, q + 1)
+        pos = {nxt_keys[max(v)]: b for b, v in enumerate(nxt)}
+        offset = {A: a * len(nxt) for a, A in enumerate(combinations(range(n), i - 1))}
         ech = Echelon(f)
         for off in offset.values():
             for row in nB.rows.values():
                 ech.add({off + c: v for c, v in row.items()})
         seeded = ech.rank
-        for b, z in enumerate(Z.vectors):
+        for b, z in enumerate(Z):
             if b in B.rows:
                 continue
             for A in combinations(range(n), i):
@@ -802,7 +803,7 @@ def _coarse_tor(kz, t, quotient, i, j):
                 for p, k in enumerate(A):
                     off = offset[A[:p] + A[p + 1 :]]
                     for c, v in z.items():
-                        T, w = Z.keys[c]
+                        T, w = keys[c]
                         b2 = pos.get((T, w[:k] + (w[k] + 1,) + w[k + 1 :]))
                         if b2 is not None:
                             col[off + b2] = f.coerce(-v) if p % 2 else v
@@ -813,7 +814,7 @@ def _coarse_tor(kz, t, quotient, i, j):
     if not 0 <= i <= n or q < 0:
         return 0
     Z, B = piece(q)
-    return comb(n, i) * (Z.dim - B.rank) - var_rank(i, q) - var_rank(i + 1, q - 1)
+    return comb(n, i) * (len(Z) - B.rank) - var_rank(i, q) - var_rank(i + 1, q - 1)
 
 
 @settings(max_examples=40)
@@ -967,8 +968,7 @@ def test_generates_up_to_positive_and_negative():
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
     kz = KoszulComplex(I)
-    cb = kz.cycle_space(1, 3)
-    gens = [kz.vector_chain(1, 3, v) for v in cb.vectors]
+    gens = kz.cycle_chains(1, 3)
     ok, fail = generates_up_to(kz, gens, 1, 6)
     assert ok and fail is None
     ok, fail = generates_up_to(kz, gens[:1], 1, 6)
