@@ -29,8 +29,8 @@ from .rings import (
     MonomialIdeal,
     RingConfig,
     _bounded_compositions,
-    component_basis,
-    component_dim,
+    _component_basis,
+    _component_dim,
     mon_mul,
 )
 
@@ -59,6 +59,10 @@ class KoszulComplex:
     component of K_t estimated larger, and `homology_dim` the fine blocks it
     would rank, before any of them is built; `_grown_faces` refuses a level
     of faces that passes it while the level is grown.
+
+    A public method normalizes its degree once (`RingConfig.as_mdeg`); the
+    methods it calls inside the class, `_estimate`, `_keys`, `_key_index` and
+    `_cycles`, take the normalized tuple.
     """
 
     def __init__(
@@ -176,16 +180,20 @@ class KoszulComplex:
     def estimate(self, t: int, alpha) -> int:
         """Size of K_t at alpha as checked against the ceiling: dim K_t for
         M = S, an upper bound for M = S/J (dim S_w bounds dim M_w)."""
-        faces = self._faces(t, self.ring.as_mdeg(alpha))
-        return sum(component_dim(self.ring, wdeg) for _, wdeg in faces)
+        return self._estimate(t, self.ring.as_mdeg(alpha))
+
+    def _estimate(self, t: int, alpha: tuple) -> int:
+        return sum(_component_dim(self.ring, wdeg) for _, wdeg in self._faces(t, alpha))
 
     def basis(self, t: int, alpha) -> list:
         """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha;
         raises InfeasibleError when the estimate exceeds the ceiling."""
-        alpha = self.ring.as_mdeg(alpha)
+        return self._keys(t, self.ring.as_mdeg(alpha))
+
+    def _keys(self, t: int, alpha: tuple) -> list:
         key = (t, alpha)
         if key not in self._basis:
-            est = self.estimate(t, alpha)
+            est = self._estimate(t, alpha)
             self._check_ceiling(
                 est, lambda: f"component K_{t} at degree {alpha} has dimension {est}"
             )
@@ -193,25 +201,29 @@ class KoszulComplex:
             self._basis[key] = [
                 (T, w)
                 for T, wdeg in faces
-                for w in component_basis(self.ring, wdeg)
+                for w in _component_basis(self.ring, wdeg)
                 if J is None or not J.contains(w)
             ]
         return self._basis[key]
 
     def key_index(self, t: int, alpha) -> dict:
         """Position of each basis key of K_t at alpha."""
-        key = (t, self.ring.as_mdeg(alpha))
+        return self._key_index(t, self.ring.as_mdeg(alpha))
+
+    def _key_index(self, t: int, alpha: tuple) -> dict:
+        key = (t, alpha)
         if key not in self._index:
-            self._index[key] = {k: i for i, k in enumerate(self.basis(*key))}
+            self._index[key] = {k: i for i, k in enumerate(self._keys(t, alpha))}
         return self._index[key]
 
     def boundary_columns(self, t: int, alpha) -> list:
         """phi_t : K_t -> K_{t-1} in internal degree alpha, one column per
         basis key of K_t; phi_0 has only empty columns."""
-        keys = self.basis(t, alpha)
+        alpha = self.ring.as_mdeg(alpha)
+        keys = self._keys(t, alpha)
         if not keys:  # an empty K_t needs no K_{t-1}
             return []
-        index, J = self.key_index(t - 1, alpha), self.J
+        index, J = self._key_index(t - 1, alpha), self.J
         signs = (self.field.coerce(1), self.field.coerce(-1))
         columns = []
         for T, w in keys:
@@ -226,7 +238,9 @@ class KoszulComplex:
     def cycle_space(self, t: int, alpha) -> list:
         """RREF basis of Z_t(I, M)_alpha, as dicts {index in basis(t, alpha):
         scalar} (`kernel_basis`); Z_0 is the whole component."""
-        alpha = self.ring.as_mdeg(alpha)
+        return self._cycles(t, self.ring.as_mdeg(alpha))
+
+    def _cycles(self, t: int, alpha: tuple) -> list:
         key = (t, alpha)
         if key not in self._kernel:
             self._kernel[key] = kernel_basis(self.boundary_columns(t, alpha), self.field)
@@ -354,7 +368,10 @@ class KoszulComplex:
 
     def cycle_chains(self, t: int, alpha) -> list:
         """The basis of Z_t(I, M)_alpha as chains."""
-        return [self.vector_chain(t, alpha, v) for v in self.cycle_space(t, alpha)]
+        alpha = self.ring.as_mdeg(alpha)
+        keys, ideal = self._keys(t, alpha), self.ideal
+        return [KoszulChain(ideal, t, {keys[i]: c for i, c in v.items()})
+                for v in self._cycles(t, alpha)]
 
     def span_multiples(self, chains, alpha, stop=None) -> Echelon:
         """Echelon spanned by the monomial multiples w g in degree alpha of the
@@ -366,8 +383,8 @@ class KoszulComplex:
             gap = tuple(map(sub, alpha, beta))
             if min(gap) < 0:
                 continue
-            index, terms = self.key_index(g.t, alpha), self._field_terms(g)
-            for w in component_basis(self.ring, gap):
+            index, terms = self._key_index(g.t, alpha), self._field_terms(g)
+            for w in _component_basis(self.ring, gap):
                 vec = self._coordinates(terms, index, w)
                 if vec and ech.add(vec) and ech.rank == stop:
                     return ech

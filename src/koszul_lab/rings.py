@@ -149,7 +149,10 @@ def _component_basis(ring: RingConfig, alpha: tuple) -> tuple:
 
 
 def component_dim(ring: RingConfig, alpha) -> int:
-    alpha = ring.as_mdeg(alpha)
+    return _component_dim(ring, ring.as_mdeg(alpha))
+
+
+def _component_dim(ring: RingConfig, alpha: tuple) -> int:
     if any(a < 0 for a in alpha):
         return 0
     dim = 1

@@ -31,6 +31,27 @@ a table ranks only the entries j >= i + 2.
 The Green-Lazarsfeld index reads only the entries j >= i + 2 of the windows;
 it stops at the first nonzero one, so no row past it is built.  The same
 witness loop (`_index`) reads it off a computed table (`BettiTable.index`).
+
+The index needs only whether beta_{i,j} is nonzero, and `green_lazarsfeld_index`
+decides that from one fine block, at the balanced fine degree beta_0 of jc:
+each block's j c_b split into m_b parts as evenly as possible, larger parts
+first.  G = GL_{m_1} x ... x GL_{m_d} acts on S and fixes m^c, the Koszul
+differential commutes with it, and so H = H_i(m^c, S)_{jc} is a polynomial
+representation of G, of degree j c_b in block b, whose weights are its fine
+degrees.  In characteristic 0, H is a sum of products of Schur modules S_mu,
+mu a partition of j c_b with at most m_b parts.  The weight lambda occurs in
+S_mu iff lambda <= mu in dominance order (the Kostka number K_{mu,lambda} is
+positive; Fulton, Young Tableaux, 1997), and the balanced composition of
+j c_b into m_b parts is dominated by every such mu.  So beta_0 is a weight of
+every summand, and the block at beta_0 is nonzero iff H is.  Over GF(p) the
+same holds when p > j max(c): the Schur algebra S(m, r) is semisimple for
+p > r (Green, LNM 830; Doty-Erdmann-Martin-Nakano, Math. Z. 1999), so a
+polynomial representation of degree j c_b <= j max(c) < p is a sum of simple
+modules with Schur characters.  Below that bound the argument fails: for GL_2
+in characteristic p, the Frobenius twist L(p, 0) has the weights (p, 0) and
+(0, p) only, so it has no balanced weight, and the entry keeps the orbit sum
+over every fine degree of jc.  Tables need whole dimensions, so
+`veronese_betti` always ranks the orbit sum.
 """
 
 from __future__ import annotations
@@ -151,12 +172,30 @@ def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> Ind
     beta_{i,j} with i + 2 <= j below the window cut, in increasing j.  The
     first nonzero one is the witness, and the rows after it are never built.
     The linear strand j <= i + 1 cannot decide the index and is not ranked.
+    Each entry is decided at its balanced fine degree when the field's
+    characteristic is 0 or exceeds j max(c), else by the orbit sum at jc
+    (module docstring).
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
-    return _index(i_max, lambda i: _window_cut(i, spec.min_c),
-                  lambda i, j: kz.homology_dim(i, tuple(j * a for a in spec.c)))
+    kz, char = KoszulComplex(power_ideal(spec.ring, spec.c), field), field.characteristic
+
+    def entry(i, j):
+        if char and char <= j * max(spec.c):
+            return kz.homology_dim(i, tuple(j * a for a in spec.c))
+        return kz.homology_dim(i, _balanced(spec, j))
+
+    return _index(i_max, lambda i: _window_cut(i, spec.min_c), entry)
+
+
+def _balanced(spec: SegreVeroneseSpec, j: int) -> tuple:
+    """The fine degree that splits each block's j c_b into m_b parts as evenly
+    as possible, larger parts first."""
+    beta = []
+    for m, a in zip(spec.blocks, spec.c):
+        q, r = divmod(j * a, m)
+        beta += [q + 1] * r + [q] * (m - r)
+    return tuple(beta)
 
 
 def _index(i_max: int, cut, entry) -> IndexResult:

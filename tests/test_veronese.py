@@ -10,6 +10,7 @@ from koszul_lab.rings import RingConfig, component_dim, power_ideal
 from koszul_lab.veronese import (
     BettiTable,
     SegreVeroneseSpec,
+    _balanced,
     green_lazarsfeld_index,
     veronese_betti,
 )
@@ -119,10 +120,10 @@ def test_index_results():
         green_lazarsfeld_index(SEGRE_P1P1, 0)
 
 
-def whole_table_index(spec, i_max):
+def whole_table_index(spec, i_max, field=QQ):
     """The index by the rule on the whole table: the first row i with a
     nonzero entry at j > i + 1, and the smallest such j."""
-    table = veronese_betti(spec, i_max)
+    table = veronese_betti(spec, i_max, field)
     for i in range(1, i_max + 1):
         js = [j for (ii, j), d in table.entries.items() if ii == i and j > i + 1 and d]
         if js:
@@ -140,11 +141,17 @@ INDEX_CASES = [
 ]
 
 
+# the index decides its entries at balanced fine blocks over QQ and GF(32003),
+# by orbit sums over GF(3), where 3 <= j max(c) for every entry it reads
+INDEX_FIELDS = [QQ, PrimeField(32003), PrimeField(3)]
+
+
 @pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
 def test_index_agrees_with_the_whole_table(spec, target, witness):
-    res = green_lazarsfeld_index(spec, target)
-    assert (res.exact, res.value, res.witness) == whole_table_index(spec, target)
-    assert res.witness == witness
+    for field in INDEX_FIELDS:
+        res = green_lazarsfeld_index(spec, target, field)
+        assert (res.exact, res.value, res.witness) == whole_table_index(spec, target, field), field
+        assert res.witness == witness, field
 
 
 @pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
@@ -153,25 +160,67 @@ def test_table_index_is_the_index(spec, target, witness):
     assert veronese_betti(spec, target).index() == green_lazarsfeld_index(spec, target)
 
 
+def is_balanced(spec, j, alpha):
+    """Whether the fine degree alpha splits each block's j c_b as evenly as
+    possible, larger parts first."""
+    blocks = spec.ring.block_slices()
+    return len(alpha) == spec.ring.n and all(
+        sum(alpha[a:b]) == j * c and list(alpha[a:b]) == sorted(alpha[a:b], reverse=True)
+        and alpha[a] - alpha[b - 1] <= 1
+        for (a, b), c in zip(blocks, spec.c)
+    )
+
+
 @pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
 def test_index_ranks_only_the_deciding_entries(spec, target, witness, monkeypatch):
     # the entries j >= i + 2 of each row's window, in order, up to the
-    # witness: none of the linear strand, none past a window, none after it
-    asked = []
+    # witness: none of the linear strand, none past a window, none after it;
+    # each at its balanced fine block over QQ, at the multidegree jc (the
+    # orbit sum) over GF(3), where 3 <= j max(c)
     homology_dim = KoszulComplex.homology_dim
-
-    def spy(self, t, alpha):
-        asked.append((t, alpha[0] // spec.c[0]))
-        return homology_dim(self, t, alpha)
-
-    monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
-    green_lazarsfeld_index(spec, target)
     want = [
         (i, j) for i in range(1, target + 1) for j in range(i + 2, i + 1 + ceil(i / spec.min_c))
     ]
     if witness:
         want = want[: want.index(witness) + 1]
-    assert asked == want
+    def is_multidegree(spec, j, alpha):
+        return alpha == tuple(j * c for c in spec.c)
+
+    for field, at in [(QQ, is_balanced), (PrimeField(3), is_multidegree)]:
+        asked = []
+
+        def spy(self, t, alpha):
+            # sum(alpha) = j sum(c) at a fine degree and at a multidegree alike
+            j = sum(alpha) // sum(spec.c)
+            assert at(spec, j, alpha), (field, t, alpha)
+            asked.append((t, j))
+            return homology_dim(self, t, alpha)
+
+        monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
+        green_lazarsfeld_index(spec, target, field)
+        assert asked == want, field
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize(
+    "blocks, c, rows",
+    [((3,), (2,), 5), ((3,), (3,), 7), ((4,), (2,), 6), ((5,), (2,), 6), ((2, 2), (2, 2), 6),
+     ((2, 2), (2, 3), 8), ((2, 3), (1, 2), 6), ((2, 2, 2), (1, 1, 1), 5)],
+)
+def test_balanced_block_decides_each_entry(blocks, c, rows, field):
+    # the argument of the module docstring: over QQ and GF(p) with p > j max(c),
+    # beta_{i,j} is nonzero iff its block at the balanced fine degree is; every
+    # entry i + 1 <= j < cut, the linear strand included, to the first row with
+    # an entry past it (or row 5)
+    spec = SegreVeroneseSpec(blocks, c)
+    kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
+    for i in range(1, rows + 1):
+        for j in range(i + 1, i + 1 + ceil(i / spec.min_c)):
+            beta = _balanced(spec, j)
+            assert is_balanced(spec, j, beta)
+            block = kz.homology_dim(i, beta)
+            whole = kz.homology_dim(i, tuple(j * a for a in spec.c))
+            assert (block > 0) == (whole > 0), (i, j, block, whole)
 
 
 @pytest.mark.parametrize(
