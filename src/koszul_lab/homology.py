@@ -7,7 +7,8 @@ K_t, each a dict of the K_{t-1}-coordinates of that key's boundary.  Homology
 dimensions are sums over the fine (Z^n) degrees inside the multidegree, one
 fine block per orbit of the variable permutations that fix I and J, or one
 fine block alone; for M = S each block is ranked modulo the closed star of one
-generator, a cone.
+generator v, a cone, and is zero unbuilt when the exponents of the generators
+show every t-face outside that star too large for beta - u_v.
 GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading by its
 fine pieces, whose Betti numbers are computed as Koszul homology against the
 variables; they vanish past the module's stability degree, where nothing is
@@ -259,18 +260,25 @@ class KoszulComplex:
             beta = sum(parts, ())
             yield beta, prod(_arrangements(beta[a:b]) for a, b in self._runs)
 
-    def _apex(self, beta):
-        """The generator v dividing beta with the most monomials dividing
-        beta - u_v, i.e. the largest prod_k (beta_k - u_{v,k} + 1); the first
-        in index order on a tie, None when no generator divides beta."""
-        up = [b + 1 for b in beta]
-        sizes = [prod(map(sub, up, u)) if all(map(le, u, beta)) else 0 for u in self.ideal.gens]
+    def _apex(self, t: int, beta) -> tuple:
+        """(v, empty) over M = S: v is the generator dividing beta with the most
+        monomials dividing beta - u_v, i.e. the largest prod_k (beta_k - u_{v,k}
+        + 1), the first in index order on a tie, None when no generator divides
+        beta; empty when the bound of `homology_dim` certifies that the
+        star-reduced K_t at beta (`_block_faces`) has no face."""
+        up, gens = [b + 1 for b in beta], self.ideal.gens
+        sizes = [prod(map(sub, up, u)) if all(map(le, u, beta)) else 0 for u in gens]
         most = max(sizes, default=0)
-        return sizes.index(most) + 1 if most else None
+        if not most:
+            return None, False
+        v = sizes.index(most)
+        fits = [u for i, (u, size) in enumerate(zip(gens, sizes)) if size and i != v]
+        tops = [sum(sorted(col, reverse=True)[:t]) for col in zip(*fits)]
+        return v + 1, all(top <= b - e for top, b, e in zip(tops, beta, gens[v]) if e)
 
-    def _block_faces(self, t: int, beta) -> list:
+    def _block_faces(self, t: int, beta, v) -> list:
         """The faces of K_{t-1}, K_t and K_{t+1} that `homology_dim` ranks at
-        the fine degree beta, as T bitmasks.
+        the fine degree beta, as T bitmasks, with v the apex (`_apex`).
 
         For M = S the block is the augmented chain complex of the simplicial
         complex {T : u_T <= beta}.  The closed star of a generator v dividing
@@ -279,7 +287,6 @@ class KoszulComplex:
         faces T without v for which u_v does not divide beta - u_T, with the
         boundary terms in the star dropped.  S/J blocks are not reduced.
         """
-        v = None if self.J is not None else self._apex(beta)
         (_, G, gens, jgens, _), mask = self._packing(beta), (1 << self.ideal.r) - 1
         # the top level first, so that one growth serves all three
         levels = [self._grown_faces(s, beta, v) for s in (t + 1, t, t - 1)][::-1]
@@ -313,7 +320,11 @@ class KoszulComplex:
         an int when d = 1) the sum over the fine degrees with those block
         sums, one per orbit weighted by the orbit size; at a fine degree
         (length n) its one block.  When d = n the two readings coincide.  For
-        M = S each block is star-reduced (`_block_faces`).  The faces of
+        M = S each block is star-reduced about its apex v (`_block_faces`), and
+        is zero, neither grown nor counted, when for each k with u_{v,k} > 0 the
+        t largest x_k-exponents of the other generators dividing beta sum to at
+        most beta_k - u_{v,k}: a kept t-face T has (u_T)_k > beta_k - u_{v,k}
+        for some such k, so the reduced K_t is empty (`_apex`).  The faces of
         K_{t-1}, K_t and K_{t+1} in the blocks to rank are counted first; past
         the ceiling, InfeasibleError is raised before any rank.  H_t = 0 for
         t < 0 and t > r, where K_t = 0."""
@@ -327,7 +338,10 @@ class KoszulComplex:
             orbits = [(degree, 1)]
         blocks, count = [], 0
         for beta, size in orbits:
-            faces = self._block_faces(t, beta)
+            v, empty = self._apex(t, beta) if self.J is None else (None, False)
+            if empty:  # certified zero: neither grown nor counted
+                continue
+            faces = self._block_faces(t, beta, v)
             if faces[1]:
                 count += sum(map(len, faces))
                 self._check_ceiling(count, lambda: f"the fine blocks of K_{t - 1}, K_{t} and "

@@ -321,7 +321,7 @@ def test_grown_faces_match_the_brute_force_subsets(blocks, data, fine):
 def _reference_block_faces(kz, t, beta):
     """The tuple faces T of K_{t-1}, K_t and K_{t+1} that `homology_dim`
     ranks at beta: the star-reduced block over S, the whole block over S/J."""
-    v = None if kz.J is not None else kz._apex(beta)
+    v = None if kz.J is not None else kz._apex(t, beta)[0]
     if v is None:
         keep = lambda w: kz.J is None or not kz.J.contains(w)  # noqa: E731
     else:
@@ -356,9 +356,12 @@ def test_block_faces_and_ranks_match_the_tuple_faces(n, data, field, quotient):
     for alpha in range(7):
         for beta in component_basis(ring, alpha):
             for t in range(0, I.r + 1):
-                masks = kz._block_faces(t, beta)
+                v, empty = kz._apex(t, beta) if J is None else (None, False)
+                masks = kz._block_faces(t, beta, v)
                 faces = [list(map(_mask_tuple, level)) for level in masks]
                 assert faces == _reference_block_faces(kz, t, beta)
+                # a block certified empty from the exponents has no t-face
+                assert not empty or masks[1] == []
                 low, mid, high = faces
                 assert kz._phi_rank(t, beta, masks[0], masks[1]) == _reference_phi_rank(
                     field, t, low, mid
@@ -366,6 +369,42 @@ def test_block_faces_and_ranks_match_the_tuple_faces(n, data, field, quotient):
                 assert kz._phi_rank(t + 1, beta, masks[1], masks[2]) == _reference_phi_rank(
                     field, t + 1, mid, high
                 )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    blocks=st.sampled_from([(2,), (3,), (4,), (2, 1)]),
+    data=st.data(),
+    field=st.sampled_from([QQ, PrimeField(2)]),
+)
+def test_certified_blocks_are_empty_and_skipped(blocks, data, field):
+    # mixed-degree ideals: a block whose star-reduced K_t `_apex` certifies
+    # empty has no t-face, and homology_dim, which skips it unbuilt, equals
+    # the ranks on the reference faces at every fine degree
+    ring = RingConfig(blocks)
+    exps = st.tuples(*[st.integers(0, 2)] * ring.n).filter(any)
+    I = MonomialIdeal(ring, data.draw(st.lists(exps, min_size=1, max_size=6)))
+    kz = KoszulComplex(I, field)
+    for q in range(8 - ring.n):
+        for beta in component_basis(RingConfig((ring.n,)), q):
+            for t in range(I.r + 1):
+                v, empty = kz._apex(t, beta)
+                low, mid, high = _reference_block_faces(kz, t, beta)
+                if empty:
+                    assert mid == [] and kz._block_faces(t, beta, v)[1] == []
+                rank = _reference_phi_rank
+                want = len(mid) - rank(field, t, low, mid) - rank(field, t + 1, mid, high)
+                assert kz.homology_dim(t, beta) == want
+
+
+def test_certified_blocks_grow_no_faces():
+    # the off-strand entries of v_2(P^3), rows <= 5, are 0 (its one entry past
+    # the linear strand is beta_{6,8} = 1); all but 12 of the 168 (fine degree,
+    # apex) face levels their blocks would grow are certified empty unbuilt
+    kz = KoszulComplex(power_ideal(RingConfig((4,)), 2))
+    entries = [(3, 5), (4, 6), (5, 7), (5, 8)]  # i + 2 <= j <= i + ceil(i / 2)
+    assert [kz.homology_dim(i, 2 * j) for i, j in entries] == [0, 0, 0, 0]
+    assert len(kz._levels) == 12
 
 
 def _reference_orbits(kz, alpha):
