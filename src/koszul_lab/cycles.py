@@ -114,11 +114,7 @@ def z1_products(kz: KoszulComplex, t: int) -> list:
     kz._check_ceiling(count, lambda: f"Z_1^{t} has {count} candidate products,")
     prods = []
     for combo in combinations(gens, t):
-        prod = combo[0]
-        for g in combo[1:]:
-            prod = wedge(prod, g)
-            if prod.is_zero():
-                break
+        prod = reduce(wedge, combo)
         if not prod.is_zero():
             prods.append((prod.multidegree(), prod))
     return prods

@@ -53,17 +53,21 @@ class KoszulComplex:
     Bases, key indices and cycle spaces are cached per (t, degree), ranks of
     phi_t per (t, fine degree), and the faces e_T per degree of either
     grading and generator left out, each face one int of T and its residual
-    (`_grown_faces`), decoded only for the coarse basis (`_faces`); the
-    differentials themselves are assembled on demand.
+    (`_grown_faces`); the differentials themselves are assembled on demand.
+    Only this class reads the packed faces: the coarse basis decodes them at
+    a multidegree (`_keys`), and the fine blocks of `homology_dim` and the
+    pieces of `GradedModule` take them at a fine degree as T bitmasks
+    (`_fine_faces`).
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
-    component of K_t estimated larger, and `homology_dim` the fine blocks it
-    would rank, before any of them is built; `_grown_faces` refuses a level
-    of faces that passes it while the level is grown.
+    component of K_t whose size, sum dim S_w over its faces T, is larger, and
+    `homology_dim` the fine blocks it would rank, before any of them is
+    built; `_grown_faces` refuses a level of faces that passes it while the
+    level is grown.
 
     A public method normalizes its degree once (`RingConfig.as_mdeg`); the
-    methods it calls inside the class, `_estimate`, `_keys`, `_key_index` and
-    `_cycles`, take the normalized tuple.
+    methods it calls inside the class, `_keys`, `_key_index` and `_cycles`,
+    take the normalized tuple.
     """
 
     def __init__(
@@ -85,8 +89,8 @@ class KoszulComplex:
         self._kernel = {}
         self._index = {}
         self._levels = {}
-        self._decoded = {}
         self._packings = {}
+        self._signs = (field.coerce(1), field.coerce(-1))
         # maximal runs of variables of one block whose adjacent swaps fix the
         # generators of I and of J; each permutation of a run maps the fine
         # block at beta isomorphically onto the one at the permuted beta
@@ -164,41 +168,28 @@ class KoszulComplex:
                 levels.append(level)
         return levels[t]
 
-    def _faces(self, t: int, degree) -> list:
-        """`_grown_faces` as (T, degree - deg u_T) tuples, decoded once per
-        level, each w from one `to_bytes`."""
-        if (degree, t) not in self._decoded:
-            (size, G, *_), r = self._packing(degree), self.ideal.r
-            width, faces = size * len(degree), []
-            for F in self._grown_faces(t, degree):
-                w = (F - G >> r).to_bytes(width, "little")
-                if size > 1:
-                    w = [int.from_bytes(w[k : k + size], "little") for k in range(0, width, size)]
-                faces.append((tuple(map(int.bit_length, _lowbits(F & (1 << r) - 1))), tuple(w)))
-            self._decoded[degree, t] = faces
-        return self._decoded[degree, t]
-
-    def estimate(self, t: int, alpha) -> int:
-        """Size of K_t at alpha as checked against the ceiling: dim K_t for
-        M = S, an upper bound for M = S/J (dim S_w bounds dim M_w)."""
-        return self._estimate(t, self.ring.as_mdeg(alpha))
-
-    def _estimate(self, t: int, alpha: tuple) -> int:
-        return sum(_component_dim(self.ring, wdeg) for _, wdeg in self._faces(t, alpha))
-
     def basis(self, t: int, alpha) -> list:
         """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha;
-        raises InfeasibleError when the estimate exceeds the ceiling."""
+        raises InfeasibleError when sum dim S_w over the faces T, the basis
+        size for M = S and a bound for M = S/J, exceeds the ceiling."""
         return self._keys(t, self.ring.as_mdeg(alpha))
 
     def _keys(self, t: int, alpha: tuple) -> list:
         key = (t, alpha)
         if key not in self._basis:
-            est = self._estimate(t, alpha)
+            # each face decoded once, its residual w from one to_bytes
+            (size, G, *_), r = self._packing(alpha), self.ideal.r
+            width, faces = size * len(alpha), []
+            for F in self._grown_faces(t, alpha):
+                w = (F - G >> r).to_bytes(width, "little")
+                if size > 1:
+                    w = [int.from_bytes(w[k : k + size], "little") for k in range(0, width, size)]
+                faces.append((tuple(map(int.bit_length, _lowbits(F & (1 << r) - 1))), tuple(w)))
+            dim = sum(_component_dim(self.ring, w) for _, w in faces)
             self._check_ceiling(
-                est, lambda: f"component K_{t} at degree {alpha} has dimension {est}"
+                dim, lambda: f"component K_{t} at degree {alpha} has dimension {dim}"
             )
-            faces, J = self._faces(t, alpha), self.J
+            J = self.J
             self._basis[key] = [
                 (T, w)
                 for T, wdeg in faces
@@ -206,10 +197,6 @@ class KoszulComplex:
                 if J is None or not J.contains(w)
             ]
         return self._basis[key]
-
-    def key_index(self, t: int, alpha) -> dict:
-        """Position of each basis key of K_t at alpha."""
-        return self._key_index(t, self.ring.as_mdeg(alpha))
 
     def _key_index(self, t: int, alpha: tuple) -> dict:
         key = (t, alpha)
@@ -224,8 +211,7 @@ class KoszulComplex:
         keys = self._keys(t, alpha)
         if not keys:  # an empty K_t needs no K_{t-1}
             return []
-        index, J = self._key_index(t - 1, alpha), self.J
-        signs = (self.field.coerce(1), self.field.coerce(-1))
+        index, J, signs = self._key_index(t - 1, alpha), self.J, self._signs
         columns = []
         for T, w in keys:
             col = {}
@@ -265,7 +251,7 @@ class KoszulComplex:
         monomials dividing beta - u_v, i.e. the largest prod_k (beta_k - u_{v,k}
         + 1), the first in index order on a tie, None when no generator divides
         beta; empty when the bound of `homology_dim` certifies that the
-        star-reduced K_t at beta (`_block_faces`) has no face."""
+        star-reduced K_t at beta (`_fine_faces`) has no face."""
         up, gens = [b + 1 for b in beta], self.ideal.gens
         sizes = [prod(map(sub, up, u)) if all(map(le, u, beta)) else 0 for u in gens]
         most = max(sizes, default=0)
@@ -276,24 +262,25 @@ class KoszulComplex:
         tops = [sum(sorted(col, reverse=True)[:t]) for col in zip(*fits)]
         return v + 1, all(top <= b - e for top, b, e in zip(tops, beta, gens[v]) if e)
 
-    def _block_faces(self, t: int, beta, v) -> list:
-        """The faces of K_{t-1}, K_t and K_{t+1} that `homology_dim` ranks at
-        the fine degree beta, as T bitmasks, with v the apex (`_apex`).
+    def _fine_faces(self, s: int, beta, v=None) -> list:
+        """The faces of K_s at the fine degree beta as T bitmasks, in lex order
+        of T: over M = S with the apex v (`_apex`), the faces without v outside
+        the closed star of v; otherwise those whose residual beta - u_T lies
+        outside J, all of them over S.
 
-        For M = S the block is the augmented chain complex of the simplicial
-        complex {T : u_T <= beta}.  The closed star of a generator v dividing
-        beta, {T : u_T + u_v <= beta}, is a cone on v, so its chains are
-        acyclic and the block has the homology of the quotient by them: the
+        For M = S the block at beta is the augmented chain complex of the
+        simplicial complex {T : u_T <= beta}.  The closed star of a generator v
+        dividing beta, {T : u_T + u_v <= beta}, is a cone on v, so its chains
+        are acyclic and the block has the homology of the quotient by them: the
         faces T without v for which u_v does not divide beta - u_T, with the
         boundary terms in the star dropped.  S/J blocks are not reduced.
         """
-        (_, G, gens, jgens, _), mask = self._packing(beta), (1 << self.ideal.r) - 1
-        # the top level first, so that one growth serves all three
-        levels = [self._grown_faces(s, beta, v) for s in (t + 1, t, t - 1)][::-1]
-        if v is None:  # the faces whose residual lies outside J
-            return [[F & mask for F in fs if all((F - V) & G != G for V in jgens)] for fs in levels]
-        U = gens[v - 1]  # the faces outside the closed star of v
-        return [[F & mask for F in fs if (F - U) & G != G] for fs in levels]
+        faces, mask = self._grown_faces(s, beta, v), (1 << self.ideal.r) - 1
+        _, G, gens, jgens, _ = self._packing(beta)
+        if v is not None:
+            U = gens[v - 1]
+            return [F & mask for F in faces if (F - U) & G != G]
+        return [F & mask for F in faces if all((F - V) & G != G for V in jgens)]
 
     def _phi_rank(self, t: int, beta, targets: list, sources: list) -> int:
         """Rank of phi_t in the fine degree beta, from the faces `sources` of K_t
@@ -303,9 +290,8 @@ class KoszulComplex:
             ech = Echelon(self.field)
             if t > 0:
                 rows = {F: k for k, F in enumerate(targets)}
-                signs = (self.field.coerce(1), self.field.coerce(-1))
                 for T in sources:
-                    ech.add(_boundary_column(T, rows, signs))
+                    ech.add(_boundary_column(T, rows, self._signs))
             self._rank[key] = ech.rank
         return self._rank[key]
 
@@ -320,7 +306,7 @@ class KoszulComplex:
         an int when d = 1) the sum over the fine degrees with those block
         sums, one per orbit weighted by the orbit size; at a fine degree
         (length n) its one block.  When d = n the two readings coincide.  For
-        M = S each block is star-reduced about its apex v (`_block_faces`), and
+        M = S each block is star-reduced about its apex v (`_fine_faces`), and
         is zero, neither grown nor counted, when for each k with u_{v,k} > 0 the
         t largest x_k-exponents of the other generators dividing beta sum to at
         most beta_k - u_{v,k}: a kept t-face T has (u_T)_k > beta_k - u_{v,k}
@@ -341,7 +327,8 @@ class KoszulComplex:
             v, empty = self._apex(t, beta) if self.J is None else (None, False)
             if empty:  # certified zero: neither grown nor counted
                 continue
-            faces = self._block_faces(t, beta, v)
+            # the top level first, so that one growth serves all three
+            faces = [self._fine_faces(s, beta, v) for s in (t + 1, t, t - 1)][::-1]
             if faces[1]:
                 count += sum(map(len, faces))
                 self._check_ceiling(count, lambda: f"the fine blocks of K_{t - 1}, K_{t} and "
@@ -355,7 +342,7 @@ class KoszulComplex:
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
-        index = self.key_index(chain.t, alpha)
+        index = self._key_index(chain.t, self.ring.as_mdeg(alpha))
         return self._coordinates(self._field_terms(chain), index, self.ring.one())
 
     def _field_terms(self, chain: KoszulChain) -> list:
@@ -375,10 +362,6 @@ class KoszulComplex:
                 if c:
                     vec[k] = c
         return vec
-
-    def vector_chain(self, t: int, alpha, vec: dict) -> KoszulChain:
-        keys = self.basis(t, alpha)
-        return KoszulChain(self.ideal, t, {keys[i]: c for i, c in vec.items()})
 
     def cycle_chains(self, t: int, alpha) -> list:
         """The basis of Z_t(I, M)_alpha as chains."""
@@ -447,8 +430,8 @@ class GradedModule:
     The module is positively a-determined (see `tor_dims`), so its Betti
     numbers read only the fine pieces M_gamma with gamma <= a.  phi_t is
     block-diagonal by fine degree, and at gamma K_s is spanned by its faces
-    e_T (x) w, w = gamma - u_T, each named by its T bits (`_faces`).  The
-    piece at gamma is the RREF kernel Z_gamma of phi_t on them, whose free
+    e_T (x) w, w = gamma - u_T, each named by its T bits, as the complex
+    grows them at gamma (`_faces`).  The piece at gamma is the RREF kernel Z_gamma of phi_t on them, whose free
     columns give the Z-coordinates of any cycle; for H_t the boundaries
     B_gamma are echelon rows in those coordinates, and the Z-basis vectors off
     their pivots represent a basis of H_gamma.  x_k takes the face T at gamma
@@ -470,7 +453,6 @@ class GradedModule:
             + max((g[k] for g in jgens), default=0)
             for k in range(self.ring.n)
         )
-        self._signs = (kz.field.coerce(1), kz.field.coerce(-1))
         self._face_bits = {}
         self._pieces = {}
         self._guarded = set()
@@ -482,17 +464,9 @@ class GradedModule:
 
     def _faces(self, s: int, gamma: tuple) -> list:
         """The T bits of the faces of K_s at the fine degree gamma <= box whose
-        residual gamma - u_T lies outside J, in lex order of T.  They are
-        grown once at the box: with D the packed box - gamma, a face F there
-        has u_T <= gamma when (F - D) & G == G, and F - D is its face at gamma."""
+        residual gamma - u_T lies outside J (`KoszulComplex._fine_faces`)."""
         if (s, gamma) not in self._face_bits:
-            kz, (_, G, _, jgens, pack) = self.kz, self.kz._packing(self.box)
-            D, mask = pack(map(sub, self.box, gamma)), (1 << kz.ideal.r) - 1
-            self._face_bits[s, gamma] = [
-                R & mask
-                for F in kz._grown_faces(s, self.box)
-                if (R := F - D) & G == G and all((R - V) & G != G for V in jgens)
-            ]
+            self._face_bits[s, gamma] = self.kz._fine_faces(s, gamma)
         return self._face_bits[s, gamma]
 
     def _guard(self, q: int):
@@ -523,7 +497,7 @@ class GradedModule:
         echelon rows of B_gamma in Z-coordinates (none for Z_t)."""
         if gamma not in self._pieces:
             self._guard(sum(gamma))
-            t, signs, faces = self.t, self._signs, self._faces(self.t, gamma)
+            t, signs, faces = self.t, self.kz._signs, self._faces(self.t, gamma)
             rows = {T: c for c, T in enumerate(self._faces(t - 1, gamma))}
             vecs = kernel_basis([_boundary_column(T, rows, signs) for T in faces], self.field)
             # kernel_basis puts each vector's free column after all its other columns

@@ -235,20 +235,9 @@ def power_ideal(ring: RingConfig, c) -> MonomialIdeal:
 
 
 def is_strongly_stable(I: MonomialIdeal) -> bool:
-    """Closure of the generators under x_i -> x_j exchanges for j < i (d = 1)."""
-    if I.ring.d != 1:
-        raise ValueError("strong stability is defined for the standard grading")
-    for u in I.gens:
-        for i in range(I.ring.n):
-            if u[i] == 0:
-                continue
-            for j in range(i):
-                moved = list(u)
-                moved[i] -= 1
-                moved[j] += 1
-                if not I.contains(tuple(moved)):
-                    return False
-    return True
+    """Whether I is closed under x_i -> x_j exchanges for j < i (d = 1): I
+    equals the Borel closure of its generators."""
+    return borel_closure(I.ring, I.gens) == I
 
 
 def borel_closure(ring: RingConfig, seed) -> MonomialIdeal:

@@ -55,8 +55,10 @@ def test_cycles_are_in_kernel():
         kz = KoszulComplex(I)
         t = rng.randint(1, min(3, I.r))
         j = rng.randint(t, t * 3 + 2)
-        for v in kz.cycle_space(t, (j,)):
-            assert boundary(kz.vector_chain(t, (j,), v)).is_zero()
+        cycles = kz.cycle_chains(t, (j,))
+        assert len(cycles) == len(kz.cycle_space(t, (j,)))
+        for z in cycles:
+            assert boundary(z).is_zero()
 
 
 def test_homology_dim_is_zero_outside_the_generator_count():
@@ -84,10 +86,15 @@ def test_boundaries_are_cycles():
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
     kz = KoszulComplex(I)
-    image = kz.boundary_image(1, 4)
+    image, keys = kz.boundary_image(1, 4), kz.basis(1, 4)
     assert image
+    # each boundary is a cycle: phi of its chain is 0, and it lies in Z_1
+    cycles = Echelon(kz.field)
+    for z in kz.cycle_chains(1, 4):
+        cycles.add(kz.chain_vector(z, 4))
     for col in image:
-        assert boundary(kz.vector_chain(1, 4, col)).is_zero()
+        assert boundary(KoszulChain(I, 1, {keys[i]: c for i, c in col.items()})).is_zero()
+        assert cycles.contains(col)
 
 
 def test_quotient_coefficients_shrink():
@@ -131,17 +138,30 @@ def _gens(n):
     degree=st.integers(0, 7),
 )
 def test_estimate_is_basis_size_for_s_and_bounds_quotients(n, data, t, degree):
+    # the size basis checks against the ceiling, read off InfeasibleError at a
+    # ceiling one below it: the basis size over S, and the same count, an
+    # upper bound, over S/J
     ring = RingConfig((n,))
     I = MonomialIdeal(ring, data.draw(_gens(n)))
     J = MonomialIdeal(ring, data.draw(_gens(n)))
-    kz = KoszulComplex(I)
-    assert kz.estimate(t, degree) == len(kz.basis(t, degree))
-    # no faces outside 0 <= t <= r
-    assert kz.estimate(-1, degree) == 0 and kz.basis(-1, degree) == []
-    assert kz.estimate(I.r + 1, degree) == 0
-    kz_quot = KoszulComplex(I, J=J)
-    assert kz_quot.estimate(t, degree) == kz.estimate(t, degree)
-    assert kz_quot.estimate(t, degree) >= len(kz_quot.basis(t, degree))
+    size = len(KoszulComplex(I).basis(t, degree))
+
+    def estimate(J, ceiling):
+        with pytest.raises(InfeasibleError) as exc:
+            KoszulComplex(I, J=J, ceiling=ceiling).basis(t, degree)
+        return exc.value.estimate
+
+    # a ceiling below the faces of some level K_s, s <= t, refuses that level
+    # while it is grown, before the size is checked
+    grown = max(len(KoszulComplex(I)._grown_faces(s, (degree,))) for s in range(t + 1))
+    if size > grown:
+        assert estimate(None, size - 1) == estimate(J, size - 1) == size
+    if size >= grown:
+        assert len(KoszulComplex(I, ceiling=size).basis(t, degree)) == size
+        assert len(KoszulComplex(I, J=J, ceiling=size).basis(t, degree)) <= size
+    # no faces outside 0 <= t <= r, so nothing passes even a ceiling of 0
+    for kz in (KoszulComplex(I, ceiling=0), KoszulComplex(I, J=J, ceiling=0)):
+        assert kz.basis(-1, degree) == [] and kz.basis(I.r + 1, degree) == []
 
 
 @settings(max_examples=60)
@@ -225,11 +245,12 @@ def test_coarse_basis_is_the_union_of_the_fine_faces(blocks, data, quotient):
         for t in range(0, min(I.r, 4) + 1):
             fine = []
             for beta in component_basis(ring, alpha):
-                for T, w in kz._faces(t, beta):
+                # the faces at beta whose residual lies outside J
+                for T in map(_mask_tuple, kz._fine_faces(t, beta)):
                     u_T = [sum(I.gens[i - 1][k] for i in T) for k in range(ring.n)]
-                    assert w == tuple(map(sub, beta, u_T))
-                    if kz.J is None or not kz.J.contains(w):
-                        fine.append((T, w))
+                    w = tuple(map(sub, beta, u_T))
+                    assert min(w) >= 0
+                    fine.append((T, w))
             fine.sort(key=lambda key: (key[0], [-e for e in key[1]]))
             assert kz.basis(t, alpha) == fine
 
@@ -311,7 +332,20 @@ def test_grown_faces_match_the_brute_force_subsets(blocks, data, fine):
     skip = data.draw(st.sampled_from([None, *range(1, kz.ideal.r + 1)]))
     _, G, _, _, pack = kz._packing(degree)
     for t in range(kz.ideal.r + 2):
-        assert kz._faces(t, degree) == _reference_faces(kz, t, degree)
+        faces = _reference_faces(kz, t, degree)
+        if fine:
+            assert list(map(_mask_tuple, kz._fine_faces(t, degree))) == [T for T, _ in faces]
+        # at a multidegree, the basis from the decoded faces (T, w); past the
+        # ceiling, the sum of dim S_w over them
+        if len(degree) == ring.d:
+            dim = sum(component_dim(ring, w) for _, w in faces)
+            if dim <= kz.ceiling:
+                want = [(T, m) for T, w in faces for m in component_basis(ring, w)]
+                assert kz.basis(t, degree) == want
+            else:
+                with pytest.raises(InfeasibleError) as exc:
+                    kz.basis(t, degree)
+                assert exc.value.estimate == dim
         want = _reference_faces(kz, t, degree, skip)
         assert kz._grown_faces(t, degree, skip) == [
             sum(1 << i - 1 for i in T) | pack(w) | G for T, w in want
@@ -357,7 +391,7 @@ def test_block_faces_and_ranks_match_the_tuple_faces(n, data, field, quotient):
         for beta in component_basis(ring, alpha):
             for t in range(0, I.r + 1):
                 v, empty = kz._apex(t, beta) if J is None else (None, False)
-                masks = kz._block_faces(t, beta, v)
+                masks = [kz._fine_faces(s, beta, v) for s in (t - 1, t, t + 1)]
                 faces = [list(map(_mask_tuple, level)) for level in masks]
                 assert faces == _reference_block_faces(kz, t, beta)
                 # a block certified empty from the exponents has no t-face
@@ -391,7 +425,7 @@ def test_certified_blocks_are_empty_and_skipped(blocks, data, field):
                 v, empty = kz._apex(t, beta)
                 low, mid, high = _reference_block_faces(kz, t, beta)
                 if empty:
-                    assert mid == [] and kz._block_faces(t, beta, v)[1] == []
+                    assert mid == [] and kz._fine_faces(t, beta, v) == []
                 rank = _reference_phi_rank
                 want = len(mid) - rank(field, t, low, mid) - rank(field, t + 1, mid, high)
                 assert kz.homology_dim(t, beta) == want
@@ -451,7 +485,9 @@ def test_homology_dim_ranks_fine_blocks_under_the_ceiling():
     # m^4 in three variables at degree 24: the coarse K_4 (61,425) is over the
     # ceiling, the fine blocks ranked (23,595 faces) are not; beta_{5,6} of v_4(P^2)
     kz = KoszulComplex(power_ideal(RingConfig((3,)), 4))
-    assert kz.estimate(4, 24) > kz.ceiling
+    with pytest.raises(InfeasibleError) as exc:
+        kz.basis(4, 24)
+    assert exc.value.estimate == 61_425
     assert kz.homology_dim(5, 24) == 7095
 
 
@@ -617,12 +653,15 @@ def test_tor_violations_scans_up_to_the_stability_degree():
 
 
 def test_tor_on_a_box_wider_than_one_byte():
-    # S/(x^130, y): a = (130, 1), past one byte below the guard bit, so each
-    # packed field of the box faces takes two bytes
+    # S/(x^130, y): a = (130, 1); the pieces at gamma with gamma_0 >= 128,
+    # past one byte below the guard bit, grow their faces with two-byte fields
     ring = RingConfig((2,))
     M = homology_module(KoszulComplex(MonomialIdeal(ring, [(130, 0), (0, 1)])), 0)
-    assert M.box == (130, 1) and M.kz._packing(M.box)[0] == 2
+    assert M.box == (130, 1)
     assert tor_violations(M, 0) == [(1, 130, 1), (2, 131, 1)]
+    wide = [gamma for gamma in M._pieces if gamma[0] >= 128]
+    assert wide and all(M.kz._packing(gamma)[0] == 2 for gamma in wide)
+    assert all((gamma, None) in M.kz._levels for gamma in wide)
 
 
 @settings(max_examples=150)
@@ -633,8 +672,8 @@ def test_tor_on_a_box_wider_than_one_byte():
     over_sj=st.booleans(),
 )
 def test_module_faces_match_the_brute_force_subsets(n, data, quotient, over_sj):
-    # the faces of K_s at gamma <= box, filtered from the faces grown at the
-    # box, against every s-subset T with u_T <= gamma and gamma - u_T outside J
+    # the faces of K_s at gamma <= box, grown at gamma, against every
+    # s-subset T with u_T <= gamma and gamma - u_T outside J
     ring = RingConfig((n,))
     exps = st.one_of(st.integers(0, 3), st.sampled_from(EDGES))
     gens = st.lists(st.tuples(*[exps] * n).filter(any), min_size=1, max_size=4)
@@ -1012,5 +1051,7 @@ def test_generates_up_to_positive_and_negative():
     assert ok and fail is None
     ok, fail = generates_up_to(kz, gens[:1], 1, 6)
     assert not ok and fail == (3,)
-    with pytest.raises(ValueError):
-        generates_up_to(kz, [kz.vector_chain(1, 4, {0: 1})], 1, 5)
+    with pytest.raises(ValueError, match="not a cycle"):
+        generates_up_to(kz, [KoszulChain(I, 1, {kz.basis(1, 4)[0]: 1})], 1, 5)
+    with pytest.raises(ValueError, match="wrong Koszul component"):
+        generates_up_to(kz, kz.cycle_chains(1, 4), 2, 5)

@@ -129,6 +129,33 @@ def test_strongly_stable_and_borel():
     assert is_strongly_stable(B)
     # Borel closure of x3^2 is all degree-2 monomials
     assert B == m2
+    with pytest.raises(ValueError):
+        is_strongly_stable(power_ideal(RingConfig((1, 1)), (1, 1)))
+
+
+def _exchange_closed(I):
+    """Reference for is_strongly_stable: every x_i -> x_j exchange, j < i, of
+    a generator stays in I."""
+    for u in I.gens:
+        for i in range(I.ring.n):
+            for j in range(i if u[i] else 0):
+                moved = list(u)
+                moved[i] -= 1
+                moved[j] += 1
+                if not I.contains(tuple(moved)):
+                    return False
+    return True
+
+
+@settings(max_examples=200)
+@given(n=st.integers(2, 4), data=st.data())
+def test_strong_stability_is_the_generator_exchange_check(n, data):
+    ring = RingConfig((n,))
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    seed = data.draw(st.lists(exps, min_size=1, max_size=5))
+    I, B = MonomialIdeal(ring, seed), borel_closure(ring, seed)
+    assert is_strongly_stable(I) == _exchange_closed(I)
+    assert is_strongly_stable(B) and _exchange_closed(B)
 
 
 def test_quotient_dims():
