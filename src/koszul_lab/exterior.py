@@ -190,14 +190,9 @@ def gamma_map(f: KoszulChain, s: int):
         # (t - s)-subsets in reverse lex order
         rests = reversed(list(combinations(T, f.t - s)))
         for I, rest in zip(combinations(T, s), rests):
-            b = out.setdefault(I, {})
-            b[(rest, w)] = b.get((rest, w), 0) + c * _sign(I, rest)
-    result = {}
-    for I, terms in out.items():
-        chain = KoszulChain(f.ideal, f.t - s, terms)
-        if not chain.is_zero():
-            result[I] = chain
-    return result
+            # for a fixed I, distinct terms (T, w) give distinct keys (T - I, w)
+            out.setdefault(I, {})[(rest, w)] = c * _sign(I, rest)
+    return {I: KoszulChain(f.ideal, f.t - s, terms) for I, terms in out.items()}
 
 
 def formal_boundary(fs: dict, ideal) -> dict:

@@ -18,6 +18,7 @@ built.
 from __future__ import annotations
 
 from bisect import bisect
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
@@ -430,12 +431,13 @@ class GradedModule:
     The module is positively a-determined (see `tor_dims`), so its Betti
     numbers read only the fine pieces M_gamma with gamma <= a.  phi_t is
     block-diagonal by fine degree, and at gamma K_s is spanned by its faces
-    e_T (x) w, w = gamma - u_T, each named by its T bits, as the complex
-    grows them at gamma (`_faces`).  The piece at gamma is the RREF kernel Z_gamma of phi_t on them, whose free
-    columns give the Z-coordinates of any cycle; for H_t the boundaries
-    B_gamma are echelon rows in those coordinates, and the Z-basis vectors off
-    their pivots represent a basis of H_gamma.  x_k takes the face T at gamma
-    to the face T at gamma + e_k.
+    e_T (x) w, w = gamma - u_T, each named by its T bits, read from the
+    complex at gamma (`KoszulComplex._fine_faces`); the module keeps no faces
+    of its own.  The piece at gamma is the RREF kernel Z_gamma of phi_t on
+    them, whose free columns give the Z-coordinates of any cycle; for H_t the
+    boundaries B_gamma are echelon rows in those coordinates, and the Z-basis
+    vectors off their pivots represent a basis of H_gamma.  x_k takes the face
+    T at gamma to the face T at gamma + e_k.
     """
 
     def __init__(self, kz: KoszulComplex, t: int, quotient: bool):
@@ -453,7 +455,6 @@ class GradedModule:
             + max((g[k] for g in jgens), default=0)
             for k in range(self.ring.n)
         )
-        self._face_bits = {}
         self._pieces = {}
         self._guarded = set()
 
@@ -461,13 +462,6 @@ class GradedModule:
     def stable_degree(self) -> int:
         """|a|: Tor_i(M, K)_j = 0 for j > |a| (see `tor_dims`)."""
         return sum(self.box)
-
-    def _faces(self, s: int, gamma: tuple) -> list:
-        """The T bits of the faces of K_s at the fine degree gamma <= box whose
-        residual gamma - u_T lies outside J (`KoszulComplex._fine_faces`)."""
-        if (s, gamma) not in self._face_bits:
-            self._face_bits[s, gamma] = self.kz._fine_faces(s, gamma)
-        return self._face_bits[s, gamma]
 
     def _guard(self, q: int):
         """Check the ceiling once per degree q, before any kernel there: the
@@ -478,7 +472,7 @@ class GradedModule:
         gammas = list(_bounded_compositions(q, self.box))
 
         def check(s):
-            count = sum(len(self._faces(s, gamma)) for gamma in gammas)
+            count = sum(len(self.kz._fine_faces(s, gamma)) for gamma in gammas)
             self.kz._check_ceiling(count, lambda: f"K_{s} has {count} faces in degree {q} "
                                    f"inside the box {self.box},")
             return count
@@ -497,14 +491,15 @@ class GradedModule:
         echelon rows of B_gamma in Z-coordinates (none for Z_t)."""
         if gamma not in self._pieces:
             self._guard(sum(gamma))
-            t, signs, faces = self.t, self.kz._signs, self._faces(self.t, gamma)
-            rows = {T: c for c, T in enumerate(self._faces(t - 1, gamma))}
+            t, kz = self.t, self.kz
+            faces, signs = kz._fine_faces(t, gamma), kz._signs
+            rows = {T: c for c, T in enumerate(kz._fine_faces(t - 1, gamma))}
             vecs = kernel_basis([_boundary_column(T, rows, signs) for T in faces], self.field)
             # kernel_basis puts each vector's free column after all its other columns
             coords = {faces[max(v)]: b for b, v in enumerate(vecs)}
             bounds = Echelon(self.field)
             if self.quotient:
-                for T in self._faces(t + 1, gamma):
+                for T in kz._fine_faces(t + 1, gamma):
                     bounds.add(_boundary_column(T, coords, signs))
             reps = [{faces[c]: x for c, x in v.items()} for b, v in enumerate(vecs)
                     if b not in bounds.rows]
@@ -522,24 +517,23 @@ def homology_module(kz: KoszulComplex, t: int) -> GradedModule:
     return GradedModule(kz, t, quotient=True)
 
 
-def _tor_at(M: GradedModule, i: int, beta: tuple) -> int:
-    """dim H_i at beta <= box of the variables-Koszul complex on M, whose
-    i-chains are the e_A (x) M_{beta - e_A} over the i-subsets A of the
-    support of beta.
+def _tor_at(M: GradedModule, beta: tuple, lo: int, hi: int) -> list:
+    """[dim Tor_i(M, K)_beta for i = lo..hi] at beta <= box: H_i of the
+    variables-Koszul complex on M, whose i-chains are the e_A (x)
+    M_{beta - e_A} over the i-subsets A of the support of beta.
 
     The column of e_A (x) z is the sum over k in A of +-e_{A - k} (x) x_k z.
     For H_t the rank of delta_i is taken with the target blocks first seeded
-    with the rows of their B, whose rank is then subtracted.
+    with the rows of their B, whose rank is then subtracted.  delta_i and
+    delta_{i+1} are ranked only where the i-chains are nonzero, and each
+    delta once per call: delta_{i+1} serves both Tor_i and Tor_{i+1}.
     """
     f, support = M.field, [k for k, e in enumerate(beta) if e]
 
     def piece(A):
         return M.piece(tuple(e - (k in A) for k, e in enumerate(beta)))
 
-    chains = sum(len(piece(A)[1]) for A in combinations(support, i))
-    if not chains:
-        return 0
-
+    @lru_cache(maxsize=None)
     def rank(i):
         if not 1 <= i <= len(support):
             return 0
@@ -564,7 +558,11 @@ def _tor_at(M: GradedModule, i: int, beta: tuple) -> int:
                 ech.add(col)
         return ech.rank - seeded
 
-    return chains - rank(i) - rank(i + 1)
+    dims = []
+    for i in range(lo, hi + 1):
+        chains = sum(len(piece(A)[1]) for A in combinations(support, i))
+        dims.append(chains and chains - rank(i) - rank(i + 1))
+    return dims
 
 
 def tor_dims(M: GradedModule, i: int, j: int) -> int:
@@ -588,23 +586,23 @@ def tor_dims(M: GradedModule, i: int, j: int) -> int:
     """
     if not 0 <= i <= M.ring.n or j < i or j > M.stable_degree:
         return 0
-    return sum(_tor_at(M, i, beta) for beta in _bounded_compositions(j, M.box))
+    return sum(_tor_at(M, beta, i, i)[0] for beta in _bounded_compositions(j, M.box))
 
 
 def tor_violations(M: GradedModule, bound: int, i_max=None):
-    """Every nonzero Tor_i(M, K)_j with j - i > bound and i <= i_max: exact,
-    since Tor is 0 past j = |a| (`tor_dims`), so bound >= |a| scans nothing.
+    """Every nonzero Tor_i(M, K)_j with j - i > bound and i <= i_max, as
+    (i, j, dim) sorted by (j - i, i): exact, since Tor is 0 past j = |a|
+    (`tor_dims`), so bound >= |a| scans nothing.  Each fine degree beta <= a
+    with |beta| = j > bound is visited once, for every i <= j - bound - 1 at
+    once (`_tor_at`), and the (i, j) sums are read off the visits.
     """
-    n = M.ring.n
-    if i_max is None:
-        i_max = n
-    out = []
-    for q in range(bound + 1, M.stable_degree + 1):
-        for i in range(0, min(i_max, n) + 1):
-            d = tor_dims(M, i, i + q)
-            if d > 0:
-                out.append((i, i + q, d))
-    return out
+    top = M.ring.n if i_max is None else min(i_max, M.ring.n)
+    dims = Counter()
+    for j in range(bound + 1, M.stable_degree + 1):
+        for beta in _bounded_compositions(j, M.box):
+            for i, d in enumerate(_tor_at(M, beta, 0, min(top, j - bound - 1))):
+                dims[i, j] += d
+    return sorted(((i, j, d) for (i, j), d in dims.items() if d), key=lambda e: (e[1] - e[0], e[0]))
 
 
 def degrees_upto(ring: RingConfig, D):

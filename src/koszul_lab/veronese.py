@@ -175,6 +175,11 @@ def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> Ind
     Each entry is decided at its balanced fine degree when the field's
     characteristic is 0 or exceeds j max(c), else by the orbit sum at jc
     (module docstring).
+
+    The rows stop at r = dim S_c, the number of generators of m^c: K_i = 0
+    for i > r, so beta_{i,j} = 0 there and no such row can break the bound.
+    Without a witness through row min(i_max, r) the bound holds through
+    i_max, and the work does not grow with i_max past r.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
@@ -185,7 +190,8 @@ def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> Ind
             return kz.homology_dim(i, tuple(j * a for a in spec.c))
         return kz.homology_dim(i, _balanced(spec, j))
 
-    return _index(i_max, lambda i: _window_cut(i, spec.min_c), entry)
+    found = _index(min(i_max, kz.ideal.r), lambda i: _window_cut(i, spec.min_c), entry)
+    return found if found.exact else IndexResult(False, i_max, None)
 
 
 def _balanced(spec: SegreVeroneseSpec, j: int) -> tuple:

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
@@ -26,6 +27,7 @@ from koszul_lab.linalg import Echelon, kernel_basis
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
+    _bounded_compositions,
     _compositions,
     component_basis,
     component_dim,
@@ -652,6 +654,89 @@ def test_tor_violations_scans_up_to_the_stability_degree():
     assert tor_violations(M, 4) == [] and tor_violations(M, 6) == []
 
 
+def _grid_violations(M, bound, i_max=None):
+    """tor_violations as the (j - i, i) grid of tor_dims calls: each fine
+    degree at |beta| = j is scanned once per i."""
+    n = M.ring.n
+    if i_max is None:
+        i_max = n
+    out = []
+    for q in range(bound + 1, M.stable_degree + 1):
+        for i in range(0, min(i_max, n) + 1):
+            d = tor_dims(M, i, i + q)
+            if d > 0:
+                out.append((i, i + q, d))
+    return out
+
+
+@settings(max_examples=60)
+@given(
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+    quotient=st.booleans(),
+    over_sj=st.booleans(),
+    field=st.sampled_from([QQ, PrimeField(5)]),
+)
+def test_tor_violations_matches_the_tor_dims_grid(n, data, quotient, over_sj, field):
+    # one visit per fine degree, summed per (i, j), gives the entries and the
+    # order of the grid, for Z_t and H_t over S and S/J
+    ring = RingConfig((n,))
+    I = MonomialIdeal(ring, data.draw(_gens(n)))
+    J = MonomialIdeal(ring, data.draw(_gens(n))) if over_sj else None
+    t = data.draw(st.integers(0, min(I.r, 2)))
+    kz = KoszulComplex(I, field, J)
+    M = GradedModule(kz, t, quotient)
+    bound = data.draw(st.integers(-1, M.stable_degree))
+    i_max = data.draw(st.one_of(st.none(), st.integers(0, n + 1)))
+    want = _grid_violations(GradedModule(kz, t, quotient), bound, i_max)
+    assert tor_violations(M, bound, i_max) == want
+
+
+def test_tor_scan_ranks_each_delta_once_per_fine_degree(monkeypatch):
+    # delta_{i+1} at beta serves Tor_i and Tor_{i+1}: one tor_violations call
+    # ranks each delta_i at each beta once, and exactly where the i- or
+    # (i-1)-chains at beta are nonzero.  A rank echelon is one not built by a
+    # module piece; its delta and beta are read off the frames of the rank
+    # step and of `_tor_at`.
+    ranked = []
+
+    class Spy(Echelon):
+        def __init__(self, field):
+            super().__init__(field)
+            frame = sys._getframe(1)
+            if frame.f_code.co_name == "piece":
+                return
+            i, outer = frame.f_locals["i"], frame
+            while outer.f_code.co_name != "_tor_at":
+                outer = outer.f_back
+            ranked.append((id(outer.f_locals["M"]), outer.f_locals["beta"], i))
+
+    monkeypatch.setattr(homology, "Echelon", Spy)
+    ring = RingConfig((3,))
+    kz = KoszulComplex(power_ideal(ring, 2))
+    modules = [(homology_module(kz, 1), -1, None), (cycle_module(kz, 1), 1, 2)]
+    for seed in range(4):
+        modules += [(M, bound, i_max) for _, M, bound, i_max in _regb(random.Random(seed), QQ)[1]]
+    for M, bound, i_max in modules:
+        tor_violations(M, bound, i_max)
+    assert ranked and len(ranked) == len(set(ranked))
+    # the deltas that a nonzero Tor_i at beta needs: delta_i and delta_{i+1}
+    needed = set()
+    for M, bound, i_max in modules:
+        top = M.ring.n if i_max is None else min(i_max, M.ring.n)
+        for j in range(bound + 1, M.stable_degree + 1):
+            for beta in _bounded_compositions(j, M.box):
+                support = [k for k, e in enumerate(beta) if e]
+                for i in range(0, min(top, j - bound - 1) + 1):
+                    chains = sum(
+                        len(M.piece(tuple(e - (k in A) for k, e in enumerate(beta)))[1])
+                        for A in combinations(support, i)
+                    )
+                    if chains:
+                        needed |= {(id(M), beta, s) for s in (i, i + 1) if 1 <= s <= len(support)}
+    assert set(ranked) == needed
+
+
 def test_tor_on_a_box_wider_than_one_byte():
     # S/(x^130, y): a = (130, 1); the pieces at gamma with gamma_0 >= 128,
     # past one byte below the guard bit, grow their faces with two-byte fields
@@ -687,7 +772,7 @@ def test_module_faces_match_the_brute_force_subsets(n, data, quotient, over_sj):
     gamma = tuple(data.draw(st.sampled_from(values)) for values in ends)
     for s in range(t - 1, t + 3):
         want = [T for T, w in _reference_faces(kz, s, gamma) if J is None or not J.contains(w)]
-        assert list(map(_mask_tuple, M._faces(s, gamma))) == want
+        assert list(map(_mask_tuple, M.kz._fine_faces(s, gamma))) == want
 
 
 def test_quotient_coefficients_tor():

@@ -160,6 +160,29 @@ def test_table_index_is_the_index(spec, target, witness):
     assert veronese_betti(spec, target).index() == green_lazarsfeld_index(spec, target)
 
 
+@pytest.mark.parametrize("spec,target,witness", INDEX_CASES)
+def test_index_reads_no_row_past_the_number_of_generators(spec, target, witness, monkeypatch):
+    # K_i = 0 for i > r = dim S_c, so a target far past r reads rows 1..r only:
+    # a range-exhausted index keeps the target as its value, and a witness is
+    # the one found at the smaller target
+    r = component_dim(spec.ring, spec.c)
+    homology_dim, rows = KoszulComplex.homology_dim, set()
+
+    def spy(self, t, alpha):
+        rows.add(t)
+        return homology_dim(self, t, alpha)
+
+    monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
+    start = time.monotonic()
+    res = green_lazarsfeld_index(spec, 10**6)
+    assert time.monotonic() - start < 5
+    assert max(rows) <= r
+    if witness:
+        assert (res.exact, res.value, res.witness) == (True, witness[0] - 1, witness)
+    else:
+        assert (res.exact, res.value, res.witness) == (False, 10**6, None)
+
+
 def is_balanced(spec, j, alpha):
     """Whether the fine degree alpha splits each block's j c_b as evenly as
     possible, larger parts first."""
