@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 pass, 1 violation found, 2 usage error, 3 infeasible over the
-size ceiling.  Reports are deterministic JSON; timing goes to stderr only.
+size ceiling.  Reports are one line of canonical JSON; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import functools
 import json
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 from .fields import FieldError, parse_field
 from .harness import SUITES, probe_q1, run_suite
@@ -45,52 +44,9 @@ def _positive(text: str) -> int:
     return int(text)
 
 
-def _write(obj, indent: str, out):
-    """Pass the text of obj to out in pieces: strings through the C encoder,
-    ints through int.__repr__, a list of ints in one piece.  `indent` is the
-    line break and indentation of obj's own level."""
-    if type(obj) is int:
-        out(int.__repr__(obj))
-    elif isinstance(obj, str):
-        out(encode_basestring_ascii(obj))
-    elif isinstance(obj, dict) and obj:
-        inner, sep = indent + "  ", "{"
-        for k in sorted(obj):
-            key = k if isinstance(k, str) else json.dumps(k)
-            out(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _write(obj[k], inner, out)
-            sep = ","
-        out(indent + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        inner, sep = indent + "  ", "["
-        if all(type(x) is int for x in obj):
-            out(sep + inner + ("," + inner).join(map(int.__repr__, obj)) + indent + "]")
-        else:
-            for x in obj:
-                out(sep + inner)
-                _write(x, inner, out)
-                sep = ","
-            out(indent + "]")
-    elif obj is True:
-        out("true")
-    elif obj is False:
-        out("false")
-    else:
-        out(json.dumps(obj))
-
-
-def _dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, without the
-    pure-Python encoder that `indent` selects, and with one join of the
-    pieces instead of one string per nesting level."""
-    parts = []
-    _write(obj, "\n", parts.append)
-    return "".join(parts)
-
-
 def _emit(report_dict, fmt, table_lines):
     if fmt == "json":
-        print(_dumps(report_dict))
+        print(json.dumps(report_dict, sort_keys=True))
     else:
         for line in table_lines:
             print(line)

@@ -300,6 +300,8 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
     """
     if not isinstance(data, dict):
         raise ValueError(f"ideal must be a JSON object, got {type(data).__name__}")
+    if "power" in data and "generators" in data:
+        raise ValueError("ideal dict has both 'generators' and 'power'; give one")
     ring = RingConfig(_int_list(data["blocks"], "blocks"))
     if "power" in data:
         return power_ideal(ring, _int_list(data["power"], "power"))

@@ -131,10 +131,16 @@ def _euler(spec: SegreVeroneseSpec, j: int) -> int:
 def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
     """Graded Betti numbers of the Segre-Veronese ring up to row i_max; only
     the entries j >= i + 2 are ranked, beta_{i,i} = 0 and beta_{i,i+1} are
-    recorded without a rank (module docstring)."""
+    recorded without a rank (module docstring).  A table with more entries
+    than the ceiling is refused before any rank."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
+    kz, count = KoszulComplex(power_ideal(spec.ring, spec.c), field), 1
+    for i in range(1, i_max + 1):
+        count += _window_cut(i, spec.min_c) - i
+        if count > kz.ceiling:
+            break
+    kz._check_ceiling(count, lambda: f"the table to row {i_max} has at least {count} entries,")
     entries, windows = {(0, 0): 1}, {0: (0, 1)}
     for i in range(1, i_max + 1):
         cut = _window_cut(i, spec.min_c)

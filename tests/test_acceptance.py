@@ -6,7 +6,6 @@ per-criterion pass/fail report.
 
 import json
 
-from koszul_lab.cli import _dumps
 from koszul_lab.fields import QQ
 from koszul_lab.harness import probe_q1, run_suite
 from koszul_lab.homology import KoszulComplex
@@ -106,10 +105,10 @@ def test_criterion_9_byte_identical_json():
         ("maincyc", {}),
         ("multi2", {}),
     ]:
-        a = _dumps(run_suite(name, **kwargs).to_dict())
-        b = _dumps(run_suite(name, **kwargs).to_dict())
+        a = json.dumps(run_suite(name, **kwargs).to_dict(), sort_keys=True)
+        b = json.dumps(run_suite(name, **kwargs).to_dict(), sort_keys=True)
         ok = ok and a == b and json.loads(a)["suite"] == name
-    a = _dumps(probe_q1(seed=2, size=3).to_dict())
-    b = _dumps(probe_q1(seed=2, size=3).to_dict())
+    a = json.dumps(probe_q1(seed=2, size=3).to_dict(), sort_keys=True)
+    b = json.dumps(probe_q1(seed=2, size=3).to_dict(), sort_keys=True)
     ok = ok and a == b
     report("9 (byte-identical JSON across identical-seed reruns)", ok)

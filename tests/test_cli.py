@@ -2,13 +2,11 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from koszul_lab.cli import (
     EXIT_INFEASIBLE,
     EXIT_PASS,
     EXIT_USAGE,
-    _dumps,
     main,
 )
 from koszul_lab import harness
@@ -156,6 +154,21 @@ def test_infeasible_exit(capsys):
     assert time.monotonic() - start < 5  # 0.5 s on a 2-core x86 VM
 
 
+def test_betti_table_over_the_ceiling_exits_at_once(capsys):
+    start = time.monotonic()
+    assert main(["betti", "--blocks", "3", "--c", "2", "--imax", "100000"]) == EXIT_INFEASIBLE
+    assert "at least 50175 entries" in capsys.readouterr().err
+    assert time.monotonic() - start < 5
+
+
+def test_ideal_given_two_ways_is_a_usage_error(capsys):
+    ideal = '{"blocks": [2], "generators": [[1, 0]], "power": [1]}'
+    for command in ("homology", "cycles"):
+        assert main([command, "--ideal", ideal, "-t", "1", "--degree", "2"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "both 'generators' and 'power'" in err
+
+
 def test_component_ceiling_guards_homology_and_cycles(capsys):
     # K_3 of m^3 in four variables at degree 30 has 1140 * 2024 basis elements
     for command in ("homology", "cycles"):
@@ -215,18 +228,3 @@ def test_suite_with_every_draw_redrawn_is_infeasible(capsys, monkeypatch):
     assert data["cases"] == [] and data["summary"]["redrawn"] == 240
     assert data["verdict"] == "infeasible" and code == EXIT_INFEASIBLE
 
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=5)
-    | st.lists(st.integers(), max_size=5).map(tuple)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=5)
-    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
-    max_leaves=20,
-)
-
-
-@settings(max_examples=200)
-@given(JSON_VALUES)
-def test_report_encoder_prints_the_bytes_of_json_dumps(value):
-    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)

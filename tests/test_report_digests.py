@@ -3,9 +3,15 @@
 Every suite and probe-q1 at seed 1 and size 2, plus one call of each engine
 command.  A refactor must leave these reports byte for byte the same; a change
 that alters a report on purpose records the new digest here and says why.
+
+The reports were once printed indented, as json.dumps(report, sort_keys=True,
+indent=2); they are now one line, json.dumps(report, sort_keys=True).  Only
+the whitespace changed: each digest here is the SHA-256 of the indented
+report re-encoded as json.dumps(json.loads(old), sort_keys=True) + "\n".
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -16,50 +22,58 @@ IDEAL_3 = '{"blocks": [3], "generators": [[2, 0, 0], [1, 1, 0], [0, 1, 2]]}'
 
 DIGESTS = [
     (["verify", "check", "--seed", "1", "--size", "2"],
-     "568a92bfb5a456391fe72a31fc0b3f2928a5a990c7302e4b03d4aacf6d1b622a"),
+     "a20a30773fcfd7498c8efd4d265a3cd05fae3d13cbe19a5bcfbc1fc6d615dde1"),
     (["verify", "gen2", "--seed", "1", "--size", "2"],
-     "337fa82a6a789b7c4692a1dc349136f1fc8ace530a36f0383a8ae55ee26db494"),
+     "f0dc2b71b11b1664db0eb553924cd0588b5bcc226d4841139cc68c7056c936b6"),
     (["verify", "greeny", "--seed", "1", "--size", "2"],
-     "15f7711ea5c8e4119f1a586811e88fc173ae53eea91500ec4cae121035f1d3a8"),
+     "2d3c5ddf2e61c7a126f3e78fa0399efcee31639311427a983b9e81b10668f6fc"),
     (["verify", "maincyc", "--seed", "1", "--size", "2"],
-     "3f98b28531c4e39f1d46f613745b4f1c77df2714064cc330700628c956ac809a"),
+     "70ee7ce0ffbe3a19c2dba8c909d3ee89cd3a91da08a79f68d6172147a1b838e4"),
     (["verify", "maps", "--seed", "1", "--size", "2"],
-     "3718c7e8248ba52d479ec9490a9321d79a50cadf0901d6ae833f19600d8f6f90"),
+     "a39cd410c827f669e0ed3c3059c69787a75d6d8c3a557134d653c7a8064e03fa"),
     (["verify", "multi", "--seed", "1", "--size", "2"],
-     "b0a109abcb0e382789390e38ebc43ca30e28d89d9420c4c95add52dba045f8d5"),
+     "9b3591964bce35c97acee87e0035718a2ff77def66e8e084acf01a5919642c22"),
     (["verify", "multi2", "--seed", "1", "--size", "2"],
-     "d2278690959b7bb12433005e6f4554290411ef11407c91c9429a06f426ae60b3"),
+     "4ed26f9ce152d8d18f126694c9791cbac5a80195c0507ca8dee97d00b34df76c"),
     (["verify", "piper", "--seed", "1", "--size", "2"],
-     "617df63c2f9474428c7c2f8dd7f1c055817970d391e7e3f17eaf55da4f67abe6"),
+     "b804425242225e10b30651f2b42b6eee3208d4bf653d58722b15af237a8805da"),
     (["verify", "regb", "--seed", "1", "--size", "2"],
-     "2ea8579a6e0f2bdc404341a87c61dca98fac03e2451f7054049a05d3871abb54"),
+     "76490c8831051ea9692d8e76eb9122d91b1780ae84494801843786343575b1cf"),
     (["verify", "remark_b", "--seed", "1", "--size", "2"],
-     "45946e53ad97a7c7179be4101215814407b453e915b2b1ea2f53a044a391258e"),
+     "03beba99099e5e1e1a99d5be3c78b282e43be2dd171ddafb5f91dff125523a09"),
     (["verify", "sato", "--seed", "1", "--size", "2"],
-     "db4b3e765777c4fefc33915f6ca021bf79477d0e29f5953e7d02911bb4ac8e6d"),
+     "fc5dcf1da433dd0ed72a22f74e1b9a1842c6a4cb237eb1f608efcdcc995fa715"),
     (["verify", "signs", "--seed", "1", "--size", "2"],
-     "5fa5a09d2f6adf9a86c3ac37a62a04f78eb32121acec8f95a234db56dc1b818d"),
+     "51cc5b264d31b00188e84c94ae64d6c52db0812f58c589c570da928c3bcf5dc9"),
     (["verify", "surge", "--seed", "1", "--size", "2"],
-     "cc370e43fa1bd7cc29fb92b884dedced6efa3c1fa404ff10a87f1d85a7431760"),
+     "63a76be50f5466c885d706a6e5c6490fe2e9e2b929bc6dec0fb1179dfd7ad555"),
     (["verify", "thm1", "--seed", "1", "--size", "2"],
-     "c1d09ba300b87a30a2bae23f86f9ca53404eefa5eb910e9360914990aa4f6fe3"),
+     "870293258d40e2b28afc5a3947dff5b25c73c07acd905e7e58f89704ff728bd2"),
     (["probe-q1", "--seed", "1", "--size", "2"],
-     "2b545856d90c34999f174474bf090985cb6b4a0176c473f42c200fb0ba8078e3"),
+     "1ea8779c06163df252bf98f024ad8c2bba74c64cc5a41c5253988f5f83aaa497"),
     (["betti", "--blocks", "3", "--c", "2", "--imax", "3"],
-     "630e49d6f1bf8379c4b1f7962633046bcd92000be5d7886cfb6756a64d275e1f"),
+     "a20e94df3438519b9974604d6af9235ccdbb42897de9ab7eb605ea9873f85987"),
     (["index", "--blocks", "3", "--c", "2"],
-     "e2ed2e66b38a192e93b80eebe195aa1befbe09b3f5e1a1ca64556ed6d3d4e20a"),
+     "f342dba217620046bf423137b8dabe4517ca8a7d8b3a49734c9cffcb051a34c3"),
     (["homology", "--ideal", IDEAL_M2, "-t", "1", "--degree", "4"],
-     "2cedffd066466a0e00f3812f308ea9845f364e14457a2b3b47792169ad23684a"),
+     "018bac3cb2cb817bc6e1f973e5b39e0760c34192ba0dbc7a03ca5c4e34684ae2"),
     (["cycles", "--ideal", IDEAL_3, "-t", "1", "--degree", "4"],
-     "d40b54bc4fd60d23189ed24df1d2364f8dfeea97223cee164c5e814e17e43886"),
+     "d9d7d16e821a1690171da11c04e21f16a3b41bb9d6ececc2a4c267027f05bf8e"),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest", DIGESTS, ids=[a[1] if a[0] == "verify" else a[0] for a, _ in DIGESTS]
-)
+IDS = [a[1] if a[0] == "verify" else a[0] for a, _ in DIGESTS]
+
+
+@pytest.mark.parametrize("argv, digest", DIGESTS, ids=IDS)
 def test_report_digest(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [a for a, _ in DIGESTS], ids=IDS)
+def test_report_is_one_line_of_canonical_json(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"

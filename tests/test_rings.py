@@ -299,6 +299,9 @@ def test_ideal_from_dict():
         ideal_from_dict({"blocks": [2]})
     with pytest.raises(ValueError):
         ideal_from_dict([1, 2])
+    # an ideal given two ways is refused, not read as one of them
+    with pytest.raises(ValueError, match="both"):
+        ideal_from_dict({"blocks": [2], "generators": [[1, 0]], "power": [1]})
 
 
 def test_lcm_subsets_consistent():

@@ -1,9 +1,9 @@
+import json
 import time
 from math import ceil, comb
 
 import pytest
 
-from koszul_lab.cli import _dumps
 from koszul_lab.fields import QQ, PrimeField
 from koszul_lab.homology import DEFAULT_COMPONENT_CEILING, InfeasibleError, KoszulComplex
 from koszul_lab.rings import RingConfig, component_dim, power_ideal
@@ -107,7 +107,7 @@ def test_window_semantics():
         table.entry(7, 8)  # row never computed
     assert max(j for (i, j), d in table.entries.items() if i == 1 and d) == 2
     assert isinstance(table, BettiTable)
-    assert '"entries"' in _dumps(table.to_dict())
+    assert '"entries"' in json.dumps(table.to_dict(), sort_keys=True)
 
 
 def test_index_results():
@@ -304,6 +304,19 @@ def test_sextic_veronese_quadrics_fit_the_ceiling():
     # fine blocks of row 1 are not
     spec = SegreVeroneseSpec((6,), (6,))
     assert veronese_betti(spec, 1).entry(1, 2) == quadric_relation_count(spec) == 100_765
+
+
+def test_table_entries_are_counted_against_the_ceiling():
+    # rows 1..i_max of v_2(P^2) hold 1 + sum_i (1 + ceil(i / 2)) entries:
+    # 49,951 through row 444, 50,175 through row 445, so 445 is the first
+    # refused; a huge i_max is refused at once, its count cut past the ceiling
+    assert len(veronese_betti(VERONESE_SURFACE, 444).entries) == 49_951
+    for i_max in (445, 10**9):
+        start = time.monotonic()
+        with pytest.raises(InfeasibleError) as exc:
+            veronese_betti(VERONESE_SURFACE, i_max)
+        assert exc.value.estimate == 50_175 > DEFAULT_COMPONENT_CEILING
+        assert time.monotonic() - start < 1
 
 
 def test_infeasible_ceiling():
