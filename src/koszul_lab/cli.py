@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FieldError, ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+    except (FieldError, ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"elapsed: {time.monotonic() - start:.2f}s", file=sys.stderr)

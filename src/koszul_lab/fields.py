@@ -1,11 +1,10 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields GF(p).
 
 Elements are plain Python numbers and linear algebra uses the native
-operators on them: over the rationals an element is an int or a Fraction (an
-integer stays an int, so unit-pivot elimination on integer matrices never
-builds a Fraction); over GF(p) it is an int residue in [0, p), and callers
-reduce with `% p` after arithmetic.  A field supplies only `name`,
-`characteristic`, `coerce` and `inv`.
+operators on them: a rational is an int, or a Fraction when it is not an
+integer; an element of GF(p) is an int residue in [0, p), and callers reduce
+with `% p` after arithmetic.  A field supplies only `name`, `characteristic`
+and `coerce`: elimination is fraction-free (`linalg`), so nothing inverts.
 """
 
 from __future__ import annotations
@@ -42,20 +41,14 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of exact rationals.  Elements: int or Fraction."""
+    """The field of exact rationals.  Elements: int, or a non-integral Fraction."""
 
     name = "rat"
     characteristic = 0
 
     def coerce(self, x):
-        return x if isinstance(x, int) else Fraction(x)
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if a == 1 or a == -1:
-            return int(a)
-        return 1 / Fraction(a)
+        x = x if isinstance(x, int) else Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def __repr__(self):
         return "QQ"
@@ -79,16 +72,10 @@ class PrimeField:
 
     def coerce(self, x):
         if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
+            if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return x.numerator * pow(den, -1, self.p) % self.p
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return x % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -302,15 +302,15 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
         raise ValueError(f"ideal must be a JSON object, got {type(data).__name__}")
     if "power" in data and "generators" in data:
         raise ValueError("ideal dict has both 'generators' and 'power'; give one")
+    if "blocks" not in data or not ("power" in data or "generators" in data):
+        raise ValueError(f"ideal needs 'blocks' and 'generators' or 'power', got {list(data)}")
     ring = RingConfig(_int_list(data["blocks"], "blocks"))
     if "power" in data:
         return power_ideal(ring, _int_list(data["power"], "power"))
-    if "generators" in data:
-        gens = data["generators"]
-        if not isinstance(gens, list):
-            raise ValueError(f"generators must be a list, got {gens!r}")
-        return MonomialIdeal(ring, [_int_list(g, "a generator") for g in gens])
-    raise ValueError("ideal dict needs 'generators' or 'power'")
+    gens = data["generators"]
+    if not isinstance(gens, list):
+        raise ValueError(f"generators must be a list, got {gens!r}")
+    return MonomialIdeal(ring, [_int_list(g, "a generator") for g in gens])
 
 
 @lru_cache(maxsize=None)

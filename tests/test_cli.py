@@ -169,6 +169,23 @@ def test_ideal_given_two_ways_is_a_usage_error(capsys):
         assert out == "" and "both 'generators' and 'power'" in err
 
 
+def test_ideal_without_blocks_is_a_usage_error_naming_the_key(capsys):
+    for command in ("homology", "cycles"):
+        code = main([command, "--ideal", '{"power": [2]}', "-t", "1", "--degree", "2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == "" and "'blocks'" in err and "['power']" in err
+
+
+def test_engine_key_error_is_not_a_usage_error(monkeypatch):
+    # a KeyError from the engine is a fault, not bad input: it is not exit 2
+    def broken(*args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(KoszulComplex, "homology_dim", broken)
+    with pytest.raises(KeyError):
+        main(["homology", "--ideal", '{"blocks": [2], "power": [2]}', "-t", "1", "--degree", "2"])
+
+
 def test_component_ceiling_guards_homology_and_cycles(capsys):
     # K_3 of m^3 in four variables at degree 30 has 1140 * 2024 basis elements
     for command in ("homology", "cycles"):

@@ -25,23 +25,15 @@ def test_is_prime_small():
 def test_rational_field_ops():
     f = QQ
     assert f.characteristic == 0 and f.name == "rat"
-    a = Fraction(3, 4)
-    assert a * f.inv(a) == 1
-    # integers stay native ints, and so do the inverses of the units
-    assert type(f.coerce(-3)) is int and f.coerce(Fraction(6, 2)) == 3
+    # integers, integral Fractions included, are native ints
+    assert type(f.coerce(-3)) is int
+    assert type(f.coerce(Fraction(6, 2))) is int and f.coerce(Fraction(6, 2)) == 3
     assert f.coerce(Fraction(1, 2)) == Fraction(1, 2)
-    for u in (1, -1, Fraction(1), Fraction(-1)):
-        assert type(f.inv(u)) is int and f.inv(u) == u
-    assert f.inv(2) == Fraction(1, 2)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
 
 
 def test_prime_field_ops():
     f = PrimeField(7)
     assert f.characteristic == 7
-    for a in range(1, 7):
-        assert a * f.inv(a) % 7 == 1
     assert f.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
     assert f.coerce(-1) == 6
     with pytest.raises(FieldError):

@@ -1140,3 +1140,23 @@ def test_generates_up_to_positive_and_negative():
         generates_up_to(kz, [KoszulChain(I, 1, {kz.basis(1, 4)[0]: 1})], 1, 5)
     with pytest.raises(ValueError, match="wrong Koszul component"):
         generates_up_to(kz, kz.cycle_chains(1, 4), 2, 5)
+
+
+@pytest.mark.parametrize(
+    "blocks,c,t,want",
+    [
+        # chessboard complex M_{5,5} at the fine degree (1^5; 1^5) of P^4 x P^4
+        ((5, 5), (1, 1), 3, {0: 0, 2: 0, 3: 1, 5: 0}),
+        # matching complex M_7 at (1^7) for m^2 in seven variables
+        ((7,), 2, 2, {0: 0, 3: 1}),
+    ],
+)
+def test_squarefree_blocks_carry_3_torsion(blocks, c, t, want):
+    # reduced H_{t-1} of these complexes has 3-torsion (Bouc; Shareshian-Wachs),
+    # so the block is 1 over GF(3) and 0 in every other characteristic tried:
+    # an elimination that drops its `% p` or reduces over the wrong ring fails
+    ring = RingConfig(blocks)
+    for p, dim in want.items():
+        field = PrimeField(p) if p else QQ
+        kz = KoszulComplex(power_ideal(ring, c), field)
+        assert kz.homology_dim(t, (1,) * ring.n) == dim, field

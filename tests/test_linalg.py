@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +35,7 @@ def dense_rref(rows, ncols, field=QQ):
         if piv is None:
             continue
         mat[rk], mat[piv] = mat[piv], mat[rk]
-        inv = field.inv(mat[rk][col])
+        inv = field.coerce(Fraction(1, mat[rk][col]))
         mat[rk] = [field.coerce(inv * a) for a in mat[rk]]
         for i in range(nrows):
             if i != rk and mat[i][col]:
@@ -46,6 +47,21 @@ def dense_rref(rows, ncols, field=QQ):
 
 def dense_rank(rows, ncols):
     return len(dense_rref(rows, ncols)[1])
+
+
+def dense_kernel(columns, nrows, field=QQ):
+    """The kernel read off the dense RREF: one vector per free column f, 1 at
+    f and minus the RREF entries of column f at the pivot columns."""
+    rref, pivots = dense_rref(transpose(columns, nrows), len(columns), field)
+    kernel = []
+    for free in range(len(columns)):
+        if free not in pivots:
+            vec = {free: 1}
+            for row, p in zip(rref, pivots):
+                if row[free]:
+                    vec[p] = field.coerce(-row[free])
+            kernel.append(vec)
+    return kernel
 
 
 def random_columns(rng, nrows, ncols, field=QQ, density=0.4):
@@ -109,24 +125,12 @@ def test_rank_nullity_gfp():
 
 
 def test_kernel_basis_matches_dense_rref():
-    # the kernel read off the dense RREF: one vector per free column f, 1 at f
-    # and minus the RREF entries of column f at the pivot columns
     rng = random.Random(8)
     for field in FIELDS:
         for _ in range(40):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
             columns = random_columns(rng, nrows, ncols, field)
-            rref, pivots = dense_rref(transpose(columns, nrows), ncols, field)
-            want = []
-            for free in range(ncols):
-                if free in pivots:
-                    continue
-                vec = {free: 1}
-                for row, p in zip(rref, pivots):
-                    if row[free]:
-                        vec[p] = field.coerce(-row[free])
-                want.append(vec)
-            assert kernel_basis(columns, field) == want
+            assert kernel_basis(columns, field) == dense_kernel(columns, nrows, field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -172,7 +176,46 @@ def test_echelon_incremental_add():
 
 
 def test_non_unit_pivot_leaves_integral_entries_as_ints():
+    # over QQ a stored row is the primitive integer vector of its span
     ech = Echelon(QQ)
     assert ech.add({0: 2, 1: 4, 2: 3})
-    assert ech.rows[0] == {0: 1, 1: 2, 2: Fraction(3, 2)}
-    assert [type(v) for v in ech.rows[0].values()] == [int, int, Fraction]
+    assert ech.rows[0] == {0: 2, 1: 4, 2: 3}
+    assert [type(v) for v in ech.rows[0].values()] == [int, int, int]
+    assert ech.contains({0: 1, 1: 2, 2: Fraction(3, 2)})
+    assert not ech.add({0: -4, 1: -8, 2: -6})
+    assert ech.add({1: 6, 2: 4}) and ech.rows[1] == {1: 3, 2: 2}
+
+
+def test_gfp_rows_have_pivot_one():
+    f = PrimeField(7)
+    ech = Echelon(f)
+    assert ech.add({0: 3, 1: 5})
+    assert ech.rows[0] == {0: 1, 1: 4}  # 3 * 5 = 1 mod 7, 5 * 5 = 4 mod 7
+    assert ech.contains({0: 6, 1: 3}) and not ech.contains({0: 6, 1: 1})
+
+
+_entry = st.sampled_from([1, -1, 2, -2, 3, Fraction(3, 2), Fraction(-5, 4)])
+_frac_vector = st.dictionaries(st.integers(0, 5), _entry, max_size=6)
+
+
+@settings(max_examples=80)
+@given(vectors=st.lists(_frac_vector, min_size=1, max_size=6), probe=_frac_vector)
+def test_fraction_input_matches_the_dense_oracle(vectors, probe):
+    # denominators are cleared on entry and leads need not be units, yet every
+    # stored row is a primitive int vector and the answers are the oracle's
+    ech = Echelon(QQ)
+    for v in vectors:
+        ech.add(v)
+    rref, pivots = dense_rref(vectors, 6)
+    assert ech.rank == len(pivots) and sorted(ech.rows) == pivots
+    assert ech.contains(probe) == (dense_rank(vectors + [probe], 6) == len(pivots))
+    ech.back_substitute()
+    for row, p in zip(rref, pivots):
+        stored = ech.rows[p]
+        assert all(type(x) is int for x in stored.values()) and gcd(*stored.values()) == 1
+        assert {j: Fraction(x, stored[p]) for j, x in stored.items()} == {
+            j: x for j, x in enumerate(row) if x
+        }
+    ker = kernel_basis(vectors, QQ)
+    assert ker == dense_kernel(vectors, 6)
+    assert all(type(x) is int for v in ker for x in v.values() if x.denominator == 1)

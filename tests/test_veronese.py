@@ -319,6 +319,21 @@ def test_table_entries_are_counted_against_the_ceiling():
         assert time.monotonic() - start < 1
 
 
+@pytest.mark.parametrize(
+    "spec,target,answers",
+    [
+        # beta_{3,5} of P^4 x P^4 is 1 over GF(3) and 0 over QQ (chessboard M_{5,5})
+        (SegreVeroneseSpec((5, 5), (1, 1)), 4, {0: (3, (4, 6)), 3: (2, (3, 5))}),
+        # v_2(P^9) at (1^10): the matching complex M_10, 3-torsion again
+        (SegreVeroneseSpec((10,), (2,)), 3, {3: (2, (3, 5))}),
+    ],
+)
+def test_index_depends_on_the_characteristic(spec, target, answers):
+    for p, (value, witness) in answers.items():
+        res = green_lazarsfeld_index(spec, target, PrimeField(p) if p else QQ)
+        assert (res.exact, res.value, res.witness) == (True, value, witness), p
+
+
 def test_infeasible_ceiling():
     spec = SegreVeroneseSpec((6,), (3,))
     with pytest.raises(InfeasibleError) as exc:
