@@ -95,6 +95,7 @@ def cmd_homology(args):
         "dim_K": dim_k,
         "dim_Z": dim_z,
         "dim_H": kz.homology_dim(t, alpha),
+        "field": field.name,
     }
     table = [
         f"K_{t} at degree {alpha}: dim K = {dim_k}, dim Z = {dim_z}, "
@@ -110,7 +111,8 @@ def cmd_cycles(args):
     alpha = _parse_vec(args.degree)
     kz = KoszulComplex(ideal, field)
     chains = [c.render() for c in kz.cycle_chains(args.t, alpha)]
-    out = {"t": args.t, "degree": list(alpha), "dim": len(chains), "cycles": chains}
+    out = {"t": args.t, "degree": list(alpha), "dim": len(chains), "cycles": chains,
+           "field": field.name}
     _emit(out, args.format, [f"dim Z = {len(chains)}"] + [f"  {c}" for c in chains])
     return EXIT_PASS
 
@@ -122,7 +124,7 @@ def cmd_betti(args):
     lines = [f"betti table, rows 0..{args.imax} (certified windows)"]
     for (i, j), d in sorted(table.entries.items()):
         lines.append(f"  beta_{{{i},{j}}} = {d}")
-    _emit(table.to_dict(), args.format, lines)
+    _emit({**table.to_dict(), "field": field.name}, args.format, lines)
     return EXIT_PASS
 
 
@@ -139,6 +141,7 @@ def cmd_index(args):
         "value": res.value,
         "witness": list(res.witness) if res.witness else None,
         "satisfied": res.satisfies(target),
+        "field": field.name,
     }
     _emit(out, args.format, [res.describe(), f"target {target}: "
                              f"{'satisfied' if res.satisfies(target) else 'violated'}"])

@@ -6,9 +6,10 @@ quotient S/J.  A differential phi_t is a list of columns, one per basis key of
 K_t, each a dict of the K_{t-1}-coordinates of that key's boundary.  Homology
 dimensions are sums over the fine (Z^n) degrees inside the multidegree, one
 fine block per orbit of the variable permutations that fix I and J, or one
-fine block alone; for M = S each block is ranked modulo the closed star of one
-generator v, a cone, and is zero unbuilt when the exponents of the generators
-show every t-face outside that star too large for beta - u_v.
+fine block alone.  For M = S a block is reduced modulo the closed star of one
+generator v, a cone, is zero unbuilt when the exponents of the generators show
+every t-face outside that star too large for beta - u_v, and is otherwise
+ranked as a Morse complex, zero unranked when that has no t-cell.
 GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading by its
 fine pieces, whose Betti numbers are computed as Koszul homology against the
 variables; they vanish past the module's stability degree, where nothing is
@@ -19,10 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import factorial, prod
-from operator import add, le, sub
+from operator import add, le, or_, sub
 
 from .exterior import KoszulChain, boundary
 from .fields import QQ
@@ -51,10 +52,10 @@ class KoszulComplex:
     """K(I, M) for a monomial ideal I, with M = S, or M = S/J when the monomial
     ideal J (over the ring of I) is given.
 
-    Bases, key indices and cycle spaces are cached per (t, degree), ranks of
-    phi_t per (t, fine degree), and the faces e_T per degree of either
-    grading and generator left out, each face one int of T and its residual
-    (`_grown_faces`); the differentials themselves are assembled on demand.
+    Bases, key indices and cycle spaces are cached per (t, degree), and the
+    faces e_T per degree of either grading and generator left out, each face
+    one int of T and its residual (`_grown_faces`); the differentials
+    themselves are assembled on demand.
     Only this class reads the packed faces: the coarse basis decodes them at
     a multidegree (`_keys`), and the fine blocks of `homology_dim` and the
     pieces of `GradedModule` take them at a fine degree as T bitmasks
@@ -86,7 +87,6 @@ class KoszulComplex:
         self.J = J
         self.ceiling = ceiling
         self._basis = {}
-        self._rank = {}
         self._kernel = {}
         self._index = {}
         self._levels = {}
@@ -265,17 +265,10 @@ class KoszulComplex:
 
     def _fine_faces(self, s: int, beta, v=None) -> list:
         """The faces of K_s at the fine degree beta as T bitmasks, in lex order
-        of T: over M = S with the apex v (`_apex`), the faces without v outside
-        the closed star of v; otherwise those whose residual beta - u_T lies
-        outside J, all of them over S.
-
-        For M = S the block at beta is the augmented chain complex of the
-        simplicial complex {T : u_T <= beta}.  The closed star of a generator v
-        dividing beta, {T : u_T + u_v <= beta}, is a cone on v, so its chains
-        are acyclic and the block has the homology of the quotient by them: the
-        faces T without v for which u_v does not divide beta - u_T, with the
-        boundary terms in the star dropped.  S/J blocks are not reduced.
-        """
+        of T: over M = S with the apex v (`_apex`), the faces T without v for
+        which u_v does not divide beta - u_T, outside the closed star of v
+        (`homology_dim`); otherwise those whose residual beta - u_T lies
+        outside J, all of them over S."""
         faces, mask = self._grown_faces(s, beta, v), (1 << self.ideal.r) - 1
         _, G, gens, jgens, _ = self._packing(beta)
         if v is not None:
@@ -283,18 +276,47 @@ class KoszulComplex:
             return [F & mask for F in faces if (F - U) & G != G]
         return [F & mask for F in faces if all((F - V) & G != G for V in jgens)]
 
-    def _phi_rank(self, t: int, beta, targets: list, sources: list) -> int:
-        """Rank of phi_t in the fine degree beta, from the faces `sources` of K_t
-        to the faces `targets` of K_{t-1}, T bitmasks (`_boundary_column`)."""
-        key = (t, beta)
-        if key not in self._rank:
-            ech = Echelon(self.field)
-            if t > 0:
-                rows = {F: k for k, F in enumerate(targets)}
-                for T in sources:
-                    ech.add(_boundary_column(T, rows, self._signs))
-            self._rank[key] = ech.rank
-        return self._rank[key]
+    def _morse_dim(self, t: int, beta, levels: list, up: dict) -> int:
+        """dim H_t of the block at beta from its faces levels = (K_{t-1}, K_t,
+        K_{t+1}), T bitmasks, and an acyclic matching up = {tau: sigma} with
+        sigma = tau + one generator: 0 when every t-face is paired, otherwise
+        |K_t| - rank phi_t - rank phi_{t+1} in one Echelon whose rows are
+        t-faces.  Each gives its boundary unless matched upward (by dd = 0 the
+        rest span the image) and its coboundary unless matched downward (phi_t
+        is injective on the rest, which can leave phi_{t+1}'s columns).  Kahn's
+        algorithm numbers each matched (t-1)- or (t+1)-face before the other
+        faces of its partner's row, and raises RuntimeError on a cycle; a
+        paired row then has its partner as smallest column and is stored as it
+        is, so only the critical rows are reduced."""
+        low, mid, high = levels
+        down = {sigma: tau for tau, sigma in up.items()}
+        if all(T in up or T in down for T in mid):
+            return 0
+        signs, faces, cob = self._signs, dict(zip(low, low)), {}
+        for sigma in high:
+            for p, b in enumerate(_lowbits(sigma)):
+                cob.setdefault(sigma ^ b, {})[sigma] = signs[p & 1]
+        rows = [(down.get(T), _boundary_column(T, faces, signs)) for T in mid if T not in up]
+        rows += [(up.get(T), cob.get(T, {})) for T in mid if T not in down]
+        pivot = {x: row for x, row in rows if x is not None}
+        after = {x: [y for y in row if y != x and y in pivot] for x, row in pivot.items()}
+        waiting = Counter(y for ys in after.values() for y in ys)
+        order = [x for x in pivot if not waiting[x]]
+        for x in order:
+            for y in after[x]:
+                waiting[y] -= 1
+                if not waiting[y]:
+                    order.append(y)
+        if len(order) < len(pivot):
+            raise RuntimeError(f"the matching at {beta} has a cycle")
+        column = {F: k for k, F in enumerate(order + [F for F in low + high if F not in pivot])}
+        ech = Echelon(self.field)
+        for x, row in pivot.items():  # divided by its pivot, as Echelon keeps its rows
+            ech.rows[column[x]] = {column[F]: signs[v != row[x]] for F, v in row.items()}
+        for x, row in rows:
+            if x is None:
+                ech.add({column[F]: v for F, v in row.items()})
+        return len(mid) - ech.rank
 
     def _check_ceiling(self, count: int, what):
         """Raise InfeasibleError carrying `count` when it is over the ceiling;
@@ -306,15 +328,24 @@ class KoszulComplex:
         """dim H_t(I, M) in an internal degree: at a multidegree (length d, or
         an int when d = 1) the sum over the fine degrees with those block
         sums, one per orbit weighted by the orbit size; at a fine degree
-        (length n) its one block.  When d = n the two readings coincide.  For
-        M = S each block is star-reduced about its apex v (`_fine_faces`), and
-        is zero, neither grown nor counted, when for each k with u_{v,k} > 0 the
-        t largest x_k-exponents of the other generators dividing beta sum to at
-        most beta_k - u_{v,k}: a kept t-face T has (u_T)_k > beta_k - u_{v,k}
-        for some such k, so the reduced K_t is empty (`_apex`).  The faces of
-        K_{t-1}, K_t and K_{t+1} in the blocks to rank are counted first; past
-        the ceiling, InfeasibleError is raised before any rank.  H_t = 0 for
-        t < 0 and t > r, where K_t = 0."""
+        (length n) its one block.  When d = n the two readings coincide.
+        H_t = 0 for t < 0 and t > r, where K_t = 0.
+
+        For M = S the block at beta is the augmented chain complex of
+        {T : u_T <= beta}, truncated to K_{t-1}, K_t, K_{t+1}, which keeps H_t.
+        The closed star of its apex v (`_apex`) is a cone, so the block has the
+        homology of the quotient by it (`_fine_faces`), which is zero, neither
+        grown nor counted, when for each k with u_{v,k} > 0 the t largest
+        x_k-exponents of the other generators dividing beta sum to at most
+        beta_k - u_{v,k}, as a kept t-face T has (u_T)_k > beta_k - u_{v,k}
+        for some such k.  The faces of the blocks to rank are counted first;
+        past the ceiling, InfeasibleError is raised before any rank.  The star
+        pairs T with T + v; one such element matching per further generator
+        (`_element_matching`) is acyclic with incidences +-1 (Jonsson, LNM
+        1928, 2008), so the block has the homology of its Morse complex on the
+        unpaired faces, over Z and every field (Forman, Adv. Math. 134, 1998;
+        Skoldberg, Trans. AMS 358, 2006; `_morse_dim`).  S/J blocks are ranked
+        whole, with no pair."""
         if not 0 <= t <= self.ideal.r:
             return 0
         if isinstance(degree, int) or len(degree) != self.ring.n:
@@ -335,11 +366,9 @@ class KoszulComplex:
                 self._check_ceiling(count, lambda: f"the fine blocks of K_{t - 1}, K_{t} and "
                                     f"K_{t + 1} at degree {degree} have at least {count} faces,")
                 blocks.append((beta, size, faces))
-        rank = self._phi_rank
-        return sum(
-            size * (len(mid) - rank(t, beta, low, mid) - rank(t + 1, beta, mid, high))
-            for beta, size, (low, mid, high) in blocks
-        )
+        match = _element_matching if self.J is None else lambda faces: {}
+        return sum(size * self._morse_dim(t, beta, levels, match(levels))
+                   for beta, size, levels in blocks)
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
@@ -400,6 +429,23 @@ def _boundary_column(T: int, rows: dict, signs: tuple) -> dict:
     the boundary face T ^ bit i, signed (signs = (1, -1) in the field) by the
     parity of i's position in T, or dropped when it is not in `rows`."""
     return {rows[T ^ b]: signs[p & 1] for p, b in enumerate(_lowbits(T)) if T ^ b in rows}
+
+
+def _element_matching(levels: list) -> dict:
+    """{tau: tau + w} on the faces levels = (K_{t-1}, K_t, K_{t+1}), T
+    bitmasks: for each generator w in index order, each face tau without w
+    whose tau + w is a face of the next level, both still unpaired, is paired
+    with it.  Every pair holds a t-face, so it stops once they are all paired."""
+    free, up = [set(level) for level in levels], {}
+    for b in _lowbits(reduce(or_, levels[1] + levels[2], 0)):
+        if not free[1]:
+            break
+        for low, high in zip(free, free[1:]):
+            pairs = {F: F | b for F in low if not F & b and F | b in high}
+            low.difference_update(pairs)
+            high.difference_update(pairs.values())
+            up.update(pairs)
+    return up
 
 
 def _run_compositions(total: int, ties: tuple, cap: int) -> list:

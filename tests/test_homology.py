@@ -68,7 +68,7 @@ def test_homology_dim_is_zero_outside_the_generator_count():
     kz = KoszulComplex(power_ideal(RingConfig((3,)), 2))
     for t in (-1, 7, 8, 60):
         assert kz.homology_dim(t, 2 * max(t, 0)) == 0
-    assert kz._levels == {} and kz._rank == {}
+    assert kz._levels == {}
 
 
 def test_euler_characteristic():
@@ -398,13 +398,11 @@ def test_block_faces_and_ranks_match_the_tuple_faces(n, data, field, quotient):
                 assert faces == _reference_block_faces(kz, t, beta)
                 # a block certified empty from the exponents has no t-face
                 assert not empty or masks[1] == []
+                # H_t from the Morse complex matches the ranks on the tuple faces
                 low, mid, high = faces
-                assert kz._phi_rank(t, beta, masks[0], masks[1]) == _reference_phi_rank(
-                    field, t, low, mid
-                )
-                assert kz._phi_rank(t + 1, beta, masks[1], masks[2]) == _reference_phi_rank(
-                    field, t + 1, mid, high
-                )
+                rank = _reference_phi_rank
+                want = len(mid) - rank(field, t, low, mid) - rank(field, t + 1, mid, high)
+                assert kz.homology_dim(t, beta) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -441,6 +439,82 @@ def test_certified_blocks_grow_no_faces():
     entries = [(3, 5), (4, 6), (5, 7), (5, 8)]  # i + 2 <= j <= i + ceil(i / 2)
     assert [kz.homology_dim(i, 2 * j) for i, j in entries] == [0, 0, 0, 0]
     assert len(kz._levels) == 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.one_of(
+        st.sampled_from([((2,), (2,)), ((2,), (3,)), ((3,), (2,)), ((4,), (2,)), ((3,), (3,)),
+                         ((2, 2), (1, 1)), ((2, 2), (1, 2)), ((2, 3), (1, 1)), ((3, 3), (1, 1))]),
+        st.tuples(st.sampled_from([(2,), (3,), (4,), (2, 1), (2, 2)]), st.none()),
+    ),
+    data=st.data(),
+    field=st.sampled_from([QQ, PrimeField(2), PrimeField(3)]),
+)
+def test_morse_dim_matches_the_plain_ranks(spec, data, field):
+    # Segre-Veronese ideals m^c by their first two strands, t = j - 1 and j - 2
+    # at degree jc, and mixed-degree ideals in 2-4 variables, at a random fine
+    # degree: H_t from the element matchings of the whole block, and from
+    # homology_dim (apex star first), equals the ranks of the whole block on
+    # the tuple faces
+    blocks, c = spec
+    ring = RingConfig(blocks)
+    if c is None:
+        exps = st.tuples(*[st.integers(0, 2)] * ring.n).filter(any)
+        I = MonomialIdeal(ring, data.draw(st.lists(exps, min_size=3, max_size=7)))
+        beta = data.draw(st.tuples(*[st.integers(1, 4)] * ring.n))
+        t = data.draw(st.integers(1, min(I.r, 3)))
+    else:
+        I = power_ideal(ring, c)
+        j = data.draw(st.integers(2, 6))
+        beta = data.draw(st.sampled_from(component_basis(ring, tuple(j * a for a in c))))
+        t = min(I.r, max(1, j - data.draw(st.sampled_from([1, 2]))))
+    kz = KoszulComplex(I, field)
+    low, mid, high = ([T for T, _ in _reference_faces(kz, s, beta)] for s in (t - 1, t, t + 1))
+    rank = _reference_phi_rank
+    want = len(mid) - rank(field, t, low, mid) - rank(field, t + 1, mid, high)
+    levels = [kz._fine_faces(s, beta) for s in (t - 1, t, t + 1)]
+    assert kz._morse_dim(t, beta, levels, homology._element_matching(levels)) == want
+    assert kz.homology_dim(t, beta) == want
+
+
+def _spy_echelons(monkeypatch) -> list:
+    """The Echelons that `homology` builds from now on, collected as they are made."""
+    built = []
+
+    class Spy(Echelon):
+        def __init__(self, field):
+            super().__init__(field)
+            built.append(self)
+
+    monkeypatch.setattr(homology, "Echelon", Spy)
+    return built
+
+
+def test_blocks_with_every_t_face_paired_build_no_echelon(monkeypatch):
+    # the v_2(P^3) entries of test_certified_blocks_grow_no_faces: of the 12
+    # blocks grown there, the element matchings pair every t-face of 11, which
+    # are then 0 with no rank; one Echelon ranks the block at (3, 3, 3, 3) for
+    # (4, 6), which keeps one critical 4-face
+    built = _spy_echelons(monkeypatch)
+    kz = KoszulComplex(power_ideal(RingConfig((4,)), 2))
+    ranked = []
+    for i, j in [(3, 5), (4, 6), (5, 7), (5, 8)]:
+        assert kz.homology_dim(i, 2 * j) == 0
+        ranked.append(len(built))
+    assert ranked == [0, 1, 1, 1] and len(kz._levels) == 12
+
+
+def test_a_cyclic_matching_is_refused():
+    # vertices 1, 2, 3 and edges 12, 23, 13 and 14 (its vertex 4 left out, as
+    # a star would): the pairs 1 < 12, 2 < 23, 3 < 13 leave the edge 14
+    # critical, and each pair's edge has the next pair's vertex, a cycle
+    kz = KoszulComplex(power_ideal(RingConfig((4,)), 1))
+    levels = [[0b0001, 0b0010, 0b0100], [0b0011, 0b0110, 0b0101, 0b1001], []]
+    with pytest.raises(RuntimeError, match="cycle"):
+        kz._morse_dim(1, (1,) * 4, levels, {0b0001: 0b0011, 0b0010: 0b0110, 0b0100: 0b0101})
+    # an acyclic matching of the same faces keeps H_1: 4 edges, rank 3
+    assert kz._morse_dim(1, (1,) * 4, levels, {0b0001: 0b0011, 0b0010: 0b0110}) == 1
 
 
 def _reference_orbits(kz, alpha):
@@ -493,18 +567,19 @@ def test_homology_dim_ranks_fine_blocks_under_the_ceiling():
     assert kz.homology_dim(5, 24) == 7095
 
 
-def test_homology_dim_checks_ceiling_before_building():
+def test_homology_dim_checks_ceiling_before_building(monkeypatch):
     # v_6(P^5) at (2, 3): low degrees have small stars, so the star-reduced
     # fine blocks of K_1, K_2 and K_3 still pass the ceiling
+    built = _spy_echelons(monkeypatch)
     kz = KoszulComplex(power_ideal(RingConfig((6,)), 6))
     with pytest.raises(InfeasibleError) as exc:
         kz.homology_dim(2, 18)
     assert kz.ceiling < exc.value.estimate <= 50_880
     assert str(exc.value).endswith("over the ceiling 50000")
-    assert kz._rank == {} and kz._basis == {}
+    assert built == [] and kz._basis == {}
 
 
-def test_homology_dim_at_a_fine_degree_guards():
+def test_homology_dim_at_a_fine_degree_guards(monkeypatch):
     # m^2 in three variables, r = 6; at the fine degree (2, 2, 2) the
     # star-reduced block of K_1, K_2 and K_3 has 2 + 5 + 1 faces and H_2 has
     # dimension 2
@@ -515,7 +590,8 @@ def test_homology_dim_at_a_fine_degree_guards():
             kz.homology_dim(2, beta)
     for t in (-1, 7, 8, 60):
         assert kz.homology_dim(t, (2, 2, 2)) == 0
-    assert kz._levels == {} and kz._rank == {}
+    assert kz._levels == {}
+    built = _spy_echelons(monkeypatch)
     tight = KoszulComplex(power_ideal(ring, 2), ceiling=7)
     with pytest.raises(InfeasibleError) as exc:
         tight.homology_dim(2, (2, 2, 2))
@@ -524,7 +600,7 @@ def test_homology_dim_at_a_fine_degree_guards():
         "the fine blocks of K_1, K_2 and K_3 at degree (2, 2, 2) have at least 8 faces, "
         "over the ceiling 7"
     )
-    assert tight._rank == {}
+    assert built == []
     assert KoszulComplex(power_ideal(ring, 2), ceiling=8).homology_dim(2, (2, 2, 2)) == 2
     # a tuple of length d is a multidegree: (6,) is beta_{2,3} = 8 of v_2(P^2)
     assert kz.homology_dim(2, (6,)) == 8

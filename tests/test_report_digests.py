@@ -8,6 +8,9 @@ The reports were once printed indented, as json.dumps(report, sort_keys=True,
 indent=2); they are now one line, json.dumps(report, sort_keys=True).  Only
 the whitespace changed: each digest here is the SHA-256 of the indented
 report re-encoded as json.dumps(json.loads(old), sort_keys=True) + "\n".
+The four engine reports (betti, index, homology, cycles) then gained a
+`field` key holding the field's name, "rat" here; each of their digests is
+that of the previous report plus that one key.
 """
 
 import hashlib
@@ -52,13 +55,13 @@ DIGESTS = [
     (["probe-q1", "--seed", "1", "--size", "2"],
      "1ea8779c06163df252bf98f024ad8c2bba74c64cc5a41c5253988f5f83aaa497"),
     (["betti", "--blocks", "3", "--c", "2", "--imax", "3"],
-     "a20e94df3438519b9974604d6af9235ccdbb42897de9ab7eb605ea9873f85987"),
+     "8284168978cddbe741d8c24e51c5e91a3c7e76405171a2fc16e821332b455d86"),
     (["index", "--blocks", "3", "--c", "2"],
-     "f342dba217620046bf423137b8dabe4517ca8a7d8b3a49734c9cffcb051a34c3"),
+     "0e03813d048831dd4389b8d99fef7a0369af916ef93d1106cce96df768360b31"),
     (["homology", "--ideal", IDEAL_M2, "-t", "1", "--degree", "4"],
-     "018bac3cb2cb817bc6e1f973e5b39e0760c34192ba0dbc7a03ca5c4e34684ae2"),
+     "ee2c4d6269b93499a7056205d85674d69bf3e7ef578ce011bad722ddc237937b"),
     (["cycles", "--ideal", IDEAL_3, "-t", "1", "--degree", "4"],
-     "d9d7d16e821a1690171da11c04e21f16a3b41bb9d6ececc2a4c267027f05bf8e"),
+     "bb6b00acac51ac2add38dcc42f896ce6e5e472b9fd8ededc917a663feda4d81e"),
 ]
 
 

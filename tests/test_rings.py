@@ -253,13 +253,13 @@ def _lcms(gens):
 
 def test_reg_ranks_only_the_lcm_lattice(monkeypatch):
     ranked = []
-    phi_rank = KoszulComplex._phi_rank
+    morse_dim = KoszulComplex._morse_dim
 
-    def spy(self, t, beta, targets, sources):
+    def spy(self, t, beta, levels, up):
         ranked.append(beta)
-        return phi_rank(self, t, beta, targets, sources)
+        return morse_dim(self, t, beta, levels, up)
 
-    monkeypatch.setattr(KoszulComplex, "_phi_rank", spy)
+    monkeypatch.setattr(KoszulComplex, "_morse_dim", spy)
     I = MonomialIdeal(RingConfig((2,)), [(2, 0), (0, 3)])
     assert reg_monomial_ideal(I) == 4
     assert set(ranked) == {(2, 0), (0, 3), (2, 3)}
