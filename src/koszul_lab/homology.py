@@ -418,10 +418,14 @@ class KoszulComplex:
         return ech
 
 
-@lru_cache(maxsize=None)
-def _lowbits(T: int) -> tuple:
-    """The set bits of the bitmask T, lowest first."""
-    return tuple(1 << k for k in range(T.bit_length()) if T >> k & 1)
+def _lowbits(T: int) -> list:
+    """The set bits of the bitmask T, lowest first, one step per set bit."""
+    bits = []
+    while T:
+        low = T & -T
+        bits.append(low)
+        T ^= low
+    return bits
 
 
 def _boundary_column(T: int, rows: dict, signs: tuple) -> dict:

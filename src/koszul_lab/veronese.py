@@ -50,8 +50,14 @@ polynomial representation of degree j c_b <= j max(c) < p is a sum of simple
 modules with Schur characters.  Below that bound the argument fails: for GL_2
 in characteristic p, the Frobenius twist L(p, 0) has the weights (p, 0) and
 (0, p) only, so it has no balanced weight, and the entry keeps the orbit sum
-over every fine degree of jc.  Tables need whole dimensions, so
-`veronese_betti` always ranks the orbit sum.
+over every fine degree of jc.
+
+`veronese_betti` decides each entry j >= i + 2 by the same rule
+(`_deciding_degree`): where the argument holds, the balanced block is ranked
+first, and a zero there is the exact entry beta_{i,j} = 0.  Only a nonzero
+entry goes on to the orbit sum over jc, which a table needs whole; that sum
+finds the balanced block's faces already grown.  Below the bound the orbit
+sum is the one rank, as for the index.
 """
 
 from __future__ import annotations
@@ -119,11 +125,11 @@ def _window_cut(i: int, min_c: int) -> int:
     return i + 1 + ceil(i / min_c)
 
 
-def _euler(spec: SegreVeroneseSpec, j: int) -> int:
+def _euler(ring: RingConfig, c: tuple, j: int) -> int:
     """chi_j = sum_s (-1)^s dim K_s(m^c, S)_{jc} (module docstring)."""
-    N = component_dim(spec.ring, spec.c)
+    N = component_dim(ring, c)
     return sum(
-        (-1) ** s * comb(N, s) * component_dim(spec.ring, tuple((j - s) * a for a in spec.c))
+        (-1) ** s * comb(N, s) * component_dim(ring, tuple((j - s) * a for a in c))
         for s in range(min(j, N) + 1)
     )
 
@@ -131,8 +137,10 @@ def _euler(spec: SegreVeroneseSpec, j: int) -> int:
 def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
     """Graded Betti numbers of the Segre-Veronese ring up to row i_max; only
     the entries j >= i + 2 are ranked, beta_{i,i} = 0 and beta_{i,i+1} are
-    recorded without a rank (module docstring).  A table with more entries
-    than the ceiling is refused before any rank."""
+    recorded without a rank (module docstring).  Each ranked entry is first
+    decided at its `_deciding_degree`, and only a nonzero one that is not
+    already whole is ranked again as the orbit sum over jc.  A table with more
+    entries than the ceiling is refused before any rank."""
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     kz, count = KoszulComplex(power_ideal(spec.ring, spec.c), field), 1
@@ -148,9 +156,11 @@ def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
         entries[(i, i)] = 0
         # column i + 1 above row i: ranked in the earlier rows, or zero past their cuts
         earlier = sum((-1) ** s * entries.get((s, i + 1), 0) for s in range(1, i))
-        entries[(i, i + 1)] = (-1) ** i * (_euler(spec, i + 1) - earlier)
+        entries[(i, i + 1)] = (-1) ** i * (_euler(kz.ring, spec.c, i + 1) - earlier)
         for j in range(i + 2, cut):
-            entries[(i, j)] = kz.homology_dim(i, tuple(j * a for a in spec.c))
+            at, jc = _deciding_degree(spec, j, field), tuple(j * a for a in spec.c)
+            dim = kz.homology_dim(i, at)
+            entries[(i, j)] = kz.homology_dim(i, jc) if dim and at != jc else dim
     return BettiTable(entries, i_max, windows)
 
 
@@ -178,9 +188,7 @@ def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> Ind
     beta_{i,j} with i + 2 <= j below the window cut, in increasing j.  The
     first nonzero one is the witness, and the rows after it are never built.
     The linear strand j <= i + 1 cannot decide the index and is not ranked.
-    Each entry is decided at its balanced fine degree when the field's
-    characteristic is 0 or exceeds j max(c), else by the orbit sum at jc
-    (module docstring).
+    Each entry is decided at its `_deciding_degree` alone (module docstring).
 
     The rows stop at r = dim S_c, the number of generators of m^c: K_i = 0
     for i > r, so beta_{i,j} = 0 there and no such row can break the bound.
@@ -189,15 +197,21 @@ def green_lazarsfeld_index(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> Ind
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    kz, char = KoszulComplex(power_ideal(spec.ring, spec.c), field), field.characteristic
-
-    def entry(i, j):
-        if char and char <= j * max(spec.c):
-            return kz.homology_dim(i, tuple(j * a for a in spec.c))
-        return kz.homology_dim(i, _balanced(spec, j))
-
-    found = _index(min(i_max, kz.ideal.r), lambda i: _window_cut(i, spec.min_c), entry)
+    kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
+    found = _index(min(i_max, kz.ideal.r), lambda i: _window_cut(i, spec.min_c),
+                   lambda i, j: kz.homology_dim(i, _deciding_degree(spec, j, field)))
     return found if found.exact else IndexResult(False, i_max, None)
+
+
+def _deciding_degree(spec: SegreVeroneseSpec, j: int, field) -> tuple:
+    """A degree whose homology H_i is nonzero iff beta_{i,j} is, for every i:
+    the balanced fine degree (`_balanced`) when the field's characteristic is
+    0 or exceeds j max(c), else the multidegree jc, the orbit sum itself
+    (module docstring)."""
+    char = field.characteristic
+    if char and char <= j * max(spec.c):
+        return tuple(j * a for a in spec.c)
+    return _balanced(spec, j)
 
 
 def _balanced(spec: SegreVeroneseSpec, j: int) -> tuple:

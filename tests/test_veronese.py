@@ -121,13 +121,14 @@ def test_index_results():
 
 
 def whole_table_index(spec, i_max, field=QQ):
-    """The index by the rule on the whole table: the first row i with a
-    nonzero entry at j > i + 1, and the smallest such j."""
-    table = veronese_betti(spec, i_max, field)
+    """The index by the rule on the whole table, each entry an orbit sum over
+    jc: the first row i with a nonzero entry at j > i + 1, and the smallest
+    such j."""
+    kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
     for i in range(1, i_max + 1):
-        js = [j for (ii, j), d in table.entries.items() if ii == i and j > i + 1 and d]
-        if js:
-            return True, i - 1, (i, min(js))
+        for j in range(i + 2, i + 1 + ceil(i / spec.min_c)):
+            if kz.homology_dim(i, tuple(j * a for a in spec.c)):
+                return True, i - 1, (i, j)
     return False, i_max, None
 
 
@@ -262,22 +263,88 @@ def test_linear_strand_matches_the_ranked_entry(field):
             assert table.entry(i, i + 1) == ranked, (blocks, c, i)
 
 
-@pytest.mark.parametrize("spec,target", [case[:2] for case in INDEX_CASES])
-def test_betti_ranks_only_the_entries_past_the_linear_strand(spec, target, monkeypatch):
-    # the entries j >= i + 2 of each row's window, in order: beta_{i,i} and
-    # beta_{i,i+1} are recorded without a rank
+def betti_calls(spec, target, field, monkeypatch):
+    """The (row, j, degree) of each homology_dim call of veronese_betti, and
+    the table."""
     asked = []
     homology_dim = KoszulComplex.homology_dim
 
     def spy(self, t, alpha):
-        asked.append((t, alpha[0] // spec.c[0]))
+        # sum(alpha) = j sum(c) at a fine degree and at a multidegree alike
+        asked.append((t, sum(alpha) // sum(spec.c), alpha))
         return homology_dim(self, t, alpha)
 
     monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
-    veronese_betti(spec, target)
-    assert asked == [
+    table = veronese_betti(spec, target, field)
+    monkeypatch.undo()
+    return asked, table
+
+
+def past_the_strand(spec, target):
+    return [
         (i, j) for i in range(1, target + 1) for j in range(i + 2, i + 1 + ceil(i / spec.min_c))
     ]
+
+
+@pytest.mark.parametrize("spec,target", [case[:2] for case in INDEX_CASES])
+def test_betti_ranks_only_the_entries_past_the_linear_strand(spec, target, monkeypatch):
+    # the entries j >= i + 2 of each row's window, in order, each at its
+    # balanced fine block, then at jc (the orbit sum) only where that block is
+    # nonzero: beta_{i,i} and beta_{i,i+1} are recorded without a rank
+    asked, table = betti_calls(spec, target, QQ, monkeypatch)
+    want = []
+    for i, j in past_the_strand(spec, target):
+        want.append((i, j, _balanced(spec, j)))
+        if table.entry(i, j):
+            want.append((i, j, tuple(j * a for a in spec.c)))
+    assert asked == want
+    assert all(is_balanced(spec, j, alpha) for _, j, alpha in asked if len(alpha) == spec.ring.n)
+
+
+@pytest.mark.parametrize("spec,target", [case[:2] for case in INDEX_CASES])
+def test_betti_below_the_bound_ranks_only_orbit_sums(spec, target, monkeypatch):
+    # over GF(3), where 3 <= j max(c) for every entry j >= i + 2, the balanced
+    # argument does not hold, and each entry is its orbit sum at jc alone
+    asked, _ = betti_calls(spec, target, PrimeField(3), monkeypatch)
+    want = [(i, j, tuple(j * a for a in spec.c)) for i, j in past_the_strand(spec, target)]
+    assert asked == want
+
+
+# v_4(P^2), P^1 x P^2 with c = (1, 2), whose beta_{6,8} is 21, and P^4 x P^4,
+# whose beta_{3,5} is 1 over GF(3) and 0 over GF(7) (chessboard M_{5,5})
+ORBIT_SUM_CASES = [((3,), (4,), 9), ((2, 3), (1, 2), 6), ((5, 5), (1, 1), 3)]
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(32003)],
+    ids=["QQ", "GF2", "GF3", "GF7", "GF32003"],
+)
+def test_table_entries_are_the_orbit_sums(field):
+    # a zero decided at its balanced block, and every other entry, equals the
+    # orbit sum over jc ranked in a complex of its own; GF(2), GF(3) and GF(7)
+    # fall below j max(c) on some entries, which keep the orbit sum alone
+    for blocks, c, rows in ORBIT_SUM_CASES:
+        spec = SegreVeroneseSpec(blocks, c)
+        table = veronese_betti(spec, rows, field)
+        kz = KoszulComplex(power_ideal(spec.ring, spec.c), field)
+        for (i, j), dim in table.entries.items():
+            if i:
+                assert dim == kz.homology_dim(i, tuple(j * a for a in c)), (blocks, c, i, j)
+        off = {k: d for k, d in table.entries.items() if d and k[1] >= k[0] + 2}
+        want = {(2, 3): {(6, 8): 21}, (5, 5): {(3, 5): 1} if field.characteristic == 3 else {}}
+        assert off == want.get(blocks, {}), (blocks, field)
+
+
+def test_a_table_of_zeros_sums_no_orbit(monkeypatch):
+    # every entry j >= i + 2 of v_2(P^3) to row 5 is zero at its balanced
+    # block, so no entry goes on to the orbit sum
+    def refuse(self, alpha):
+        raise AssertionError(f"orbit sum at {alpha}")
+
+    monkeypatch.setattr(KoszulComplex, "_orbits", refuse)
+    table = veronese_betti(SegreVeroneseSpec((4,), (2,)), 5)
+    assert (5, 7) in table.entries
+    assert not any(d for (i, j), d in table.entries.items() if j >= i + 2)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["QQ", "GF3"])
