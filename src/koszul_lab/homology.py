@@ -52,10 +52,11 @@ class KoszulComplex:
     """K(I, M) for a monomial ideal I, with M = S, or M = S/J when the monomial
     ideal J (over the ring of I) is given.
 
-    Bases, key indices and cycle spaces are cached per (t, degree), and the
-    faces e_T per degree of either grading and generator left out, each face
-    one int of T and its residual (`_grown_faces`); the differentials
-    themselves are assembled on demand.
+    Bases, key indices and cycle spaces are cached per (t, degree), the faces
+    e_T per degree of either grading and generator left out, each face one
+    int of T and its residual (`_grown_faces`), the faces at a fine degree
+    with no apex (`_fine_faces`), and H_t of each fine block ranked; the
+    differentials themselves are assembled on demand.
     Only this class reads the packed faces: the coarse basis decodes them at
     a multidegree (`_keys`), and the fine blocks of `homology_dim` and the
     pieces of `GradedModule` take them at a fine degree as T bitmasks
@@ -91,6 +92,8 @@ class KoszulComplex:
         self._index = {}
         self._levels = {}
         self._packings = {}
+        self._fine = {}
+        self._dims = {}
         self._signs = (field.coerce(1), field.coerce(-1))
         # maximal runs of variables of one block whose adjacent swaps fix the
         # generators of I and of J; each permutation of a run maps the fine
@@ -268,13 +271,16 @@ class KoszulComplex:
         of T: over M = S with the apex v (`_apex`), the faces T without v for
         which u_v does not divide beta - u_T, outside the closed star of v
         (`homology_dim`); otherwise those whose residual beta - u_T lies
-        outside J, all of them over S."""
+        outside J, all of them over S, kept per (s, beta) with no apex."""
+        if v is None and (s, beta) in self._fine:
+            return self._fine[s, beta]
         faces, mask = self._grown_faces(s, beta, v), (1 << self.ideal.r) - 1
         _, G, gens, jgens, _ = self._packing(beta)
         if v is not None:
             U = gens[v - 1]
             return [F & mask for F in faces if (F - U) & G != G]
-        return [F & mask for F in faces if all((F - V) & G != G for V in jgens)]
+        fine = [F & mask for F in faces if all((F - V) & G != G for V in jgens)]
+        return self._fine.setdefault((s, beta), fine)
 
     def _morse_dim(self, t: int, beta, levels: list, up: dict) -> int:
         """dim H_t of the block at beta from its faces levels = (K_{t-1}, K_t,
@@ -367,8 +373,10 @@ class KoszulComplex:
                                     f"K_{t + 1} at degree {degree} have at least {count} faces,")
                 blocks.append((beta, size, faces))
         match = _element_matching if self.J is None else lambda faces: {}
-        return sum(size * self._morse_dim(t, beta, levels, match(levels))
-                   for beta, size, levels in blocks)
+        for beta, _, levels in blocks:
+            if (t, beta) not in self._dims:
+                self._dims[t, beta] = self._morse_dim(t, beta, levels, match(levels))
+        return sum(size * self._dims[t, beta] for beta, size, _ in blocks)
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
@@ -482,12 +490,12 @@ class GradedModule:
     numbers read only the fine pieces M_gamma with gamma <= a.  phi_t is
     block-diagonal by fine degree, and at gamma K_s is spanned by its faces
     e_T (x) w, w = gamma - u_T, each named by its T bits, read from the
-    complex at gamma (`KoszulComplex._fine_faces`); the module keeps no faces
-    of its own.  The piece at gamma is the RREF kernel Z_gamma of phi_t on
-    them, whose free columns give the Z-coordinates of any cycle; for H_t the
-    boundaries B_gamma are echelon rows in those coordinates, and the Z-basis
-    vectors off their pivots represent a basis of H_gamma.  x_k takes the face
-    T at gamma to the face T at gamma + e_k.
+    complex at gamma (`KoszulComplex._fine_faces`), which keeps them for the
+    ceiling guard and the piece alike.  The piece at gamma is the RREF kernel
+    Z_gamma of phi_t on them, whose free columns give the Z-coordinates of
+    any cycle; for H_t the boundaries B_gamma are echelon rows in those
+    coordinates, and the Z-basis vectors off their pivots represent a basis
+    of H_gamma.  x_k takes the face T at gamma to the face T at gamma + e_k.
     """
 
     def __init__(self, kz: KoszulComplex, t: int, quotient: bool):

@@ -318,15 +318,16 @@ def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
     """reg(I) over `field`, memoised.  Strongly stable: max generator degree.
 
     Otherwise reg(S/I) is computed from Tor_i(S/I, K)_beta = H_i(x; S/I)_beta,
-    the Koszul homology of the variables with coefficients S/I, at the fine
-    degrees beta of the LCM lattice of I: the lcms of the nonempty sets of
-    minimal generators.  Nothing else can be nonzero: the Taylor resolution
-    of S/I is Z^n-graded with a basis element e_T in degree lcm(u_T) and
-    homological degree |T|, so Tor_i(S/I, K)_beta, a subquotient of its
-    degree-beta part tensored with K, vanishes unless beta = lcm(u_T) for
-    some T with |T| = i (Taylor 1966; Gasharov-Peeva-Welker 1999).  Hence
-    reg(S/I) = max |beta| - i over the nonzero blocks with i in 1..min(r, n),
-    and reg(I) = reg(S/I) + 1.
+    the Koszul homology of the variables with coefficients S/I, at fine
+    degrees beta of the LCM lattice of I: the lcms of the nonempty sets T of
+    minimal generators.  The Taylor resolution of S/I is Z^n-graded with a
+    basis element e_T in degree lcm(u_T) and homological degree |T|, so
+    Tor_i(S/I, K)_beta, a subquotient of its degree-beta part tensored with
+    K, vanishes unless beta = lcm(u_T) for some T with |T| = i (Taylor 1966;
+    Gasharov-Peeva-Welker 1999), and for i > n.  The pairs (lcm(u_T), |T|)
+    are built one generator at a time.  reg(S/I) is the largest |beta| - i
+    over the nonzero blocks among them, so they are ranked in decreasing
+    |beta| - i up to the first nonzero one; reg(I) = reg(S/I) + 1.
     """
     if I.ring.d != 1:
         raise ValueError("regularity over the standard grading only")
@@ -335,12 +336,9 @@ def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
     from .homology import KoszulComplex
 
     kz = KoszulComplex(power_ideal(I.ring, 1), field, I)
-    lattice = set()
+    pairs = set()  # (lcm(u_T), |T|)
     for u in I.gens:
-        lattice |= {mon_lcm(u, b) for b in lattice} | {u}
-    reg = 0
-    for beta in sorted(lattice, key=mon_key):
-        for i in range(1, min(I.r, I.ring.n) + 1):
-            if kz.homology_dim(i, beta) > 0:
-                reg = max(reg, total_deg(beta) - i)
-    return reg + 1
+        pairs |= {(mon_lcm(u, b), k + 1) for b, k in pairs} | {(u, 1)}
+    allowed = sorted(((total_deg(b) - i, b, i) for b, i in pairs if i <= I.ring.n), reverse=True)
+    # Tor_1 is nonzero at each minimal generator, so some block is nonzero
+    return next(gap for gap, beta, i in allowed if kz.homology_dim(i, beta)) + 1

@@ -56,8 +56,8 @@ over every fine degree of jc.
 (`_deciding_degree`): where the argument holds, the balanced block is ranked
 first, and a zero there is the exact entry beta_{i,j} = 0.  Only a nonzero
 entry goes on to the orbit sum over jc, which a table needs whole; that sum
-finds the balanced block's faces already grown.  Below the bound the orbit
-sum is the one rank, as for the index.
+finds the balanced block's faces already grown and its H_i already ranked.
+Below the bound the orbit sum is the one rank, as for the index.
 """
 
 from __future__ import annotations

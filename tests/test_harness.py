@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from koszul_lab import harness
+from koszul_lab.cycles import z1_products
 from koszul_lab.fields import PrimeField, QQ
 from koszul_lab.homology import KoszulComplex
 from koszul_lab.harness import (
@@ -11,6 +13,7 @@ from koszul_lab.harness import (
     CaseRecord,
     SuiteReport,
     UnknownSuiteError,
+    _maincyc_dims,
     artinianize,
     ideal_params,
     probe_q1,
@@ -18,7 +21,7 @@ from koszul_lab.harness import (
     run_suite,
 )
 from koszul_lab.linalg import Echelon
-from koszul_lab.rings import RingConfig, monomial_quotient_dim
+from koszul_lab.rings import RingConfig, monomial_quotient_dim, power_ideal
 
 
 def test_random_ideal_corpus():
@@ -63,6 +66,17 @@ def test_signs_suite_exhaustive():
     rep = run_suite("signs")
     assert rep.verdict == "pass"
     assert rep.cases[0].params["checked"] == 4 ** 6
+
+
+def test_signs_suite_sees_one_wrong_sign(monkeypatch):
+    # the table is filled by the public sign, so a wrong value on one pair
+    # reaches the checks
+    sign = harness.sign
+    wrong = {((2,), (5,))}
+    monkeypatch.setattr(harness, "sign", lambda X, Y: sign(X, Y) * (-1) ** ((X, Y) in wrong))
+    rep = run_suite("signs")
+    assert rep.verdict == "violation"
+    assert [[2], [5], [], "anticommutativity"] in rep.cases[0].details["failures"]
 
 
 def test_report_shape_and_verdicts():
@@ -111,6 +125,35 @@ def test_maincyc_combos_cover_request():
         for c in (1, 2):
             for t in (2, 3):
                 assert (n, c, t) in combos
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(5), PrimeField(32003)], ids=["QQ", "GF5", "GF32003"]
+)
+def test_maincyc_orbit_sums_are_the_whole_degree_dims(field):
+    # from one degree below the window to one past its end, the orbit sums
+    # against the cycle space and the span of the products at the whole degree
+    for n, c, t in MAINCYC_COMBOS:
+        ideal = power_ideal(RingConfig((n,)), c)
+        if t > ideal.r:
+            continue
+        kz = KoszulComplex(ideal, field)
+        prods = z1_products(kz, t)
+        degrees = range(t * (c + 1) - 1, t * (c + 1) + 4)
+        want = {j: (len(kz.cycle_space(t, j)), kz.span_multiples(prods, j).rank) for j in degrees}
+        assert _maincyc_dims(KoszulComplex(ideal, field), t, degrees) == want, (n, c, t)
+
+
+def test_maincyc_orbit_sums_see_a_degree_below_the_window():
+    # one degree below t(c + 1), Z_t has cycles that Z_1^t lacks for three
+    # of the n = 3 combinations; elsewhere both are 0 there
+    below = {(3, 1, 2): (1, 0), (3, 2, 2): (6, 0), (3, 2, 3): (18, 0)}
+    for n, c, t in MAINCYC_COMBOS:
+        ideal = power_ideal(RingConfig((n,)), c)
+        if t > ideal.r:
+            continue
+        j = t * (c + 1) - 1
+        assert _maincyc_dims(KoszulComplex(ideal), t, [j])[j] == below.get((n, c, t), (0, 0))
 
 
 def test_probe_q1_runs():

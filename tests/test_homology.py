@@ -1107,6 +1107,27 @@ def test_tor_suites_build_only_box_pieces(monkeypatch):
     assert built > 0
 
 
+def test_tor_scan_filters_each_fine_face_list_once(monkeypatch):
+    # the ceiling guard and the piece at gamma read one list of faces of K_s,
+    # filtered by J once: the faces are fetched once per (complex, s, gamma)
+    fetched = []
+    grown_faces = KoszulComplex._grown_faces
+
+    def spy(self, t, degree, skip=None):
+        fetched.append((id(self), t, degree, skip))
+        return grown_faces(self, t, degree, skip)
+
+    monkeypatch.setattr(KoszulComplex, "_grown_faces", spy)
+    kept = []  # the complexes stay alive, so that no id is reused
+    for build in (_regb, _sato):
+        for seed in range(12):
+            _, checks = build(random.Random(seed), QQ)
+            for _, M, bound, i_max in checks:
+                tor_violations(M, bound, i_max)
+                kept.append(M.kz)
+    assert fetched and len(fetched) == len(set(fetched))
+
+
 def test_box_piece_checks_the_ceiling_before_any_kernel():
     ring = RingConfig((2,))
     I = MonomialIdeal(ring, [(2, 0), (1, 1), (0, 3)])

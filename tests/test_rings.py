@@ -243,26 +243,45 @@ def test_reg_matches_the_taylor_cap_scan(n, data, field):
         lambda g: tuple(g[1] * (k == g[0]) + g[3] * (k == g[2]) for k in range(n))
     )
     I = MonomialIdeal(RingConfig((n,)), data.draw(st.lists(gen, min_size=1, max_size=5)))
-    assert reg_monomial_ideal(I, field) == _taylor_cap_scan(I, field)
+    assert reg_monomial_ideal(I, field) == _taylor_cap_scan(I, field) == _lattice_scan(I, field)
 
 
-def _lcms(gens):
-    """The lcms of the nonempty sets of the monomials gens."""
-    return {reduce(mon_lcm, T) for k in range(1, len(gens) + 1) for T in combinations(gens, k)}
+def _taylor_pairs(gens, n):
+    """The (lcm(u_T), |T|) over the nonempty sets T of the monomials gens
+    with |T| <= n."""
+    return {
+        (reduce(mon_lcm, T), k) for k in range(1, min(len(gens), n) + 1)
+        for T in combinations(gens, k)
+    }
+
+
+def _lattice_scan(I, field):
+    """reg(I) from every fine block of the LCM lattice and every i in
+    1..min(r, n), with no strongly-stable shortcut and no early stop."""
+    kz = KoszulComplex(power_ideal(I.ring, 1), field, I)
+    lattice = {beta for beta, _ in _taylor_pairs(I.gens, I.r)}
+    reg = 0
+    for beta in lattice:
+        for i in range(1, min(I.r, I.ring.n) + 1):
+            if kz.homology_dim(i, beta) > 0:
+                reg = max(reg, total_deg(beta) - i)
+    return reg + 1
 
 
 def test_reg_ranks_only_the_lcm_lattice(monkeypatch):
+    # only the (beta, i) that the Taylor resolution allows are ranked, the
+    # largest |beta| - i first: (x^2, y^3) ranks Tor_2 at x^2 y^3 alone
     ranked = []
     morse_dim = KoszulComplex._morse_dim
 
     def spy(self, t, beta, levels, up):
-        ranked.append(beta)
+        ranked.append((beta, t))
         return morse_dim(self, t, beta, levels, up)
 
     monkeypatch.setattr(KoszulComplex, "_morse_dim", spy)
     I = MonomialIdeal(RingConfig((2,)), [(2, 0), (0, 3)])
     assert reg_monomial_ideal(I) == 4
-    assert set(ranked) == {(2, 0), (0, 3), (2, 3)}
+    assert ranked == [((2, 3), 2)]
     # memoised per (ideal, field): an equal ideal is not ranked again
     ranked.clear()
     assert reg_monomial_ideal(MonomialIdeal(RingConfig((2,)), [(0, 3), (2, 0)])) == 4
@@ -274,7 +293,7 @@ def test_reg_ranks_only_the_lcm_lattice(monkeypatch):
         I = MonomialIdeal(RingConfig((n,)), [g for g in gens if any(g)] or [(1,) * n])
         ranked.clear()
         reg_monomial_ideal(I)
-        assert set(ranked) <= _lcms(I.gens)
+        assert set(ranked) <= _taylor_pairs(I.gens, n)
 
 
 def test_reg_depends_on_the_field():

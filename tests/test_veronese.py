@@ -335,6 +335,23 @@ def test_table_entries_are_the_orbit_sums(field):
         assert off == want.get(blocks, {}), (blocks, field)
 
 
+def test_a_nonzero_entry_ranks_its_balanced_block_once(monkeypatch):
+    # beta_{6,8} = 21 of P^1 x P^2 with c = (1, 2) is decided at its balanced
+    # block, which the orbit sum over 8c then reads without a second rank
+    ranked = []
+    morse_dim = KoszulComplex._morse_dim
+
+    def spy(self, t, beta, levels, up):
+        ranked.append((t, beta))
+        return morse_dim(self, t, beta, levels, up)
+
+    monkeypatch.setattr(KoszulComplex, "_morse_dim", spy)
+    spec = SegreVeroneseSpec((2, 3), (1, 2))
+    assert veronese_betti(spec, 6).entries[6, 8] == 21
+    assert (6, _balanced(spec, 8)) in ranked
+    assert len(ranked) == len(set(ranked))
+
+
 def test_a_table_of_zeros_sums_no_orbit(monkeypatch):
     # every entry j >= i + 2 of v_2(P^3) to row 5 is zero at its balanced
     # block, so no entry goes on to the orbit sum
