@@ -55,7 +55,6 @@ from .veronese import (
     veronese_betti,
 )
 from .harness import (
-    CaseRecord,
     SuiteReport,
     probe_q1,
     random_monomial_ideal,
@@ -106,7 +105,6 @@ __all__ = [
     "SegreVeroneseSpec",
     "green_lazarsfeld_index",
     "veronese_betti",
-    "CaseRecord",
     "SuiteReport",
     "probe_q1",
     "random_monomial_ideal",

@@ -55,10 +55,10 @@ def _emit(report_dict, fmt, table_lines):
 def _suite_table(report):
     lines = [f"suite {report.suite}: {report.verdict} ({len(report.cases)} cases)"]
     for case in report.cases:
-        lines.append(f"  case {case.index}: {case.verdict}")
-        if case.verdict not in ("pass",):
-            lines.append(f"    params: {case.params}")
-            lines.append(f"    details: {case.details}")
+        lines.append(f"  case {case['index']}: {case['verdict']}")
+        if case["verdict"] != "pass":
+            lines.append(f"    params: {case['params']}")
+            lines.append(f"    details: {case['details']}")
     return lines
 
 
@@ -70,24 +70,21 @@ def _verdict_exit(verdict: str) -> int:
 
 def cmd_verify(args):
     """`verify <suite>` and `probe-q1`: run the suite and print its report."""
-    field = parse_field(args.field) if args.field else None
     if args.command == "probe-q1":
-        report = probe_q1(seed=args.seed, size=args.size, field=field)
+        report = probe_q1(seed=args.seed, size=args.size, field=args.field)
     else:
-        report = run_suite(args.suite, seed=args.seed, size=args.size, field=field)
+        report = run_suite(args.suite, seed=args.seed, size=args.size, field=args.field)
     _emit(report.to_dict(), args.format, _suite_table(report))
     return _verdict_exit(report.verdict)
 
 
 def cmd_homology(args):
     ideal = _load_ideal(args.ideal)
-    field = parse_field(args.field) if args.field else parse_field("rat")
     alpha = _parse_vec(args.degree)
-    kz = KoszulComplex(ideal, field)
+    kz = KoszulComplex(ideal, args.field)
     t = args.t
     dim_k = len(kz.basis(t, alpha))
     dim_z = len(kz.cycle_space(t, alpha))
-    nbound = len(kz.boundary_image(t, alpha))
     out = {
         "ideal": {"blocks": list(ideal.ring.blocks), "generators": [list(g) for g in ideal.gens]},
         "t": t,
@@ -95,44 +92,38 @@ def cmd_homology(args):
         "dim_K": dim_k,
         "dim_Z": dim_z,
         "dim_H": kz.homology_dim(t, alpha),
-        "field": field.name,
+        "field": args.field.name,
     }
-    table = [
-        f"K_{t} at degree {alpha}: dim K = {dim_k}, dim Z = {dim_z}, "
-        f"boundary spanning vectors = {nbound}, dim H = {out['dim_H']}"
-    ]
+    table = [f"K_{t} at degree {alpha}: dim K = {dim_k}, dim Z = {dim_z}, dim H = {out['dim_H']}"]
     _emit(out, args.format, table)
     return EXIT_PASS
 
 
 def cmd_cycles(args):
     ideal = _load_ideal(args.ideal)
-    field = parse_field(args.field) if args.field else parse_field("rat")
     alpha = _parse_vec(args.degree)
-    kz = KoszulComplex(ideal, field)
+    kz = KoszulComplex(ideal, args.field)
     chains = [c.render() for c in kz.cycle_chains(args.t, alpha)]
     out = {"t": args.t, "degree": list(alpha), "dim": len(chains), "cycles": chains,
-           "field": field.name}
+           "field": args.field.name}
     _emit(out, args.format, [f"dim Z = {len(chains)}"] + [f"  {c}" for c in chains])
     return EXIT_PASS
 
 
 def cmd_betti(args):
     spec = SegreVeroneseSpec(_parse_vec(args.blocks), _parse_vec(args.c))
-    field = parse_field(args.field) if args.field else parse_field("rat")
-    table = veronese_betti(spec, args.imax, field)
+    table = veronese_betti(spec, args.imax, args.field)
     lines = [f"betti table, rows 0..{args.imax} (certified windows)"]
     for (i, j), d in sorted(table.entries.items()):
         lines.append(f"  beta_{{{i},{j}}} = {d}")
-    _emit({**table.to_dict(), "field": field.name}, args.format, lines)
+    _emit({**table.to_dict(), "field": args.field.name}, args.format, lines)
     return EXIT_PASS
 
 
 def cmd_index(args):
     spec = SegreVeroneseSpec(_parse_vec(args.blocks), _parse_vec(args.c))
-    field = parse_field(args.field) if args.field else parse_field("rat")
     target = args.target if args.target is not None else spec.min_c + 1
-    res = green_lazarsfeld_index(spec, target, field)
+    res = green_lazarsfeld_index(spec, target, args.field)
     out = {
         "blocks": list(spec.blocks),
         "c": list(spec.c),
@@ -141,7 +132,7 @@ def cmd_index(args):
         "value": res.value,
         "witness": list(res.witness) if res.witness else None,
         "satisfied": res.satisfies(target),
-        "field": field.name,
+        "field": args.field.name,
     }
     _emit(out, args.format, [res.describe(), f"target {target}: "
                              f"{'satisfied' if res.satisfies(target) else 'violated'}"])
@@ -158,7 +149,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, ideal=False, spec=False):
-        p.add_argument("--field", help="rat or p=<prime>")
+        p.add_argument("--field", default="rat", help="rat (the default) or p=<prime>")
         p.add_argument("--format", choices=["json", "table"], default="json")
         if ideal:
             p.add_argument("--ideal", required=True, help="inline JSON or @file")
@@ -207,6 +198,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
     try:
+        args.field = parse_field(args.field)
         code = args.fn(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -60,6 +60,9 @@ class RationalField:
         return hash("rat")
 
 
+QQ = RationalField()
+
+
 class PrimeField:
     """GF(p) for a prime p.  Elements: int residues in [0, p)."""
 
@@ -90,10 +93,8 @@ class PrimeField:
 def parse_field(text: str):
     """Parse a CLI field choice: 'rat' or 'p=<prime>'."""
     if text == "rat":
-        return RationalField()
+        return QQ
     if text.startswith("p="):
         return PrimeField(int(text[2:]))
     raise FieldError(f"unrecognized field {text!r}; use 'rat' or 'p=<prime>'")
 
-
-QQ = RationalField()

@@ -5,14 +5,14 @@ found inside the certified or capped window recorded with each case.  Reports
 serialize to canonical JSON that is byte-identical for identical inputs, so
 wall-clock timing is reported separately and never embedded.
 
-A suite is data: a case generator, a default size and a characteristic
-floor (see `Suite`).  One driver, `_run`, validates the request, seeds the
-RNG, pulls and indexes the cases and counts redraws for every suite and for
-`probe_q1`.
+A suite is data: a case generator, a default size, a characteristic floor
+and a summary (see `Suite`).  One driver, `_run`, validates the request,
+seeds the RNG, pulls and indexes the cases, counts redraws and builds the
+report of every suite and of `probe_q1`; each case is the dict it prints.
 
-The theorems are statements in characteristic zero, so unless a field is
-forced (`--field`) every suite computes over the rationals; the report names
-that choice "auto".
+The theorems are statements in characteristic zero, so every suite computes
+over the rationals unless a prime field is passed (`--field`); the report
+names the field it used.
 """
 
 from __future__ import annotations
@@ -75,15 +75,6 @@ class UnknownSuiteError(ValueError):
 
 
 @dataclass
-class CaseRecord:
-    index: int
-    params: dict
-    verdict: str  # pass | violation | candidate | infeasible
-    window: dict | None = None
-    details: dict = dc_field(default_factory=dict)
-
-
-@dataclass
 class SuiteReport:
     suite: str
     seed: int
@@ -94,7 +85,7 @@ class SuiteReport:
 
     @property
     def verdict(self):
-        verdicts = {c.verdict for c in self.cases}
+        verdicts = {c["verdict"] for c in self.cases}
         if "violation" in verdicts or "candidate" in verdicts:
             return "violation"
         if "infeasible" in verdicts or not self.cases:  # no case, nothing checked
@@ -109,9 +100,7 @@ class SuiteReport:
             "field": self.field_name,
             "verdict": self.verdict,
             "summary": self.summary,
-            # the fields of each record, shallow: asdict would deep-copy every
-            # params and details dict of every case
-            "cases": [dict(vars(c)) for c in self.cases],
+            "cases": self.cases,
         }
 
 
@@ -120,9 +109,9 @@ class Suite:
     """A verification suite as data.
 
     cases(rng, field) yields (params, verdict, window, details) for each case,
-    or None to ask for a redraw; under the auto field it gets QQ.  A prime
-    field of characteristic <= char_floor is rejected.  summarize(cases)
-    returns counts to add to the report's summary.
+    or None to ask for a redraw; verdict is pass, violation, candidate or
+    infeasible.  A prime field of characteristic <= char_floor is rejected.
+    summarize(cases) returns counts to add to the report's summary.
     """
 
     cases: Callable
@@ -136,20 +125,21 @@ def _run(name, suite: Suite, seed, size, field) -> SuiteReport:
     size = suite.size if size is None else size
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    if field is not None and 0 < field.characteristic <= suite.char_floor:
+    if 0 < field.characteristic <= suite.char_floor:
         needs = "0" if suite.char_floor == QQ_ONLY else f"0 or > {suite.char_floor}"
         raise ValueError(f"suite {name} needs characteristic {needs}, got {field.name}")
     cases, redrawn = [], 0
-    for case in suite.cases(random.Random(seed), QQ if field is None else field):
+    for case in suite.cases(random.Random(seed), field):
         if case is None:
             redrawn += 1
         else:
-            cases.append(CaseRecord(len(cases), *case))
+            params, verdict, window, details = case
+            cases.append({"index": len(cases), "params": params, "verdict": verdict,
+                          "window": window, "details": details})
         if len(cases) >= size or redrawn >= 80 * size:
             break
-    field_name = "auto" if field is None else field.name
     summary = {"redrawn": redrawn, **suite.summarize(cases)}
-    return SuiteReport(name, seed, size, field_name, cases, summary)
+    return SuiteReport(name, seed, size, field.name, cases, summary)
 
 
 def _verdict(ok: bool) -> str:
@@ -309,7 +299,13 @@ def _maps(rng, field):
 # ---------------------------------------------------------------------------
 
 
-def _tor_suite(build, size=50, found="violation") -> Suite:
+def _decided_by_stability(cases) -> dict:
+    """Checked modules with bound >= |a|: they pass by theorem and cannot falsify."""
+    checks = [ch for c in cases for ch in c["window"]["checks"].values()]
+    return {"decided_by_stability": sum(ch["bound"] >= ch["stable_degree"] for ch in checks)}
+
+
+def _tor_suite(build, size=50, found="violation", summarize=_decided_by_stability) -> Suite:
     """A suite whose cases are Tor checks of Z_t(I; M) or H_t(I; M).
 
     build(rng, field) -> (params, checks), or None to redraw.  checks are
@@ -341,13 +337,7 @@ def _tor_suite(build, size=50, found="violation") -> Suite:
             window = {"certified": True, "checks": bounds}
             yield params, found if violations else "pass", window, {"violations": violations}
 
-    return Suite(cases, size, summarize=_decided_by_stability)
-
-
-def _decided_by_stability(cases) -> dict:
-    """Checked modules with bound >= |a|: they pass by theorem and cannot falsify."""
-    checks = [ch for c in cases for ch in c.window["checks"].values()]
-    return {"decided_by_stability": sum(ch["bound"] >= ch["stable_degree"] for ch in checks)}
+    return Suite(cases, size, summarize=summarize)
 
 
 def _smallest_power_degree(I: MonomialIdeal) -> int:
@@ -457,6 +447,12 @@ def _probe_q1_case(rng, field):
     params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": dim}
     kz = KoszulComplex(I, field)
     return params, [("Z", cycle_module(kz, t), t * (reg_I + 1), None)]
+
+
+def _excess_summary(cases) -> dict:
+    """The Tor suite summary plus the largest excess j - i - bound of an entry."""
+    excess = [v["j"] - v["i"] - v["bound"] for c in cases for v in c["details"]["violations"]]
+    return {**_decided_by_stability(cases), "max_observed_excess": max(excess, default=None)}
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +688,10 @@ SUITES = {
     "surge": Suite(_surge, 1),
 }
 
-_PROBE_Q1 = _tor_suite(_probe_q1_case, size=20, found="candidate")
+_PROBE_Q1 = _tor_suite(_probe_q1_case, size=20, found="candidate", summarize=_excess_summary)
 
 
-def run_suite(name, seed=1, size=None, field=None) -> SuiteReport:
+def run_suite(name, seed=1, size=None, field=QQ) -> SuiteReport:
     if name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {sorted(SUITES)}"
@@ -703,17 +699,12 @@ def run_suite(name, seed=1, size=None, field=None) -> SuiteReport:
     return _run(name, SUITES[name], seed, size, field)
 
 
-def probe_q1(seed=1, size=None, field=None) -> SuiteReport:
+def probe_q1(seed=1, size=None, field=QQ) -> SuiteReport:
     """Exact scans of reg Z_t for ideals of positive dimension.
 
     The scan to |a| is exact, so each window is certified.  An entry above
     t(reg(I) + 1) is still a candidate, never a refutation: the probe asks
     whether the bound holds in every positive dimension, and an excess is a
-    lead to examine.
+    lead to examine; the summary reports the largest excess seen.
     """
-    report = _run("probe_q1", _PROBE_Q1, seed, size, field)
-    excess = [
-        v["j"] - v["i"] - v["bound"] for c in report.cases for v in c.details["violations"]
-    ]
-    report.summary["max_observed_excess"] = max(excess, default=None)
-    return report
+    return _run("probe_q1", _PROBE_Q1, seed, size, field)

@@ -54,7 +54,7 @@ def test_criterion_3_index_at_desk_scale():
 
 def test_criterion_4_cycle_power_dimensions():
     rep = run_suite("maincyc")
-    covered = {(c.params.get("n"), c.params.get("c"), c.params.get("t")) for c in rep.cases}
+    covered = {(c["params"].get("n"), c["params"].get("c"), c["params"].get("t")) for c in rep.cases}
     wanted = {(n, c, t) for n in (2, 3) for c in (1, 2) for t in (2, 3)}
     ok = rep.verdict == "pass" and wanted <= covered
     report("4 (dim (Z_1^t)_j = dim (Z_t)_j in the generating window)", ok)
@@ -62,7 +62,7 @@ def test_criterion_4_cycle_power_dimensions():
 
 def test_criterion_5_two_cycle_generation():
     rep = run_suite("gen2")
-    covered = {(c.params["n"], c.params["c"]) for c in rep.cases}
+    covered = {(c["params"]["n"], c["params"]["c"]) for c in rep.cases}
     ok = rep.verdict == "pass" and covered == {(2, 2), (2, 3), (3, 2)}
     report("5 (explicit families generate Z_2 through degree 2c+2)", ok)
 
@@ -77,8 +77,8 @@ def test_criterion_6_regularity_falsification_suites():
 
 def test_criterion_7_membership_certificates():
     rep = run_suite("multi2")
-    configs = {(tuple(c.params["blocks"]), tuple(c.params["c"])) for c in rep.cases}
-    trials = sum(c.window["exhaustive_trials"] for c in rep.cases)
+    configs = {(tuple(c["params"]["blocks"]), tuple(c["params"]["c"])) for c in rep.cases}
+    trials = sum(c["window"]["exhaustive_trials"] for c in rep.cases)
     ok = (
         rep.verdict == "pass"
         and configs == {((2, 2), (1, 1)), ((3,), (2,))}
@@ -89,7 +89,7 @@ def test_criterion_7_membership_certificates():
 
 def test_criterion_8_surjectivity_tor_equivalence():
     rep = run_suite("surge")
-    table = rep.cases[0].details["by_degree"]
+    table = rep.cases[0]["details"]["by_degree"]
     ok = (
         rep.verdict == "pass"
         and set(table) == {str(j) for j in range(0, 11)}

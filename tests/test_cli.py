@@ -60,8 +60,8 @@ def test_homology_command(capsys):
 
 
 def test_homology_command_assembles_each_differential_once(capsys, monkeypatch):
-    # phi_t for the cycles, phi_{t+1} for the boundaries; dim H is ranked per
-    # fine degree and assembles no coarse differential
+    # phi_t for the cycles only; dim H is ranked per fine degree and
+    # assembles no coarse differential
     calls = {}
     columns = KoszulComplex.boundary_columns
 
@@ -74,7 +74,7 @@ def test_homology_command_assembles_each_differential_once(capsys, monkeypatch):
         capsys, "homology", "--ideal", '{"blocks":[3],"power":[2]}', "-t", "2", "--degree", "6"
     )
     assert code == EXIT_PASS
-    assert calls == {2: 1, 3: 1}
+    assert calls == {2: 1}
 
 
 def test_cycles_command(capsys):
@@ -194,6 +194,16 @@ def test_component_ceiling_guards_homology_and_cycles(capsys):
                      "-t", "3", "--degree", "30"])
         assert code == EXIT_INFEASIBLE
         assert time.monotonic() - start < 2
+
+
+def test_homology_needs_no_component_past_t(capsys):
+    # K_2 of m^3 in six variables at degree 9 has 1540 * 56 basis elements,
+    # over the ceiling; the homology report reads K_1 and the fine blocks only
+    code, out = run_cli(capsys, "homology", "--ideal", '{"blocks": [6], "power": [3]}',
+                        "-t", "1", "--degree", "9")
+    assert code == EXIT_PASS
+    data = json.loads(out)
+    assert (data["dim_K"], data["dim_Z"], data["dim_H"]) == (25872, 23870, 0)
 
 
 def test_bad_size_exits_usage(capsys):

@@ -10,7 +10,6 @@ from koszul_lab.homology import KoszulComplex
 from koszul_lab.harness import (
     MAINCYC_COMBOS,
     SUITES,
-    CaseRecord,
     SuiteReport,
     UnknownSuiteError,
     _maincyc_dims,
@@ -65,7 +64,7 @@ def test_char_floor_enforced():
 def test_signs_suite_exhaustive():
     rep = run_suite("signs")
     assert rep.verdict == "pass"
-    assert rep.cases[0].params["checked"] == 4 ** 6
+    assert rep.cases[0]["params"]["checked"] == 4 ** 6
 
 
 def test_signs_suite_sees_one_wrong_sign(monkeypatch):
@@ -76,18 +75,21 @@ def test_signs_suite_sees_one_wrong_sign(monkeypatch):
     monkeypatch.setattr(harness, "sign", lambda X, Y: sign(X, Y) * (-1) ** ((X, Y) in wrong))
     rep = run_suite("signs")
     assert rep.verdict == "violation"
-    assert [[2], [5], [], "anticommutativity"] in rep.cases[0].details["failures"]
+    assert [[2], [5], [], "anticommutativity"] in rep.cases[0]["details"]["failures"]
 
 
 def test_report_shape_and_verdicts():
     rep = run_suite("multi2")
     assert isinstance(rep, SuiteReport)
-    assert all(isinstance(c, CaseRecord) for c in rep.cases)
     d = rep.to_dict()
     assert set(d) == {"suite", "seed", "size", "field", "verdict", "summary", "cases"}
-    bad = SuiteReport("x", 1, 1, "rat", [CaseRecord(0, {}, "violation")])
+    # each case is the dict the report prints
+    assert d["cases"] is rep.cases
+    assert [c["index"] for c in rep.cases] == list(range(len(rep.cases)))
+    assert all(set(c) == {"index", "params", "verdict", "window", "details"} for c in rep.cases)
+    bad = SuiteReport("x", 1, 1, "rat", [{"verdict": "pass"}, {"verdict": "violation"}])
     assert bad.verdict == "violation"
-    inf = SuiteReport("x", 1, 1, "rat", [CaseRecord(0, {}, "infeasible")])
+    inf = SuiteReport("x", 1, 1, "rat", [{"verdict": "infeasible"}])
     assert inf.verdict == "infeasible"
 
 
@@ -113,10 +115,11 @@ def test_small_reg_suites_pass():
 
 
 def test_forced_field_recorded():
-    rep = run_suite("remark_b", size=3, field=QQ)
-    assert rep.field_name == "rat"
-    rep = run_suite("remark_b", size=3)
-    assert rep.field_name == "auto"
+    # a report names the field it used, as --field spells it; QQ by default
+    assert run_suite("remark_b", size=3).field_name == "rat"
+    assert run_suite("remark_b", size=3, field=QQ).field_name == "rat"
+    assert run_suite("maincyc", size=1, field=PrimeField(5)).field_name == "p=5"
+    assert probe_q1(size=1).field_name == "rat"
 
 
 def test_maincyc_combos_cover_request():
@@ -161,8 +164,8 @@ def test_probe_q1_runs():
     assert rep.suite == "probe_q1"
     assert len(rep.cases) == 4
     for c in rep.cases:
-        assert c.verdict in ("pass", "candidate")
-        assert c.window["certified"] is True
+        assert c["verdict"] in ("pass", "candidate")
+        assert c["window"]["certified"] is True
 
 
 @pytest.mark.parametrize("name", ["greeny", "piper", "probe-q1", "regb", "sato", "thm1"])
@@ -172,9 +175,9 @@ def test_tor_suite_windows_are_certified(name):
     rep = probe_q1(seed=3, size=10) if name == "probe-q1" else run_suite(name, seed=3, size=10)
     checks = []
     for c in rep.cases:
-        assert c.window["certified"] is True
-        assert {v["check"] for v in c.details["violations"]} <= set(c.window["checks"])
-        checks += c.window["checks"].values()
+        assert c["window"]["certified"] is True
+        assert {v["check"] for v in c["details"]["violations"]} <= set(c["window"]["checks"])
+        checks += c["window"]["checks"].values()
     decided = sum(ch["bound"] >= ch["stable_degree"] for ch in checks)
     assert rep.summary["decided_by_stability"] == decided
 
@@ -210,11 +213,11 @@ def test_suite_computes_in_reported_field(name, monkeypatch):
         init(self, f, *args, **kwargs)
 
     monkeypatch.setattr(Echelon, "__init__", spy)
-    # the auto field (None) computes over QQ alone
-    for forced, want in ((field, field), (None, QQ)):
+    # with no field given, a suite computes over QQ alone
+    for kwargs, want in (({"field": field}, field), ({}, QQ)):
         used.clear()
-        rep = run_suite(name, size=size, field=forced)
-        assert rep.field_name == ("auto" if forced is None else field.name)
+        rep = run_suite(name, size=size, **kwargs)
+        assert rep.field_name == want.name
         # signs and remark_b are field-free; at CHECK_SPECS every block of the
         # entries j >= i + 2 that check ranks is empty, and its linear strand
         # comes from the Euler characteristic, so check builds no Echelon;
@@ -225,6 +228,45 @@ def test_suite_computes_in_reported_field(name, monkeypatch):
 def test_size_limits_every_suite():
     for name in SUITES:
         assert len(run_suite(name, size=1).cases) == 1
+
+
+@pytest.mark.parametrize(
+    "field, verdict, index",
+    [
+        (PrimeField(3), "violation", "index = 2 (violation at (3, 5))"),
+        (QQ, "pass", "index >= 3 (range exhausted)"),
+        (PrimeField(5), "pass", "index >= 3 (range exhausted)"),
+    ],
+    ids=["GF3", "QQ", "GF5"],
+)
+def test_check_fires_on_v2_P9_in_characteristic_3(monkeypatch, field, verdict, index):
+    # negative control: v_2(P^9) has index 2 over GF(3), below the target
+    # min(c) + 1 = 3 that holds over QQ and GF(5); the suite itself rejects
+    # p <= 3 for this reason
+    monkeypatch.setattr(harness, "CHECK_SPECS", [((10,), (2,))])
+    [(_, got, _, details)] = harness._check(random.Random(1), field)
+    assert (got, details["index"]) == (verdict, index)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=["QQ", "GF2", "GF3", "GF5"]
+)
+def test_surge_tor1_is_the_tor3_of_the_quotient(field):
+    # 0 -> Z_1 -> S^r -> I -> 0 and 0 -> I -> S -> S/I -> 0 shift Tor_1(S/I, Z_1)
+    # to Tor_3(S/I, S/I).  In two variables pd S/I <= 2 (Hilbert's syzygy
+    # theorem), so it is 0 in every degree and surge only tests whether the
+    # products span Z_2.  For m^2 in three variables the Eagon-Northcott
+    # resolution ends in an injective S(-4)^3 -> S(-3)^8, so Tor_3 is
+    # (S/m^2)(-4)^3 in degree 5 alone, 3 * dim (S/m^2)_1 = 9; there Z_2 has
+    # no product, and in every other degree the products span it.
+    kz = KoszulComplex(power_ideal(RingConfig((2,)), 2), field)
+    assert [harness._surge_tor1_dim(kz, j) for j in range(13)] == [0] * 13
+    kz = KoszulComplex(power_ideal(RingConfig((3,)), 2), field)
+    prods = z1_products(kz, 2)
+    for j in range(9):
+        dz2, rank = len(kz.cycle_space(2, j)), kz.span_multiples(prods, j).rank
+        assert harness._surge_tor1_dim(kz, j) == (9 if j == 5 else 0), j
+        assert (dz2, rank) == ((6, 0) if j == 5 else (dz2, dz2)), j
 
 
 def test_check_asks_each_entry_once(monkeypatch):
@@ -239,4 +281,4 @@ def test_check_asks_each_entry_once(monkeypatch):
     monkeypatch.setattr(KoszulComplex, "homology_dim", spy)
     report = run_suite("check", seed=1)
     assert asked and len(asked) == len(set(asked))
-    assert [c.verdict for c in report.cases] == ["pass", "pass"]
+    assert [c["verdict"] for c in report.cases] == ["pass", "pass"]

@@ -10,7 +10,10 @@ the whitespace changed: each digest here is the SHA-256 of the indented
 report re-encoded as json.dumps(json.loads(old), sort_keys=True) + "\n".
 The four engine reports (betti, index, homology, cycles) then gained a
 `field` key holding the field's name, "rat" here; each of their digests is
-that of the previous report plus that one key.
+that of the previous report plus that one key.  The 14 suite reports and
+probe-q1 then named their default field "rat", the name `--field` takes,
+in place of "auto": each of their digests is that of the previous report
+with "field": "auto" replaced by "field": "rat", nothing else changed.
 """
 
 import hashlib
@@ -25,35 +28,35 @@ IDEAL_3 = '{"blocks": [3], "generators": [[2, 0, 0], [1, 1, 0], [0, 1, 2]]}'
 
 DIGESTS = [
     (["verify", "check", "--seed", "1", "--size", "2"],
-     "a20a30773fcfd7498c8efd4d265a3cd05fae3d13cbe19a5bcfbc1fc6d615dde1"),
+     "06e2c2f1c63e7247935af7e577f80eed593ea0ea076ea4c305d2a1a4a13d6d33"),
     (["verify", "gen2", "--seed", "1", "--size", "2"],
-     "f0dc2b71b11b1664db0eb553924cd0588b5bcc226d4841139cc68c7056c936b6"),
+     "b2335da25f29c29e9f4002aada88abf0770ff43a80bb1b6da7336f23450d7dbb"),
     (["verify", "greeny", "--seed", "1", "--size", "2"],
-     "2d3c5ddf2e61c7a126f3e78fa0399efcee31639311427a983b9e81b10668f6fc"),
+     "bccc2f3016fb43828ce984ca8fbe240c2bc5dd4d74ac9f47190d01d6571df3ff"),
     (["verify", "maincyc", "--seed", "1", "--size", "2"],
-     "70ee7ce0ffbe3a19c2dba8c909d3ee89cd3a91da08a79f68d6172147a1b838e4"),
+     "d44f4f229632ea4dc84a65092c98cf79fb26d1fe9cc5ca1c93d4456ddcc015aa"),
     (["verify", "maps", "--seed", "1", "--size", "2"],
-     "a39cd410c827f669e0ed3c3059c69787a75d6d8c3a557134d653c7a8064e03fa"),
+     "018f695d65e6cf987f4c6f8f1532d0f22c9ae2255bb717a3e3882a61b992b4de"),
     (["verify", "multi", "--seed", "1", "--size", "2"],
-     "9b3591964bce35c97acee87e0035718a2ff77def66e8e084acf01a5919642c22"),
+     "fad77bdfc63695d29dfde9679c90cd187940fed82c0bd41097049f26fc37e6f5"),
     (["verify", "multi2", "--seed", "1", "--size", "2"],
-     "4ed26f9ce152d8d18f126694c9791cbac5a80195c0507ca8dee97d00b34df76c"),
+     "871c72b54e4fc9e7be85610e22aff3b37f1ef92b8025224a996aa4b5f49fc628"),
     (["verify", "piper", "--seed", "1", "--size", "2"],
-     "b804425242225e10b30651f2b42b6eee3208d4bf653d58722b15af237a8805da"),
+     "8a0ff3f8ee9b056dd99fecf4df0b4e72b74ac435d5869cb8341089c643f8875f"),
     (["verify", "regb", "--seed", "1", "--size", "2"],
-     "76490c8831051ea9692d8e76eb9122d91b1780ae84494801843786343575b1cf"),
+     "ecb7165b589f4e61a69f6f2ee04f1b6244f62c002e7f7a617b74f1cee785be12"),
     (["verify", "remark_b", "--seed", "1", "--size", "2"],
-     "03beba99099e5e1e1a99d5be3c78b282e43be2dd171ddafb5f91dff125523a09"),
+     "5242381c72badce0a9136cd290825f972311a8e38922652b115fc5609366d7b1"),
     (["verify", "sato", "--seed", "1", "--size", "2"],
-     "fc5dcf1da433dd0ed72a22f74e1b9a1842c6a4cb237eb1f608efcdcc995fa715"),
+     "5875871f9aa170376707a817b6f6ad4322d87052e28cf1f7a2f513c519445ebf"),
     (["verify", "signs", "--seed", "1", "--size", "2"],
-     "51cc5b264d31b00188e84c94ae64d6c52db0812f58c589c570da928c3bcf5dc9"),
+     "745bff2e41e03296212af94c09fadae30cb157ee66d8395e9c5b7c23a0198649"),
     (["verify", "surge", "--seed", "1", "--size", "2"],
-     "63a76be50f5466c885d706a6e5c6490fe2e9e2b929bc6dec0fb1179dfd7ad555"),
+     "731a9c2e83daa75c432c65870172b259e36e01c0f0f6a291e296753b373c6f32"),
     (["verify", "thm1", "--seed", "1", "--size", "2"],
-     "870293258d40e2b28afc5a3947dff5b25c73c07acd905e7e58f89704ff728bd2"),
+     "1021a263c384d5b5c73db5a85d78374b0922a5b9d280e43026e49ee6f9a186ba"),
     (["probe-q1", "--seed", "1", "--size", "2"],
-     "1ea8779c06163df252bf98f024ad8c2bba74c64cc5a41c5253988f5f83aaa497"),
+     "589c236f84722d62deb08b1f8d501d6ff1dc20b140daed6ab1a87cf64ed73934"),
     (["betti", "--blocks", "3", "--c", "2", "--imax", "3"],
      "8284168978cddbe741d8c24e51c5e91a3c7e76405171a2fc16e821332b455d86"),
     (["index", "--blocks", "3", "--c", "2"],
