@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 pass, 1 violation found, 2 usage error, 3 infeasible over the
-size ceiling.  Reports are one line of canonical JSON; timing goes to stderr.
+size ceiling.  Each command returns its report, its table lines and its exit
+code; `main` prints the report as one line of canonical JSON, or the table
+with `--format table`, once.  Timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -44,38 +46,21 @@ def _positive(text: str) -> int:
     return int(text)
 
 
-def _emit(report_dict, fmt, table_lines):
-    if fmt == "json":
-        print(json.dumps(report_dict, sort_keys=True))
+def cmd_verify(args):
+    """`verify <suite>` and `probe-q1`: the suite's report, a line per case
+    (with its params and details unless it passed) and its verdict's exit code."""
+    if args.command == "probe-q1":
+        report = probe_q1(seed=args.seed, size=args.size, field=args.field)
     else:
-        for line in table_lines:
-            print(line)
-
-
-def _suite_table(report):
+        report = run_suite(args.suite, seed=args.seed, size=args.size, field=args.field)
     lines = [f"suite {report.suite}: {report.verdict} ({len(report.cases)} cases)"]
     for case in report.cases:
         lines.append(f"  case {case['index']}: {case['verdict']}")
         if case["verdict"] != "pass":
             lines.append(f"    params: {case['params']}")
             lines.append(f"    details: {case['details']}")
-    return lines
-
-
-def _verdict_exit(verdict: str) -> int:
-    return {"pass": EXIT_PASS, "violation": EXIT_VIOLATION, "infeasible": EXIT_INFEASIBLE}[
-        verdict
-    ]
-
-
-def cmd_verify(args):
-    """`verify <suite>` and `probe-q1`: run the suite and print its report."""
-    if args.command == "probe-q1":
-        report = probe_q1(seed=args.seed, size=args.size, field=args.field)
-    else:
-        report = run_suite(args.suite, seed=args.seed, size=args.size, field=args.field)
-    _emit(report.to_dict(), args.format, _suite_table(report))
-    return _verdict_exit(report.verdict)
+    code = {"pass": EXIT_PASS, "violation": EXIT_VIOLATION, "infeasible": EXIT_INFEASIBLE}
+    return report.to_dict(), lines, code[report.verdict]
 
 
 def cmd_homology(args):
@@ -85,18 +70,18 @@ def cmd_homology(args):
     t = args.t
     dim_k = len(kz.basis(t, alpha))
     dim_z = len(kz.cycle_space(t, alpha))
+    dim_h = kz.homology_dim(t, alpha)
     out = {
         "ideal": {"blocks": list(ideal.ring.blocks), "generators": [list(g) for g in ideal.gens]},
         "t": t,
         "degree": list(alpha),
         "dim_K": dim_k,
         "dim_Z": dim_z,
-        "dim_H": kz.homology_dim(t, alpha),
+        "dim_H": dim_h,
         "field": args.field.name,
     }
-    table = [f"K_{t} at degree {alpha}: dim K = {dim_k}, dim Z = {dim_z}, dim H = {out['dim_H']}"]
-    _emit(out, args.format, table)
-    return EXIT_PASS
+    line = f"K_{t} at degree {alpha}: dim K = {dim_k}, dim Z = {dim_z}, dim H = {dim_h}"
+    return out, [line], EXIT_PASS
 
 
 def cmd_cycles(args):
@@ -106,8 +91,7 @@ def cmd_cycles(args):
     chains = [c.render() for c in kz.cycle_chains(args.t, alpha)]
     out = {"t": args.t, "degree": list(alpha), "dim": len(chains), "cycles": chains,
            "field": args.field.name}
-    _emit(out, args.format, [f"dim Z = {len(chains)}"] + [f"  {c}" for c in chains])
-    return EXIT_PASS
+    return out, [f"dim Z = {len(chains)}"] + [f"  {c}" for c in chains], EXIT_PASS
 
 
 def cmd_betti(args):
@@ -116,14 +100,14 @@ def cmd_betti(args):
     lines = [f"betti table, rows 0..{args.imax} (certified windows)"]
     for (i, j), d in sorted(table.entries.items()):
         lines.append(f"  beta_{{{i},{j}}} = {d}")
-    _emit({**table.to_dict(), "field": args.field.name}, args.format, lines)
-    return EXIT_PASS
+    return {**table.to_dict(), "field": args.field.name}, lines, EXIT_PASS
 
 
 def cmd_index(args):
     spec = SegreVeroneseSpec(_parse_vec(args.blocks), _parse_vec(args.c))
     target = args.target if args.target is not None else spec.min_c + 1
     res = green_lazarsfeld_index(spec, target, args.field)
+    satisfied = res.satisfies(target)
     out = {
         "blocks": list(spec.blocks),
         "c": list(spec.c),
@@ -131,12 +115,11 @@ def cmd_index(args):
         "exact": res.exact,
         "value": res.value,
         "witness": list(res.witness) if res.witness else None,
-        "satisfied": res.satisfies(target),
+        "satisfied": satisfied,
         "field": args.field.name,
     }
-    _emit(out, args.format, [res.describe(), f"target {target}: "
-                             f"{'satisfied' if res.satisfies(target) else 'violated'}"])
-    return EXIT_PASS if res.satisfies(target) else EXIT_VIOLATION
+    lines = [res.describe(), f"target {target}: {'satisfied' if satisfied else 'violated'}"]
+    return out, lines, EXIT_PASS if satisfied else EXIT_VIOLATION
 
 
 @functools.cache
@@ -199,13 +182,14 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         args.field = parse_field(args.field)
-        code = args.fn(args)
+        report, table, code = args.fn(args)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (FieldError, ValueError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(json.dumps(report, sort_keys=True) if args.format == "json" else "\n".join(table))
     print(f"elapsed: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 

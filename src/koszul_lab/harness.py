@@ -652,19 +652,14 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
 
 
 def _surge(rng, field):
-    """Tor_1(S/I, Z_1)_j = 0 iff one-cycle products span (Z_2)_j, for I = m^2."""
-    ideal = power_ideal(RingConfig((2,)), 2)
-    kz = KoszulComplex(ideal, field)
-    prods = z1_products(kz, 2)
-    mismatches = []
-    table = {}
-    for j in range(0, SURGE_DEGREE + 1):
-        dz2 = len(kz.cycle_space(2, j))
-        prod_rank = kz.span_multiples(prods, j).rank
-        surjective = prod_rank == dz2
+    """Tor_1(S/I, Z_1)_j = 0 iff one-cycle products span (Z_2)_j, for I = m^2;
+    dim Z_2 and the products' rank are summed per fine orbit (`_maincyc_dims`)."""
+    kz = KoszulComplex(power_ideal(RingConfig((2,)), 2), field)
+    mismatches, table = [], {}
+    for j, (dz2, prod_rank) in _maincyc_dims(kz, 2, range(SURGE_DEGREE + 1)).items():
         tor1 = _surge_tor1_dim(kz, j)
         table[str(j)] = {"dim_Z2": dz2, "product_rank": prod_rank, "tor1": tor1}
-        if (tor1 == 0) != surjective:
+        if (tor1 == 0) != (prod_rank == dz2):
             mismatches.append(j)
     window = {"degrees": [0, SURGE_DEGREE], "certified": True}
     details = {"by_degree": table, "mismatch_degrees": mismatches}

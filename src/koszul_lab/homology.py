@@ -97,15 +97,15 @@ class KoszulComplex:
         self._signs = (field.coerce(1), field.coerce(-1))
         # maximal runs of variables of one block whose adjacent swaps fix the
         # generators of I and of J; each permutation of a run maps the fine
-        # block at beta isomorphically onto the one at the permuted beta
+        # block at beta isomorphically onto the one at the permuted beta; a
+        # swap fixes each g equal at its two places, so only the others are read
         gensets = [set(I.gens)] + ([set(J.gens)] if J else [])
         self._runs = []
         for a, b in self.ring.block_slices():
             start = a
             for k in range(a + 1, b):
-                if any(
-                    {g[: k - 1] + (g[k], g[k - 1]) + g[k + 1 :] for g in G} != G for G in gensets
-                ):
+                if any(g[: k - 1] + (g[k], g[k - 1]) + g[k + 1 :] not in G
+                       for G in gensets for g in G if g[k - 1] != g[k]):
                     self._runs.append((start, k))
                     start = k
             self._runs.append((start, b))
@@ -246,7 +246,8 @@ class KoszulComplex:
         block sums alpha: the beta that does not increase along any run."""
         tied = [k > s for s, e in self._runs for k in range(s, e)]  # k continues a run
         blocks = zip(alpha, self.ring.block_slices())
-        for parts in product(*(_run_compositions(c, tied[a:b], c) for c, (a, b) in blocks)):
+        per_block = (_bounded_compositions(c, (c,) * (b - a), tied[a:b]) for c, (a, b) in blocks)
+        for parts in product(*per_block):
             beta = sum(parts, ())
             yield beta, prod(_arrangements(beta[a:b]) for a, b in self._runs)
 
@@ -350,8 +351,10 @@ class KoszulComplex:
         (`_element_matching`) is acyclic with incidences +-1 (Jonsson, LNM
         1928, 2008), so the block has the homology of its Morse complex on the
         unpaired faces, over Z and every field (Forman, Adv. Math. 134, 1998;
-        Skoldberg, Trans. AMS 358, 2006; `_morse_dim`).  S/J blocks are ranked
-        whole, with no pair."""
+        Skoldberg, Trans. AMS 358, 2006; `_morse_dim`).  S/J blocks have no
+        apex and are matched the same way: element matchings on any family of
+        faces are acyclic (Jonsson), and a pair's incidence is +-1 whenever
+        both faces are present."""
         if not 0 <= t <= self.ideal.r:
             return 0
         if isinstance(degree, int) or len(degree) != self.ring.n:
@@ -372,10 +375,9 @@ class KoszulComplex:
                 self._check_ceiling(count, lambda: f"the fine blocks of K_{t - 1}, K_{t} and "
                                     f"K_{t + 1} at degree {degree} have at least {count} faces,")
                 blocks.append((beta, size, faces))
-        match = _element_matching if self.J is None else lambda faces: {}
         for beta, _, levels in blocks:
             if (t, beta) not in self._dims:
-                self._dims[t, beta] = self._morse_dim(t, beta, levels, match(levels))
+                self._dims[t, beta] = self._morse_dim(t, beta, levels, _element_matching(levels))
         return sum(size * self._dims[t, beta] for beta, size, _ in blocks)
 
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
@@ -458,20 +460,6 @@ def _element_matching(levels: list) -> dict:
             high.difference_update(pairs.values())
             up.update(pairs)
     return up
-
-
-def _run_compositions(total: int, ties: tuple, cap: int) -> list:
-    """The tuples w of sum `total` with w_0 <= cap and w_k <= w_{k-1} where
-    ties[k], lex-descending."""
-    if not ties or total < 0:
-        return [()] if total == 0 else []
-    # when every later entry is tied, the entries, each <= the first, must reach total
-    low, rest = -(-total // len(ties)) if all(ties[1:]) else 0, ties[1:]
-    return [
-        (first, *tail)
-        for first in range(min(total, cap), low - 1, -1)
-        for tail in _run_compositions(total - first, rest, first if rest and rest[0] else total)
-    ]
 
 
 def _arrangements(values) -> int:

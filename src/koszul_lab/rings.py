@@ -113,24 +113,44 @@ def mon_key(m: tuple):
     return (sum(m), tuple(-e for e in m))
 
 
-def _compositions(total: int, parts: int):
-    """All exponent tuples of length `parts` summing to `total`, lex-descending;
-    none when `total` is negative."""
-    return _bounded_compositions(total, (total,) * parts)
+def _bounded_compositions(total: int, caps: tuple, ties=()):
+    """Every exponent tuple w with |w| = `total`, w <= caps componentwise and
+    w_k <= w_{k-1} wherever ties[k], lex-descending; none if none exists.
 
-
-def _bounded_compositions(total: int, caps: tuple):
-    """All exponent tuples w <= caps componentwise with |w| = `total`,
-    lex-descending; none when no such tuple exists."""
-    if not 0 <= total <= sum(caps):
+    The first w is filled greedily, each entry as large as its cap, its tie
+    and what is left of the total allow; each next one lowers the last entry
+    that can still be lowered, whose successors can hold one more, and refills
+    the entries after it greedily.  Nothing recurses, so any length works.
+    """
+    # a tied entry is capped by its predecessor's cap too
+    n, caps, tied = len(caps), list(caps), [False] * len(caps)
+    for k in range(1, min(n, len(ties))):
+        if ties[k]:
+            tied[k], caps[k] = True, min(caps[k], caps[k - 1])
+    if not 0 <= total <= sum(caps) or min(caps, default=0) < 0:
         return
-    if len(caps) == 1:
-        yield (total,)
-        return
-    rest = sum(caps[1:])
-    for first in range(min(total, caps[0]), max(total - rest, 0) - 1, -1):
-        for tail in _bounded_compositions(total - first, caps[1:]):
-            yield (first,) + tail
+    w, k, s = [0] * n, 0, total
+    while True:
+        for i in range(k, n):  # refill w[k:] greedily to the sum s
+            x = min(caps[i], w[i - 1]) if tied[i] else caps[i]
+            w[i] = x = x if x < s else s
+            s -= x
+        yield tuple(w)
+        room = 0  # sum(caps[k + 1:]), the most that w[k + 1:] can hold, and s their sum
+        for k in range(n - 1, -1, -1):
+            x = w[k]
+            if x:
+                free, e = room, k + 1
+                while e < n and tied[e]:  # the entries tied to w[k] are capped by x - 1
+                    free -= max(caps[e] - x + 1, 0)
+                    e += 1
+                if free > s:
+                    break
+            s += x
+            room += caps[k]
+        else:
+            return
+        w[k], s, k = x - 1, s + 1, k + 1
 
 
 def component_basis(ring: RingConfig, alpha) -> tuple:
@@ -143,9 +163,9 @@ def component_basis(ring: RingConfig, alpha) -> tuple:
 
 @lru_cache(maxsize=None)
 def _component_basis(ring: RingConfig, alpha: tuple) -> tuple:
-    per_block = [list(_compositions(c, m)) for c, m in zip(alpha, ring.blocks)]
-    out = [tuple(e for part in combo for e in part) for combo in product(*per_block)]
-    return tuple(sorted(out, key=mon_key))
+    # the blocks' lex-descending lists multiply into the graded lex order
+    per_block = (_bounded_compositions(c, (c,) * m) for c, m in zip(alpha, ring.blocks))
+    return tuple(sum(parts, ()) for parts in product(*per_block))
 
 
 def component_dim(ring: RingConfig, alpha) -> int:
@@ -159,15 +179,6 @@ def _component_dim(ring: RingConfig, alpha: tuple) -> int:
     for c, m in zip(alpha, ring.blocks):
         dim *= comb(c + m - 1, m - 1)
     return dim
-
-
-def monomials_of_total_degree(ring: RingConfig, k: int):
-    """All monomials of total degree k, over every multidegree."""
-    if ring.d == 1:
-        yield from component_basis(ring, k)
-        return
-    for split in _compositions(k, ring.d):
-        yield from component_basis(ring, split)
 
 
 class MonomialIdeal:
@@ -284,7 +295,8 @@ def power_containment(I: MonomialIdeal, k: int) -> bool:
     """True iff every monomial of total degree k lies in I."""
     if k < 0:
         raise ValueError("negative power")
-    return all(I.contains(m) for m in monomials_of_total_degree(I.ring, k))
+    # the monomials of degree k in n variables, memoised as a standard-graded component
+    return all(map(I.contains, _component_basis(RingConfig((I.ring.n,)), (k,))))
 
 
 def _int_list(value, what) -> tuple:

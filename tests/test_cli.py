@@ -33,6 +33,58 @@ def test_verify_table_format(capsys):
     assert out.startswith("suite maincyc: pass")
 
 
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["verify", "check"], "suite check: pass (2 cases)"),
+        (["probe-q1", "--size", "2"], "suite probe_q1: pass (2 cases)"),
+        (["homology", "--ideal", '{"blocks": [2], "power": [2]}', "-t", "1", "--degree", "4"],
+         "K_1 at degree (4,): dim K = 9, dim Z = 4, dim H = 1"),
+        (["cycles", "--ideal", '{"blocks": [2], "power": [2]}', "-t", "1", "--degree", "3"],
+         "dim Z = 2"),
+        (["betti", "--blocks", "3", "--c", "2", "--imax", "2"],
+         "betti table, rows 0..2 (certified windows)"),
+        (["index", "--blocks", "4", "--c", "2", "--target", "6"], "index = 5 (violation at (6, 8))"),
+    ],
+    ids=["verify", "probe-q1", "homology", "cycles", "betti", "index"],
+)
+def test_table_format_prints_its_first_line_and_exits_as_json(capsys, argv, first):
+    code, out = run_cli(capsys, *argv)
+    json.loads(out)
+    table_code, table = run_cli(capsys, *argv, "--format", "table")
+    assert table_code == code and table.splitlines()[0] == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--blocks", "990", "--c", "1"],
+        ["index", "--blocks", "1200", "--c", "1"],
+        ["betti", "--blocks", "1200", "--c", "1", "--imax", "2", "--field", "p=3"],
+    ],
+    ids=["index-990", "index-1200", "betti-1200"],
+)
+def test_a_thousand_variables_answer(capsys, argv):
+    # past the recursion limit: every enumerator and the run scan are loops
+    start = time.monotonic()
+    code, out = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert code == EXIT_PASS and time.monotonic() - start < 10  # about 1 s on a 2-core x86 VM
+    if argv[0] == "index":  # no entry of v_1(P^{n-1}) is nonzero: the range is exhausted
+        assert (data["value"], data["exact"], data["witness"]) == (2, False, None)
+    else:
+        entries = {(e["i"], e["j"]): e["dim"] for e in data["entries"]}
+        assert entries.pop((0, 0)) == 1 and entries and not any(entries.values())
+
+
+def test_a_thousand_variables_homology_is_refused(capsys):
+    start = time.monotonic()
+    code = main(["homology", "--ideal", '{"blocks": [1200], "power": [1]}', "-t", "1",
+                 "--degree", "2"])
+    assert code == EXIT_INFEASIBLE and time.monotonic() - start < 10
+    assert "dimension 1440000 over the ceiling" in capsys.readouterr().err
+
+
 def test_verify_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "verify", "remark_b", "--size", "4", "--seed", "9")
     _, out2 = run_cli(capsys, "verify", "remark_b", "--size", "4", "--seed", "9")

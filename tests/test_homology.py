@@ -28,7 +28,6 @@ from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
     _bounded_compositions,
-    _compositions,
     component_basis,
     component_dim,
     power_ideal,
@@ -518,11 +517,9 @@ def test_a_cyclic_matching_is_refused():
 
 
 def _reference_orbits(kz, alpha):
-    """_orbits by filter: every composition of each block, kept when it does
-    not increase along any run."""
-    blocks = kz.ring.block_slices()
-    for parts in product(*(_compositions(c, b - a) for c, (a, b) in zip(alpha, blocks))):
-        beta = sum(parts, ())
+    """_orbits by filter: every monomial of multidegree alpha, in graded lex
+    order, kept when it does not increase along any run."""
+    for beta in component_basis(kz.ring, alpha):
         if all(beta[k] >= beta[k + 1] for a, b in kz._runs for k in range(a, b - 1)):
             yield beta, prod(homology._arrangements(beta[a:b]) for a, b in kz._runs)
 
@@ -640,10 +637,7 @@ def test_homology_dim_is_the_sum_over_its_fine_degrees(blocks, data, field, quot
     J = _ideal(ring, data) if quotient else None
     fine, coarse = KoszulComplex(I, field, J), KoszulComplex(I, field, J)
     for alpha in degrees_upto(ring, (4,) if ring.d == 1 else (2, 2)):
-        betas = [
-            sum(parts, ())
-            for parts in product(*(_compositions(a, m) for a, m in zip(alpha, blocks)))
-        ]
+        betas = component_basis(ring, alpha)
         for t in range(-1, min(I.r, 4) + 2):
             total = sum(fine.homology_dim(t, beta) for beta in betas)
             assert coarse.homology_dim(t, alpha) == total

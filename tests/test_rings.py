@@ -1,7 +1,7 @@
 import random
+import sys
 from functools import reduce
-from itertools import combinations
-from math import comb
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,7 @@ from koszul_lab.homology import KoszulComplex
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
-    _compositions,
+    _bounded_compositions,
     borel_closure,
     component_basis,
     component_dim,
@@ -23,7 +23,6 @@ from koszul_lab.rings import (
     mon_lcm,
     mon_mul,
     monomial_quotient_dim,
-    monomials_of_total_degree,
     power_containment,
     power_ideal,
     quotient_component_dim,
@@ -68,15 +67,34 @@ def test_component_basis_matches_dim():
             assert ring.mdeg(m) == alpha
     # a negative degree has no monomials and no compositions
     assert component_basis(RingConfig((2, 1)), (-1, 2)) == ()
-    assert list(_compositions(-1, 1)) == [] and list(_compositions(-1, 3)) == []
+    assert list(_bounded_compositions(-1, (1,))) == [] == list(_bounded_compositions(-1, (1,) * 3))
 
 
-def test_monomials_of_total_degree():
-    ring = RingConfig((2, 2))
-    mons = list(monomials_of_total_degree(ring, 3))
-    # stars and bars over all 4 variables
-    assert len(mons) == comb(3 + 3, 3)
-    assert all(total_deg(m) == 3 for m in mons)
+@settings(max_examples=300)
+@given(
+    caps=st.lists(st.integers(-1, 4), max_size=5),
+    ties=st.lists(st.booleans(), max_size=6),
+    data=st.data(),
+)
+def test_bounded_compositions_are_the_filtered_product_lex_descending(caps, ties, data):
+    # negative caps, negative totals and totals past sum(caps) give nothing;
+    # ties[0] has no predecessor and ties past the caps are ignored
+    total = data.draw(st.integers(-2, sum(map(abs, caps)) + 2))
+    tied = [k for k in range(1, len(caps)) if k < len(ties) and ties[k]]
+    ascending = [
+        w
+        for w in product(*(range(c + 1) for c in caps))
+        if sum(w) == total and all(w[k] <= w[k - 1] for k in tied)
+    ]
+    assert list(_bounded_compositions(total, tuple(caps), tuple(ties))) == ascending[::-1]
+
+
+def test_bounded_compositions_need_no_recursion():
+    # longer than the recursion limit: the partitions of 2 into 1,500 parts
+    n = sys.getrecursionlimit() + 500
+    parts = list(_bounded_compositions(2, (2,) * n, (False,) + (True,) * (n - 1)))
+    assert parts == [(2,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)]
+    assert sum(1 for _ in _bounded_compositions(1, (1,) * n)) == n
 
 
 def test_ideal_minimalization():
@@ -175,6 +193,16 @@ def test_power_containment():
     I = MonomialIdeal(ring, [(2, 0), (0, 3)])
     assert not power_containment(I, 3)
     assert power_containment(I, 4)  # x^a y^b, a+b=4 forces a>=2 or b>=3
+    # bigraded: m_1^2 + m_2^2 misses x11 x21 in degree 2 and holds all of
+    # degree 3, where some block has degree >= 2; m_1 m_2 misses every x11^k
+    ring = RingConfig((2, 2))
+    I = MonomialIdeal(ring, component_basis(ring, (2, 0)) + component_basis(ring, (0, 2)))
+    assert [power_containment(I, k) for k in range(5)] == [False, False, False, True, True]
+    assert not any(power_containment(power_ideal(ring, (1, 1)), k) for k in range(6))
+    # every monomial of degree k, by filter, against the ideal's generators
+    for k in range(5):
+        monomials = [m for m in product(range(k + 1), repeat=4) if sum(m) == k]
+        assert power_containment(I, k) == all(map(I.contains, monomials))
 
 
 def test_taylor_caps():
@@ -307,6 +335,29 @@ def test_reg_depends_on_the_field():
     assert reg_monomial_ideal(I, QQ) == 3
     assert reg_monomial_ideal(I, PrimeField(3)) == 3
     assert reg_monomial_ideal(I, PrimeField(2)) == 4
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["QQ", "GF2", "GF3"])
+def test_quotient_blocks_are_matched_and_keep_their_rank(monkeypatch, field):
+    # reg(S/I) ranks blocks of the variables' Koszul complex over S/I: the
+    # element matching pairs faces there too, and each Morse rank equals the
+    # rank of the same faces with no pair
+    morse_dim, matched = KoszulComplex._morse_dim, []
+
+    def spy(self, t, beta, levels, up):
+        dim = morse_dim(self, t, beta, levels, up)
+        assert self.J is not None and dim == morse_dim(self, t, beta, levels, {})
+        matched.append(bool(up))
+        return dim
+
+    monkeypatch.setattr(KoszulComplex, "_morse_dim", spy)
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 5))]
+        I = MonomialIdeal(RingConfig((n,)), [g for g in gens if any(g)] or [(1,) * n])
+        reg_monomial_ideal.__wrapped__(I, field)  # the memo would skip the ranks
+    assert any(matched)
 
 
 def test_ideal_from_dict():
