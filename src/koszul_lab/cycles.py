@@ -51,7 +51,7 @@ def z1_generator(ideal: MonomialIdeal, b, j: int, k: int) -> KoszulChain:
     return KoszulChain(
         ideal,
         1,
-        {((bk,), ring.var(j)): 1, ((bj,), ring.var(k)): -1},
+        {(1 << bk - 1, ring.var(j)): 1, (1 << bj - 1, ring.var(k)): -1},
     )
 
 
@@ -92,7 +92,7 @@ def symmetrized_cycle(ideal: MonomialIdeal, a_list, b_list) -> KoszulChain:
             raise ValueError(f"b-monomial degree {ring.mdeg(b)} != {want}")
     terms = {}
     for perm in permutations(range(t + 1)):
-        s = sort_bracket(perm)[0]
+        s = sort_bracket([p + 1 for p in perm])[0]  # the parity of perm
         idx = [ideal.gen_index(mon_mul(b_list[i], a_list[perm[i]])) for i in range(t)]
         sorted_bracket = sort_bracket(idx)
         if sorted_bracket is None:

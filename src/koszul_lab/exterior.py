@@ -1,42 +1,63 @@
 """Exterior-algebra bookkeeping for Koszul complexes of monomial ideals.
 
-A KoszulChain is a sparse sum of terms coeff * e_T (x) w, keyed by a strictly
-increasing tuple T of 1-based generator indices and a monomial w.  The internal
-degree of e_T is the sum of the generator multidegrees, so the differential and
-all the canonical maps are degree 0.
+A KoszulChain is a sparse sum of terms coeff * e_T (x) w, keyed by the index
+set T, a bitmask with bit i - 1 set for generator i, and a monomial w.  The
+internal degree of e_T is the sum of the generator multidegrees, so the
+differential and all the canonical maps are degree 0.  T is this one int
+everywhere, from the chains here to the faces of `homology`; only `render`
+decodes it, to print, and the public `sign` and `sort_bracket` take index
+tuples.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product, starmap
+from functools import reduce
+from itertools import combinations, starmap
 from operator import gt
 
-from .rings import MonomialIdeal, mon_mul, total_deg
+from .rings import MonomialIdeal, mon_mul
+
+
+def lowbits(T: int) -> list:
+    """The set bits of the bitmask T, lowest first, one step per set bit."""
+    bits = []
+    while T:
+        low = T & -T
+        bits.append(low)
+        T ^= low
+    return bits
+
+
+def mask_sign(A: int, B: int) -> int:
+    """sigma(A, B) = (-1)^#{(a,b) in A x B : a > b} for disjoint bitmasks:
+    -(b << 1) keeps the bits of A above the bit b of B."""
+    return -1 if sum((A & -(b << 1)).bit_count() for b in lowbits(B)) & 1 else 1
+
+
+def _mask(indices) -> int:
+    """The bitmask of a collection of 1-based indices."""
+    return sum(1 << i - 1 for i in set(indices))
 
 
 def sign(A, B) -> int:
-    """sigma(A, B) = (-1)^#{(a,b) in A x B : a > b}; requires A, B disjoint."""
-    A, B = tuple(A), tuple(B)
-    if not set(A).isdisjoint(B):
-        raise ValueError(f"overlapping index sets {A} and {B}")
-    return _sign(A, B)
-
-
-def _sign(A, B) -> int:
-    """sigma(A, B) for index sets already known to be disjoint."""
-    return -1 if sum(starmap(gt, product(A, B))) % 2 else 1
+    """sigma(A, B) of two disjoint tuples of 1-based indices (`mask_sign`)."""
+    a, b = _mask(A), _mask(B)
+    if a & b:
+        raise ValueError(f"overlapping index sets {tuple(A)} and {tuple(B)}")
+    return mask_sign(a, b)
 
 
 def sort_bracket(indices):
-    """Sort a bracket [u_{i1}, ..., u_{it}] into e_T form: (sign, T) or None.
+    """Sort a bracket [u_{i1}, ..., u_{it}] into e_T form: (sign, T bitmask)
+    or None.
 
     Returns None when an index repeats (the wedge vanishes).
     """
     indices = tuple(indices)
-    if len(set(indices)) != len(indices):
+    T = _mask(indices)
+    if T.bit_count() != len(indices):
         return None
-    inversions = sum(starmap(gt, combinations(indices, 2)))
-    return (-1 if inversions % 2 else 1), tuple(sorted(indices))
+    return (-1 if sum(starmap(gt, combinations(indices, 2))) % 2 else 1), T
 
 
 class KoszulChain:
@@ -47,22 +68,21 @@ class KoszulChain:
     def __init__(self, ideal: MonomialIdeal, t: int, terms=None):
         self.ideal = ideal
         self.t = t
-        r = ideal.r
-        clean = {}
+        top, clean = 1 << ideal.r, {}
         for (T, w), c in (terms or {}).items():
             if c == 0:
                 continue
-            T = tuple(T)
-            if len(T) != t:
-                raise ValueError(f"index set {T} has size != {t}")
-            if T and (min(T) < 1 or max(T) > r):
-                raise ValueError(f"index set {T} out of range [1, {r}]")
+            if type(T) is not int or not 0 <= T < top:
+                raise ValueError(f"index set {T!r} is not a bitmask of {ideal.r} generators")
+            if T.bit_count() != t:
+                raise ValueError(f"index set {T:#b} has size != {t}")
             clean[(T, tuple(w))] = c
         self.terms = clean
 
     @classmethod
     def basis_element(cls, ideal, T, w, coeff=1):
-        return cls(ideal, len(tuple(T)), {(tuple(T), tuple(w)): coeff})
+        """coeff * e_T (x) w for the bitmask T."""
+        return cls(ideal, T.bit_count() if type(T) is int else 0, {(T, w): coeff})
 
     @classmethod
     def zero(cls, ideal, t):
@@ -113,13 +133,10 @@ class KoszulChain:
         return self.ideal == other.ideal and self.t == other.t and self.terms == other.terms
 
     def term_degree(self, key) -> tuple:
+        """The internal multidegree of the term e_T (x) w: that of u_T w."""
         T, w = key
-        ring = self.ideal.ring
-        deg = list(ring.mdeg(w))
-        for i in T:
-            g = ring.mdeg(self.ideal.gens[i - 1])
-            deg = [a + b for a, b in zip(deg, g)]
-        return tuple(deg)
+        u = (self.ideal.gens[b.bit_length() - 1] for b in lowbits(T))
+        return self.ideal.ring.mdeg(reduce(mon_mul, u, w))
 
     def multidegree(self):
         """Common internal multidegree; None for the zero chain."""
@@ -134,15 +151,12 @@ class KoszulChain:
         """Canonical text: coeff * [u_i1,...,u_it] * w per term, sorted."""
         if not self.terms:
             return "0"
-        ring = self.ideal.ring
-        parts = []
-        for (T, w) in sorted(self.terms):
-            c = self.terms[(T, w)]
-            gens = ",".join(
-                ring.monomial_str(self.ideal.gens[i - 1]) for i in T
-            )
-            parts.append(f"{c} * [{gens}] * {ring.monomial_str(w)}")
-        return " + ".join(parts)
+        gens, show = self.ideal.gens, self.ideal.ring.monomial_str
+        # each T decoded to its indices, which order the terms as they print
+        terms = sorted(([b.bit_length() for b in lowbits(T)], w, c)
+                       for (T, w), c in self.terms.items())
+        return " + ".join(f"{c} * [{','.join(show(gens[i - 1]) for i in T)}] * {show(w)}"
+                          for T, w, c in terms)
 
     def __repr__(self):
         return f"KoszulChain(t={self.t}, {self.render()})"
@@ -150,14 +164,12 @@ class KoszulChain:
 
 def boundary(f: KoszulChain) -> KoszulChain:
     """Koszul differential: e_T (x) w -> sum (-1)^(k-1) e_{T \\ i_k} (x) u_{i_k} w."""
-    ideal = f.ideal
-    terms = {}
+    gens, terms = f.ideal.gens, {}
     for (T, w), c in f.terms.items():
-        for pos, i in enumerate(T):
-            s = -1 if pos % 2 else 1
-            key = (T[:pos] + T[pos + 1 :], mon_mul(w, ideal.gens[i - 1]))
-            terms[key] = terms.get(key, 0) + s * c
-    return KoszulChain(ideal, f.t - 1, terms)
+        for pos, b in enumerate(lowbits(T)):
+            key = (T ^ b, mon_mul(w, gens[b.bit_length() - 1]))
+            terms[key] = terms.get(key, 0) + (-c if pos & 1 else c)
+    return KoszulChain(f.ideal, f.t - 1, terms)
 
 
 def wedge(a: KoszulChain, f: KoszulChain) -> KoszulChain:
@@ -166,18 +178,11 @@ def wedge(a: KoszulChain, f: KoszulChain) -> KoszulChain:
         raise ValueError("wedge of chains over different ideals")
     terms = {}
     for (A, wa), ca in a.terms.items():
-        disjoint = set(A).isdisjoint
         for (B, wb), cb in f.terms.items():
-            if disjoint(B):
-                key = (tuple(sorted(A + B)), mon_mul(wa, wb))
-                terms[key] = terms.get(key, 0) + _sign(A, B) * ca * cb
+            if not A & B:
+                key = (A | B, mon_mul(wa, wb))
+                terms[key] = terms.get(key, 0) + mask_sign(A, B) * ca * cb
     return KoszulChain(a.ideal, a.t + f.t, terms)
-
-
-def index_chain(ideal, I):
-    """The basis chain e_I in K_s(I, S) with trivial monomial part."""
-    I = tuple(sorted(I))
-    return KoszulChain.basis_element(ideal, I, ideal.ring.one())
 
 
 def gamma_map(f: KoszulChain, s: int):
@@ -186,12 +191,9 @@ def gamma_map(f: KoszulChain, s: int):
         raise ValueError("subset size exceeds homological degree")
     out = {}
     for (T, w), c in f.terms.items():
-        # the complements of the s-subsets of T, in lex order, are the
-        # (t - s)-subsets in reverse lex order
-        rests = reversed(list(combinations(T, f.t - s)))
-        for I, rest in zip(combinations(T, s), rests):
+        for I in map(sum, combinations(lowbits(T), s)):
             # for a fixed I, distinct terms (T, w) give distinct keys (T - I, w)
-            out.setdefault(I, {})[(rest, w)] = c * _sign(I, rest)
+            out.setdefault(I, {})[(T ^ I, w)] = c * mask_sign(I, T ^ I)
     return {I: KoszulChain(f.ideal, f.t - s, terms) for I, terms in out.items()}
 
 
@@ -199,10 +201,9 @@ def formal_boundary(fs: dict, ideal) -> dict:
     """Differential on K_s(phi, K_t(phi, M)) elements {I: coefficient chain}."""
     out = {}
     for I, b in fs.items():
-        for pos, i in enumerate(I):
-            s = -1 if pos % 2 else 1
-            J = I[:pos] + I[pos + 1 :]
-            piece = b.scale_monomial(ideal.gens[i - 1]).scale(s)
+        for pos, bit in enumerate(lowbits(I)):
+            J = I ^ bit
+            piece = b.scale_monomial(ideal.gens[bit.bit_length() - 1]).scale(-1 if pos & 1 else 1)
             if J in out:
                 out[J] = out[J] + piece
             else:
@@ -212,10 +213,7 @@ def formal_boundary(fs: dict, ideal) -> dict:
 
 def alpha_map(fs: dict, ideal, t: int) -> KoszulChain:
     """alpha: sum e_I (x) b_I -> sum e_I.b_I."""
-    total = None
+    one, total = ideal.ring.one(), KoszulChain.zero(ideal, t)
     for I, b in fs.items():
-        piece = wedge(index_chain(ideal, I), b)
-        total = piece if total is None else total + piece
-    if total is None:
-        return KoszulChain.zero(ideal, t)
+        total += wedge(KoszulChain.basis_element(ideal, I, one), b)
     return total

@@ -32,6 +32,7 @@ from .exterior import (
     boundary,
     formal_boundary,
     gamma_map,
+    lowbits,
     sign,
     wedge,
 )
@@ -220,9 +221,8 @@ def _random_chain(rng, kz, t, max_extra=2):
     """Random homogeneous chain: random basis degree, random small coefficients."""
     I = kz.ideal
     ring = I.ring
-    T = tuple(sorted(rng.sample(range(1, I.r + 1), t)))
     base = [0] * ring.d
-    for i in T:
+    for i in rng.sample(range(1, I.r + 1), t):
         g = ring.mdeg(I.gens[i - 1])
         base = [a + b for a, b in zip(base, g)]
     w = [0] * ring.n
@@ -531,11 +531,11 @@ def _maincyc_dims(kz: KoszulComplex, t: int, degrees) -> dict:
     the kernel of their boundary columns, and Z_1^t is spanned by the w g,
     w = beta - fdeg(g), whose coordinates on the faces are those of g."""
     field, gens = kz.field, kz.ideal.gens
-    prods = []  # (fdeg(g), {T bitmask: coefficient}) for each product g
+    prods = []  # (fdeg(g), {T: coefficient}) for each product g
     for _, g in z1_products(kz, t):
         T, m = next(iter(g.terms))
-        terms = {sum(1 << i - 1 for i in U): field.coerce(c) for (U, _), c in g.terms.items()}
-        prods.append((reduce(mon_mul, (gens[i - 1] for i in T), m), terms))
+        terms = {U: field.coerce(c) for (U, _), c in g.terms.items()}
+        prods.append((reduce(mon_mul, (gens[b.bit_length() - 1] for b in lowbits(T)), m), terms))
     dims = {}
     for j in degrees:
         dz = dp = 0
@@ -636,7 +636,7 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
             for mchain in right:
                 total = {}
                 for (T, w), cz in zchain.terms.items():
-                    gi = T[0] - 1
+                    gi = T.bit_length() - 1
                     piece = mchain.scale_monomial(w).scale(cz)
                     pv = kz.chain_vector(piece, (j - gdeg[gi],))
                     for col, v in pv.items():

@@ -25,10 +25,12 @@ from itertools import combinations, product
 from math import factorial, prod
 from operator import add, le, or_, sub
 
-from .exterior import KoszulChain, boundary
+from .exterior import KoszulChain, boundary, lowbits
 from .fields import QQ
 from .linalg import Echelon, kernel_basis
 from .rings import (
+    DEFAULT_COMPONENT_CEILING,
+    InfeasibleError,
     MonomialIdeal,
     RingConfig,
     _bounded_compositions,
@@ -36,16 +38,6 @@ from .rings import (
     _component_dim,
     mon_mul,
 )
-
-DEFAULT_COMPONENT_CEILING = 50_000
-
-
-class InfeasibleError(RuntimeError):
-    """A requested component exceeds the configured size ceiling."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class KoszulComplex:
@@ -57,10 +49,10 @@ class KoszulComplex:
     int of T and its residual (`_grown_faces`), the faces at a fine degree
     with no apex (`_fine_faces`), and H_t of each fine block ranked; the
     differentials themselves are assembled on demand.
-    Only this class reads the packed faces: the coarse basis decodes them at
-    a multidegree (`_keys`), and the fine blocks of `homology_dim` and the
-    pieces of `GradedModule` take them at a fine degree as T bitmasks
-    (`_fine_faces`).
+    Only this class reads the packed faces.  T is a bitmask throughout, as
+    in the chains of `exterior`: the coarse basis keys (T, w) at a
+    multidegree (`_keys`) and the faces of the fine blocks of `homology_dim`
+    and of the pieces of `GradedModule` at a fine degree (`_fine_faces`).
 
     `ceiling` bounds the basis elements a call builds: `basis` refuses a
     component of K_t whose size, sum dim S_w over its faces T, is larger, and
@@ -173,22 +165,23 @@ class KoszulComplex:
         return levels[t]
 
     def basis(self, t: int, alpha) -> list:
-        """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha;
-        raises InfeasibleError when sum dim S_w over the faces T, the basis
-        size for M = S and a bound for M = S/J, exceeds the ceiling."""
+        """Ordered basis (T, w) of K_t(I, M) in internal multidegree alpha, T a
+        bitmask, in lex order of the indices in T; raises InfeasibleError when
+        sum dim S_w over the faces T, the basis size for M = S and a bound for
+        M = S/J, exceeds the ceiling."""
         return self._keys(t, self.ring.as_mdeg(alpha))
 
     def _keys(self, t: int, alpha: tuple) -> list:
         key = (t, alpha)
         if key not in self._basis:
-            # each face decoded once, its residual w from one to_bytes
+            # each face split once into T and its residual w, read by one to_bytes
             (size, G, *_), r = self._packing(alpha), self.ideal.r
             width, faces = size * len(alpha), []
             for F in self._grown_faces(t, alpha):
                 w = (F - G >> r).to_bytes(width, "little")
                 if size > 1:
                     w = [int.from_bytes(w[k : k + size], "little") for k in range(0, width, size)]
-                faces.append((tuple(map(int.bit_length, _lowbits(F & (1 << r) - 1))), tuple(w)))
+                faces.append((F & (1 << r) - 1, tuple(w)))
             dim = sum(_component_dim(self.ring, w) for _, w in faces)
             self._check_ceiling(
                 dim, lambda: f"component K_{t} at degree {alpha} has dimension {dim}"
@@ -216,13 +209,13 @@ class KoszulComplex:
         if not keys:  # an empty K_t needs no K_{t-1}
             return []
         index, J, signs = self._key_index(t - 1, alpha), self.J, self._signs
-        columns = []
+        gens, columns = self.ideal.gens, []
         for T, w in keys:
             col = {}
-            for pos, i in enumerate(T):
-                uw = mon_mul(w, self.ideal.gens[i - 1])
+            for pos, b in enumerate(lowbits(T)):
+                uw = mon_mul(w, gens[b.bit_length() - 1])
                 if J is None or not J.contains(uw):
-                    col[index[(T[:pos] + T[pos + 1 :], uw)]] = signs[pos % 2]
+                    col[index[(T ^ b, uw)]] = signs[pos & 1]
             columns.append(col)
         return columns
 
@@ -301,7 +294,7 @@ class KoszulComplex:
             return 0
         signs, faces, cob = self._signs, dict(zip(low, low)), {}
         for sigma in high:
-            for p, b in enumerate(_lowbits(sigma)):
+            for p, b in enumerate(lowbits(sigma)):
                 cob.setdefault(sigma ^ b, {})[sigma] = signs[p & 1]
         rows = [(down.get(T), _boundary_column(T, faces, signs)) for T in mid if T not in up]
         rows += [(up.get(T), cob.get(T, {})) for T in mid if T not in down]
@@ -428,21 +421,11 @@ class KoszulComplex:
         return ech
 
 
-def _lowbits(T: int) -> list:
-    """The set bits of the bitmask T, lowest first, one step per set bit."""
-    bits = []
-    while T:
-        low = T & -T
-        bits.append(low)
-        T ^= low
-    return bits
-
-
 def _boundary_column(T: int, rows: dict, signs: tuple) -> dict:
     """The column of the face T (bits) under phi in the rows `rows` of faces:
     the boundary face T ^ bit i, signed (signs = (1, -1) in the field) by the
     parity of i's position in T, or dropped when it is not in `rows`."""
-    return {rows[T ^ b]: signs[p & 1] for p, b in enumerate(_lowbits(T)) if T ^ b in rows}
+    return {rows[T ^ b]: signs[p & 1] for p, b in enumerate(lowbits(T)) if T ^ b in rows}
 
 
 def _element_matching(levels: list) -> dict:
@@ -451,7 +434,7 @@ def _element_matching(levels: list) -> dict:
     whose tau + w is a face of the next level, both still unpaired, is paired
     with it.  Every pair holds a t-face, so it stops once they are all paired."""
     free, up = [set(level) for level in levels], {}
-    for b in _lowbits(reduce(or_, levels[1] + levels[2], 0)):
+    for b in lowbits(reduce(or_, levels[1] + levels[2], 0)):
         if not free[1]:
             break
         for low, high in zip(free, free[1:]):

@@ -15,6 +15,16 @@ from operator import add, le
 
 from .fields import QQ
 
+DEFAULT_COMPONENT_CEILING = 50_000
+
+
+class InfeasibleError(RuntimeError):
+    """A requested component exceeds the configured size ceiling."""
+
+    def __init__(self, message, estimate=None):
+        super().__init__(message)
+        self.estimate = estimate
+
 
 @dataclass(frozen=True)
 class RingConfig:
@@ -27,17 +37,12 @@ class RingConfig:
         object.__setattr__(self, "blocks", blocks)
         if len(blocks) < 1 or any(m < 1 for m in blocks):
             raise ValueError(f"invalid block sizes {blocks}")
-        # the slice of each block's variables, built once for `mdeg`
+        # the slice of each block's variables for `mdeg`, d and n, set once;
+        # they are not fields, so == and hash read the blocks alone
         ends = list(accumulate(blocks))
         object.__setattr__(self, "_parts", tuple(map(slice, [0] + ends, ends)))
-
-    @property
-    def d(self):
-        return len(self.blocks)
-
-    @property
-    def n(self):
-        return sum(self.blocks)
+        object.__setattr__(self, "d", len(blocks))
+        object.__setattr__(self, "n", ends[-1])
 
     def block_slices(self):
         return [(part.start, part.stop) for part in self._parts]
@@ -200,10 +205,7 @@ class MonomialIdeal:
         for _, same in groupby(sorted(gens, key=mon_key), key=total_deg):
             minimal += [g for g in same if not any(mon_divides(h, g) for h in minimal)]
         self.gens = tuple(minimal)
-
-    @property
-    def r(self):
-        return len(self.gens)
+        self.r = len(minimal)
 
     def contains(self, m: tuple) -> bool:
         return any(mon_divides(g, m) for g in self.gens)
@@ -236,12 +238,18 @@ class MonomialIdeal:
 
 
 def power_ideal(ring: RingConfig, c) -> MonomialIdeal:
-    """The product ideal m^c = prod_i m_i^{c_i}; minimal gens = S_c monomials."""
+    """The product ideal m^c = prod_i m_i^{c_i}; minimal gens = S_c monomials.
+    InfeasibleError is raised, before any is built, when dim S_c is over the
+    default ceiling."""
     c = ring.as_mdeg(c)
     if any(ci < 0 for ci in c):
         raise ValueError(f"negative power vector {c}")
     if all(ci == 0 for ci in c):
         raise ValueError("zero power vector")
+    r = _component_dim(ring, c)
+    if r > DEFAULT_COMPONENT_CEILING:
+        raise InfeasibleError(f"m^{c} has {r} generators, over the ceiling "
+                              f"{DEFAULT_COMPONENT_CEILING}", estimate=r)
     return MonomialIdeal(ring, component_basis(ring, c))
 
 

@@ -9,7 +9,7 @@ from koszul_lab.cli import (
     EXIT_USAGE,
     main,
 )
-from koszul_lab import harness
+from koszul_lab import harness, rings
 from koszul_lab.homology import InfeasibleError, KoszulComplex
 
 
@@ -83,6 +83,29 @@ def test_a_thousand_variables_homology_is_refused(capsys):
                  "--degree", "2"])
     assert code == EXIT_INFEASIBLE and time.monotonic() - start < 10
     assert "dimension 1440000 over the ceiling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["index", "--blocks", "1200", "--c", "2"],
+        ["index", "--blocks", "330", "--c", "2"],
+        ["betti", "--blocks", "1200", "--c", "2", "--imax", "2"],
+        ["homology", "--ideal", '{"blocks": [1200], "power": [2]}', "-t", "1", "--degree", "3"],
+    ],
+    ids=["index-1200", "index-330", "betti-1200", "homology-power"],
+)
+def test_a_power_with_too_many_generators_is_refused_unbuilt(capsys, monkeypatch, argv):
+    # dim S_2 is 720,600 in 1,200 variables and 54,615 in 330, both over the
+    # default ceiling: m^c is refused before any of its generators is built
+    def unbuilt(*args):
+        raise AssertionError("a generator of m^c was built")
+
+    monkeypatch.setattr(rings, "component_basis", unbuilt)
+    start = time.monotonic()
+    code = main(argv)
+    assert code == EXIT_INFEASIBLE and time.monotonic() - start < 10
+    assert "generators, over the ceiling 50000" in capsys.readouterr().err
 
 
 def test_verify_deterministic_output(capsys):

@@ -25,7 +25,7 @@ def test_z1_generator_is_cycle():
     assert boundary(z).is_zero()
     assert z.multidegree() == (3,)
     # explicit form: x1 [b x2] - x2 [b x1] with b = x1
-    assert z.terms == {((2,), (1, 0)): 1, ((1,), (0, 1)): -1}
+    assert z.terms == {(0b10, (1, 0)): 1, (0b01, (0, 1)): -1}
 
 
 def test_z1_generator_validation():

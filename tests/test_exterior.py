@@ -11,6 +11,7 @@ from koszul_lab.exterior import (
     boundary,
     formal_boundary,
     gamma_map,
+    mask_sign,
     sign,
     sort_bracket,
     wedge,
@@ -38,7 +39,7 @@ def test_sign_consistent_with_sort_bracket():
         A = tuple(sorted(pool[:cut]))
         B = tuple(sorted(pool[cut:]))
         s, T = sort_bracket(A + B)
-        assert T == tuple(sorted(pool))
+        assert T == sum(1 << i - 1 for i in pool)
         assert s == sign(A, B)
 
 
@@ -75,13 +76,13 @@ def test_sort_bracket_is_the_brute_force_inversion_parity(indices):
         1 for a in range(len(indices)) for b in range(a + 1, len(indices))
         if indices[a] > indices[b]
     )
-    assert sort_bracket(indices) == ((-1) ** inversions, tuple(sorted(indices)))
+    assert sort_bracket(indices) == ((-1) ** inversions, sum(1 << i - 1 for i in indices))
 
 
 def test_sort_bracket_parity_and_repeats():
     for perm in permutations((3, 1, 2)):
         s, T = sort_bracket(perm)
-        assert T == (1, 2, 3)
+        assert T == 0b111
         inv = sum(
             1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
         )
@@ -182,14 +183,14 @@ def test_alpha_gamma_binomial():
 def test_chain_arithmetic_and_degrees():
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
-    f = KoszulChain.basis_element(I, (1,), (0, 1))
-    g = KoszulChain.basis_element(I, (2,), (1, 0))
+    f = KoszulChain.basis_element(I, 0b01, (0, 1))
+    g = KoszulChain.basis_element(I, 0b10, (1, 0))
     h = f + g
     assert h.multidegree() == (3,)
     assert (h - h).is_zero()
     assert h.scale(0).is_zero()
     assert f.scale_monomial((1, 1)).multidegree() == (5,)
-    mixed = f + KoszulChain.basis_element(I, (1,), (1, 1))
+    mixed = f + KoszulChain.basis_element(I, 0b01, (1, 1))
     with pytest.raises(ValueError):
         mixed.multidegree()
 
@@ -198,20 +199,41 @@ def test_chain_validation():
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
     with pytest.raises(ValueError):
-        KoszulChain(I, 1, {((5,), (0, 0)): 1})
+        KoszulChain(I, 1, {(0b10000, (0, 0)): 1})
     with pytest.raises(ValueError):
-        KoszulChain(I, 2, {((1,), (0, 0)): 1})
-    # both ends of the range [1, r], r = 3, whatever the order of T
-    for T in [(0,), (-1,), (4,), (2, 0), (4, 1)]:
+        KoszulChain(I, 2, {(0b001, (0, 0)): 1})
+    # both ends of the bit range [0, r), r = 3
+    for T in [-1, -2, 0b1000, 0b1010, 0b1001]:
         with pytest.raises(ValueError):
-            KoszulChain(I, len(T), {(T, (0, 0)): 1})
-    assert KoszulChain(I, 2, {((1, 3), (0, 0)): 1}).terms == {((1, 3), (0, 0)): 1}
-    assert KoszulChain(I, 0, {((), (1, 0)): 2}).terms == {((), (1, 0)): 2}
+            KoszulChain(I, abs(T).bit_count(), {(T, (0, 0)): 1})
+    assert KoszulChain(I, 2, {(0b101, (0, 0)): 1}).terms == {(0b101, (0, 0)): 1}
+    assert KoszulChain(I, 0, {(0, (1, 0)): 2}).terms == {(0, (1, 0)): 2}
+
+
+def test_chain_refuses_every_index_set_but_a_bitmask_of_size_t():
+    # a tuple T, even a repeated or unsorted one, is no key: it raises
+    # ValueError, not TypeError, as does a bitmask outside [0, 2^r) or of
+    # the wrong size
+    I = power_ideal(RingConfig((2,)), 2)
+    for T, t in [((2, 1), 2), ((1, 2), 2), ((1, 1), 2), ((1,), 1), (1.0, 1), (True, 1),
+                 (-1, 1), (0b1000, 1), (1 << 3 | 1, 2), (0b011, 1), (0b001, 0), (0, 1)]:
+        with pytest.raises(ValueError):
+            KoszulChain(I, t, {(T, (0, 0)): 1})
+    with pytest.raises(ValueError):
+        KoszulChain.basis_element(I, (1, 2), (0, 0))
+
+
+@given(slots=st.lists(st.integers(0, 2), min_size=8, max_size=8))
+def test_mask_sign_is_the_brute_force_inversion_parity(slots):
+    # slot 1 puts i in A, slot 2 in B, slot 0 in neither: disjoint subsets of {1..8}
+    A, B = ([i for i, x in enumerate(slots, 1) if x == k] for k in (1, 2))
+    inversions = sum(1 for a in A for b in B if a > b)
+    assert mask_sign(sum(1 << a - 1 for a in A), sum(1 << b - 1 for b in B)) == (-1) ** inversions
 
 
 def test_render_stable():
     ring = RingConfig((2,))
     I = power_ideal(ring, 2)
-    z = KoszulChain(I, 1, {((3,), (1, 0)): 1, ((2,), (0, 1)): -1})
+    z = KoszulChain(I, 1, {(0b100, (1, 0)): 1, (0b010, (0, 1)): -1})
     assert z.render() == "-1 * [x1*x2] * x2 + 1 * [x2^2] * x1"
     assert KoszulChain.zero(I, 1).render() == "0"
