@@ -5,6 +5,8 @@ maximal ideals, Betti tables of Segre-Veronese rings, and falsification-style
 verification suites for the regularity and generation bounds.
 """
 
+import importlib
+
 from .fields import QQ, FieldError, PrimeField, RationalField, parse_field
 from .rings import (
     MonomialIdeal,
@@ -39,26 +41,12 @@ from .homology import (
     tor_dims,
     tor_violations,
 )
-from .cycles import (
-    gen2_families,
-    multi2_failures,
-    symmetrized_cycle,
-    z1_generator,
-    z1_generator_family,
-    z1_products,
-)
 from .veronese import (
     BettiTable,
     IndexResult,
     SegreVeroneseSpec,
     green_lazarsfeld_index,
     veronese_betti,
-)
-from .harness import (
-    SuiteReport,
-    probe_q1,
-    random_monomial_ideal,
-    run_suite,
 )
 
 __all__ = [
@@ -112,3 +100,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# `cycles` and `harness` load on first use of one of their names (PEP 562), so
+# that a process that computes only tables, indices or homology never compiles them
+_LAZY = {
+    **dict.fromkeys(("cycles", "gen2_families", "multi2_failures", "symmetrized_cycle",
+                     "z1_generator", "z1_generator_family", "z1_products"), "cycles"),
+    **dict.fromkeys(("harness", "SuiteReport", "probe_q1", "random_monomial_ideal",
+                     "run_suite"), "harness"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

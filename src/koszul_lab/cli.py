@@ -15,7 +15,6 @@ import sys
 import time
 
 from .fields import FieldError, parse_field
-from .harness import SUITES, probe_q1, run_suite
 from .homology import InfeasibleError, KoszulComplex
 from .rings import ideal_from_dict
 from .veronese import SegreVeroneseSpec, green_lazarsfeld_index, veronese_betti
@@ -46,9 +45,25 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+class _SuiteNames:
+    """The `verify` choices, read from `harness.SUITES` only when argparse
+    checks or prints them (with a metavar, add_argument lists none), so that
+    no other command imports the harness."""
+
+    def __contains__(self, name):
+        return name in list(self)
+
+    def __iter__(self):
+        from .harness import SUITES
+
+        return iter(sorted(SUITES))
+
+
 def cmd_verify(args):
     """`verify <suite>` and `probe-q1`: the suite's report, a line per case
     (with its params and details unless it passed) and its verdict's exit code."""
+    from .harness import probe_q1, run_suite
+
     if args.command == "probe-q1":
         report = probe_q1(seed=args.seed, size=args.size, field=args.field)
     else:
@@ -143,7 +158,7 @@ def build_parser():
             p.add_argument("--c", required=True, help="comma-separated power vector")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=_SuiteNames(), metavar="suite", help="one of %(choices)s")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--size", type=int, default=None)
     common(p)

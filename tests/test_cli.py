@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import koszul_lab
 from koszul_lab.cli import (
     EXIT_INFEASIBLE,
     EXIT_PASS,
@@ -106,6 +111,55 @@ def test_a_power_with_too_many_generators_is_refused_unbuilt(capsys, monkeypatch
     code = main(argv)
     assert code == EXIT_INFEASIBLE and time.monotonic() - start < 10
     assert "generators, over the ceiling 50000" in capsys.readouterr().err
+
+
+# run in a fresh interpreter: which library modules each command loads
+_LOADED_BY_COMMANDS = """
+import contextlib, io, json, sys
+from koszul_lab.cli import main
+
+def loaded():
+    return [m for m in ("koszul_lab.harness", "koszul_lab.cycles") if m in sys.modules]
+
+seen = {}
+for argv in (["index", "--blocks", "3", "--c", "2"],
+             ["betti", "--blocks", "3", "--c", "2", "--imax", "3"],
+             ["homology", "--ideal", '{"blocks": [2], "power": [2]}', "-t", "1", "--degree", "3"],
+             ["cycles", "--ideal", '{"blocks": [2], "power": [2]}', "-t", "1", "--degree", "3"],
+             ["verify", "signs"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0, argv
+    seen[argv[0]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_only_verify_loads_the_harness_and_the_cycle_families():
+    src = Path(koszul_lab.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-B", "-c", _LOADED_BY_COMMANDS], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert {command: seen[command] for command in ("index", "betti", "homology", "cycles")} == {
+        "index": [], "betti": [], "homology": [], "cycles": []}
+    assert seen["verify"] == ["koszul_lab.harness", "koszul_lab.cycles"]
+
+
+def test_unknown_suite_is_a_usage_error_naming_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuch"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument suite: invalid choice: 'nosuch' (choose from 'check', 'gen2'," in err
+    assert len(harness.SUITES) == 14
+    assert all(repr(name) in err for name in harness.SUITES)
+
+
+def test_verify_help_names_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert set(harness.SUITES) <= set(capsys.readouterr().out.replace(",", " ").split())
 
 
 def test_verify_deterministic_output(capsys):
