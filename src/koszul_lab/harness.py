@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import combinations, product
-from operator import le
 from typing import Callable
 
 from .cycles import gen2_families, multi2_failures, z1_products
@@ -32,19 +31,16 @@ from .exterior import (
     boundary,
     formal_boundary,
     gamma_map,
-    lowbits,
     sign,
     wedge,
 )
 from .fields import QQ
 from .homology import (
+    GradedModule,
     InfeasibleError,
     KoszulComplex,
-    _boundary_column,
-    cycle_module,
     degrees_upto,
     generates_up_to,
-    homology_module,
     tor_violations,
 )
 from .linalg import Echelon
@@ -52,7 +48,6 @@ from .rings import (
     MonomialIdeal,
     RingConfig,
     borel_closure,
-    mon_mul,
     monomial_quotient_dim,
     power_containment,
     power_ideal,
@@ -156,13 +151,11 @@ def ideal_params(I: MonomialIdeal) -> dict:
 
 def random_monomial_ideal(rng, ring: RingConfig, max_deg=3, max_gens=4) -> MonomialIdeal:
     """Random monomial ideal from a bounded pool; non-minimal draws collapse."""
-    n = ring.n
     gens = []
     for _ in range(rng.randint(1, max_gens)):
-        d = rng.randint(1, max_deg)
-        exps = [0] * n
-        for _ in range(d):
-            exps[rng.randrange(n)] += 1
+        exps = [0] * ring.n
+        for _ in range(rng.randint(1, max_deg)):
+            exps[rng.randrange(ring.n)] += 1
         gens.append(tuple(exps))
     return MonomialIdeal(ring, gens)
 
@@ -176,10 +169,6 @@ def artinianize(I: MonomialIdeal, power: int, skip=()) -> MonomialIdeal:
             continue
         gens.append(tuple(power if i == k else 0 for i in range(ring.n)))
     return MonomialIdeal(ring, gens)
-
-
-def _random_t(rng, r):
-    return min(rng.choice([1, 1, 2, 2, 3]), r)
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +294,26 @@ def _decided_by_stability(cases) -> dict:
     return {"decided_by_stability": sum(ch["bound"] >= ch["stable_degree"] for ch in checks)}
 
 
-def _tor_suite(build, size=50, found="violation", summarize=_decided_by_stability) -> Suite:
+def _tor_checks(draw, rng, field):
+    """(params, checks) of one Tor case, or None to redraw.  draw(rng, field)
+    gives (I, J or None, params, bounds), or None; t is drawn after it, and
+    each (label, bound, i_max) of bounds(t) gets H_t(I; S/J) for "H", else Z_t."""
+    drawn = draw(rng, field)
+    if drawn is None:
+        return None
+    I, J, params, bounds = drawn
+    t = min(rng.choice([1, 1, 2, 2, 3]), I.r)
+    kz = KoszulComplex(I, field, J)
+    coeff = {"coeff_ideal": ideal_params(J)} if J else {}
+    params = {"ideal": ideal_params(I), **coeff, "t": t, **params}
+    return params, [(label, GradedModule(kz, t, label == "H"), bound, i_max)
+                    for label, bound, i_max in bounds(t)]
+
+
+def _tor_suite(draw, size=50, found="violation", summarize=_decided_by_stability) -> Suite:
     """A suite whose cases are Tor checks of Z_t(I; M) or H_t(I; M).
 
-    build(rng, field) -> (params, checks), or None to redraw.  checks are
-    (label, module, bound, i_max) tuples.  Each module's Tor is scanned in
+    Each case is drawn by `_tor_checks`.  Each module's Tor is scanned in
     every j - i > bound up to its stability degree |a|, past which it is 0 by
     theorem, so the window is exact and certified.  A case with an entry
     found gets the verdict `found`; a case whose scan builds a piece over the
@@ -318,7 +322,7 @@ def _tor_suite(build, size=50, found="violation", summarize=_decided_by_stabilit
 
     def cases(rng, field):
         while True:
-            built = build(rng, field)
+            built = _tor_checks(draw, rng, field)
             if built is None:
                 yield None
                 continue
@@ -350,103 +354,87 @@ def _smallest_power_degree(I: MonomialIdeal) -> int:
     return c
 
 
+def _artinian(rng) -> MonomialIdeal:
+    """A random ideal in 2 or 3 variables with every variable power added."""
+    I = random_monomial_ideal(rng, RingConfig((rng.choice([2, 2, 3]),)), 3, 3)
+    return artinianize(I, rng.randint(2, 3))
+
+
+def _z_and_h(bound_z, c):
+    return [("Z", bound_z, None), ("H", bound_z + c - 1, None)]
+
+
 def _regb(rng, field):
-    n = rng.choice([2, 2, 3])
-    I = artinianize(random_monomial_ideal(rng, RingConfig((n,)), 3, 3), rng.randint(2, 3))
+    I = _artinian(rng)
     c = _smallest_power_degree(I)
-    t = _random_t(rng, I.r)
-    bound_z = t * (c + 1)
-    params = {"ideal": ideal_params(I), "t": t, "c": c}
-    kz = KoszulComplex(I, field)
-    Z, H = cycle_module(kz, t), homology_module(kz, t)
-    return params, [("Z", Z, bound_z, None), ("H", H, bound_z + c - 1, None)]
-
-
-def _thm1(rng, field):
-    n = rng.choice([2, 3])
-    I = random_monomial_ideal(rng, RingConfig((n,)), 3, 3)
-    dim = monomial_quotient_dim(I)
-    if dim > 1:
-        I = artinianize(I, 3, skip=(rng.randrange(n),))
-        dim = monomial_quotient_dim(I)
-    reg_I = reg_monomial_ideal(I, field)
-    t = _random_t(rng, I.r)
-    params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": dim}
-    kz = KoszulComplex(I, field)
-    return params, [("Z", cycle_module(kz, t), t * (reg_I + 1), None)]
+    return I, None, {"c": c}, lambda t: _z_and_h(t * (c + 1), c)
 
 
 def _greeny(rng, field):
-    n = rng.choice([2, 2, 3])
-    I = artinianize(random_monomial_ideal(rng, RingConfig((n,)), 3, 3), rng.randint(2, 3))
+    I = _artinian(rng)
     c = I.max_gen_degree()
     v = quotient_component_dim(I, c)
-    t = _random_t(rng, I.r)
-    bound_z = t * (c + 1) + v
-    params = {"ideal": ideal_params(I), "t": t, "c": c, "v": v}
-    kz = KoszulComplex(I, field)
-    Z, H = cycle_module(kz, t), homology_module(kz, t)
-    return params, [("Z", Z, bound_z, None), ("H", H, bound_z + c - 1, None)]
+    return I, None, {"c": c, "v": v}, lambda t: _z_and_h(t * (c + 1) + v, c)
 
 
 def _remark_b(rng, field):
-    """m^(c + v) lies in I; a power-containment fact, so no field is used."""
+    """m^(c + v) lies in I, on greeny's draws; a power-containment fact, so no
+    field is used."""
     while True:
-        n = rng.choice([2, 2, 3])
-        ring = RingConfig((n,))
-        I = artinianize(random_monomial_ideal(rng, ring, 3, 3), rng.randint(2, 3))
-        c = I.max_gen_degree()
-        v = quotient_component_dim(I, c)
-        params = {"ideal": ideal_params(I), "c": c, "v": v}
-        ok = power_containment(I, c + v)
-        yield params, _verdict(ok), {"exact": True, "certified": True}, {"power": c + v}
+        I, _, drawn, _ = _greeny(rng, field)
+        power = drawn["c"] + drawn["v"]
+        params = {"ideal": ideal_params(I), **drawn}
+        window = {"exact": True, "certified": True}
+        yield params, _verdict(power_containment(I, power)), window, {"power": power}
+
+
+def _random_ideal(rng) -> MonomialIdeal:
+    return random_monomial_ideal(rng, RingConfig((rng.choice([2, 3]),)), 3, 3)
+
+
+def _reg_bound(I: MonomialIdeal, dim: int, field):
+    """reg Z_t against t(reg(I) + 1)."""
+    reg_I = reg_monomial_ideal(I, field)
+    return I, None, {"reg_I": reg_I, "dim": dim}, lambda t: [("Z", t * (reg_I + 1), None)]
+
+
+def _thm1(rng, field):
+    """dim S/I <= 1: all but one variable made nilpotent when it is larger."""
+    I = _random_ideal(rng)
+    dim = monomial_quotient_dim(I)
+    if dim > 1:
+        I = artinianize(I, 3, skip=(rng.randrange(I.ring.n),))
+        dim = monomial_quotient_dim(I)
+    return _reg_bound(I, dim, field)
+
+
+def _probe_q1_case(rng, field):
+    """An ideal of positive dimension."""
+    I = _random_ideal(rng)
+    dim = monomial_quotient_dim(I)
+    return _reg_bound(I, dim, field) if dim else None
+
+
+def _stable(rng, ring, k) -> MonomialIdeal:
+    """The Borel closure of k random monomials of degree <= 3."""
+    return borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0] for _ in range(k)])
 
 
 def _piper(rng, field):
     """Generation degrees of Z_t for strongly stable ideals: Tor_0 only."""
-    n = rng.choice([2, 3])
-    ring = RingConfig((n,))
-    seeds = [random_monomial_ideal(rng, ring, 3, 2).gens[0] for _ in range(rng.randint(1, 2))]
-    I = borel_closure(ring, seeds)
+    ring = RingConfig((rng.choice([2, 3]),))
+    I = _stable(rng, ring, rng.randint(1, 2))
     c = I.max_gen_degree()
-    t = _random_t(rng, I.r)
-    params = {"ideal": ideal_params(I), "t": t, "reg_I": c}
-    kz = KoszulComplex(I, field)
-    return params, [("Z", cycle_module(kz, t), t * (c + 1), 0)]
+    return I, None, {"reg_I": c}, lambda t: [("Z", t * (c + 1), 0)]
 
 
 def _sato(rng, field):
     """Cycle regularity with quotient coefficients S/J for strongly stable I, J."""
-    n = rng.choice([2, 3])
-    ring = RingConfig((n,))
-    I = borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0]])
-    J = borel_closure(ring, [random_monomial_ideal(rng, ring, 3, 2).gens[0]])
-    reg_I = I.max_gen_degree()
-    reg_SJ = J.max_gen_degree() - 1
-    t = _random_t(rng, I.r)
-    kz = KoszulComplex(I, field, J)
-    params = {
-        "ideal": ideal_params(I),
-        "coeff_ideal": ideal_params(J),
-        "t": t,
-        "reg_I": reg_I,
-        "reg_SJ": reg_SJ,
-    }
-    return params, [("Z(I;S/J)", cycle_module(kz, t), t * (reg_I + 1) + reg_SJ, None)]
-
-
-def _probe_q1_case(rng, field):
-    """reg Z_t against t(reg(I) + 1) for an ideal of positive dimension."""
-    n = rng.choice([2, 3])
-    I = random_monomial_ideal(rng, RingConfig((n,)), 3, 3)
-    dim = monomial_quotient_dim(I)
-    if dim == 0:
-        return None
-    reg_I = reg_monomial_ideal(I, field)
-    t = _random_t(rng, I.r)
-    params = {"ideal": ideal_params(I), "t": t, "reg_I": reg_I, "dim": dim}
-    kz = KoszulComplex(I, field)
-    return params, [("Z", cycle_module(kz, t), t * (reg_I + 1), None)]
+    ring = RingConfig((rng.choice([2, 3]),))
+    I, J = _stable(rng, ring, 1), _stable(rng, ring, 1)
+    reg_I, reg_SJ = I.max_gen_degree(), J.max_gen_degree() - 1
+    params = {"reg_I": reg_I, "reg_SJ": reg_SJ}
+    return I, J, params, lambda t: [("Z(I;S/J)", t * (reg_I + 1) + reg_SJ, None)]
 
 
 def _excess_summary(cases) -> dict:
@@ -523,40 +511,9 @@ def _multi2(rng, field):
 MAINCYC_COMBOS = [(n, c, t) for n in (2, 3) for c in (1, 2) for t in (1, 2, 3)]
 
 
-def _maincyc_dims(kz: KoszulComplex, t: int, degrees) -> dict:
-    """{j: (dim Z_t, dim Z_1^t)} of K(m^c, S) in each degree j, summed over
-    one fine degree beta per orbit of the variable permutations, which map
-    m^c and the z_b family onto themselves up to sign (`KoszulComplex._orbits`).
-    At beta, K_t has the basis e_T (x) (beta - u_T) over its faces T: Z_t is
-    the kernel of their boundary columns, and Z_1^t is spanned by the w g,
-    w = beta - fdeg(g), whose coordinates on the faces are those of g."""
-    field, gens = kz.field, kz.ideal.gens
-    prods = []  # (fdeg(g), {T: coefficient}) for each product g
-    for _, g in z1_products(kz, t):
-        T, m = next(iter(g.terms))
-        terms = {U: field.coerce(c) for (U, _), c in g.terms.items()}
-        prods.append((reduce(mon_mul, (gens[b.bit_length() - 1] for b in lowbits(T)), m), terms))
-    dims = {}
-    for j in degrees:
-        dz = dp = 0
-        for beta, size in kz._orbits((j,)):
-            faces = kz._fine_faces(t, beta)
-            rows = {T: k for k, T in enumerate(kz._fine_faces(t - 1, beta))}
-            cycles, products = Echelon(field), Echelon(field)
-            for T in faces:
-                cycles.add(_boundary_column(T, rows, kz._signs))
-            for fdeg, terms in prods:
-                if all(map(le, fdeg, beta)):
-                    products.add(terms)
-            dz += size * (len(faces) - cycles.rank)
-            dp += size * products.rank
-        dims[j] = dz, dp
-    return dims
-
-
 def _maincyc(rng, field):
     """Z_t = Z_1^t in the generating window for powers of the maximal ideal,
-    compared per fine orbit (`_maincyc_dims`)."""
+    compared per fine orbit (`KoszulComplex.orbit_dims`)."""
     for n, c, t in MAINCYC_COMBOS:
         params = {"n": n, "c": c, "t": t}
         ideal = power_ideal(RingConfig((n,)), c)
@@ -565,7 +522,8 @@ def _maincyc(rng, field):
             continue
         start = t * (c + 1)
         degrees = range(start, start + MAINCYC_SLACK + 1)
-        dims = _maincyc_dims(KoszulComplex(ideal, field), t, degrees)
+        kz = KoszulComplex(ideal, field)
+        dims = kz.orbit_dims(t, z1_products(kz, t), degrees)
         window = {"degrees": [start, start + MAINCYC_SLACK], "certified": True}
         details = {
             "dims": {str(j): {"Z": dz, "Z1_power": dp} for j, (dz, dp) in dims.items()},
@@ -653,10 +611,12 @@ def _surge_tor1_dim(kz: KoszulComplex, j: int) -> int:
 
 def _surge(rng, field):
     """Tor_1(S/I, Z_1)_j = 0 iff one-cycle products span (Z_2)_j, for I = m^2;
-    dim Z_2 and the products' rank are summed per fine orbit (`_maincyc_dims`)."""
+    dim Z_2 and the products' rank are summed per fine orbit
+    (`KoszulComplex.orbit_dims`)."""
     kz = KoszulComplex(power_ideal(RingConfig((2,)), 2), field)
+    dims = kz.orbit_dims(2, z1_products(kz, 2), range(SURGE_DEGREE + 1))
     mismatches, table = [], {}
-    for j, (dz2, prod_rank) in _maincyc_dims(kz, 2, range(SURGE_DEGREE + 1)).items():
+    for j, (dz2, prod_rank) in dims.items():
         tor1 = _surge_tor1_dim(kz, j)
         table[str(j)] = {"dim_Z2": dz2, "product_rank": prod_rank, "tor1": tor1}
         if (tor1 == 0) != (prod_rank == dz2):

@@ -373,6 +373,40 @@ class KoszulComplex:
                 self._dims[t, beta] = self._morse_dim(t, beta, levels, _element_matching(levels))
         return sum(size * self._dims[t, beta] for beta, size, _ in blocks)
 
+    def orbit_dims(self, t: int, chains, degrees) -> dict:
+        """{degree: (dim Z_t, rank of the span)} of K(I, S) in each degree, the
+        span that of the monomial multiples of the fine-homogeneous chains g,
+        given as for `span_multiples`, summed over one fine degree beta per
+        orbit of the swaps that fix I (`_orbits`), weighted by its size.  The
+        span's sum is exact only for a family that those swaps map onto itself
+        up to sign, as the wedges of the z_b of m^c (`cycles.z1_products`).
+        At beta, Z_t is the kernel of the boundary columns of the faces T of
+        e_T (x) (beta - u_T), and w g, w = beta - fdeg(g), has g's coordinates."""
+        if self.J is not None:
+            raise ValueError("orbit dimensions are over M = S only")
+        gens, coerce = self.ideal.gens, self.field.coerce
+        fine = []  # (fdeg(g), {T: coefficient}) for each chain g
+        for _, g in chains:
+            T, m = next(iter(g.terms))
+            fdeg = reduce(mon_mul, (gens[b.bit_length() - 1] for b in lowbits(T)), m)
+            fine.append((fdeg, {U: coerce(c) for (U, _), c in g.terms.items()}))
+        dims = {}
+        for degree in degrees:
+            dz = dp = 0
+            for beta, size in self._orbits(self.ring.as_mdeg(degree)):
+                faces = self._fine_faces(t, beta)
+                rows = {T: k for k, T in enumerate(self._fine_faces(t - 1, beta))}
+                cycles, span = Echelon(self.field), Echelon(self.field)
+                for T in faces:
+                    cycles.add(_boundary_column(T, rows, self._signs))
+                for fdeg, terms in fine:
+                    if all(map(le, fdeg, beta)):
+                        span.add(terms)
+                dz += size * (len(faces) - cycles.rank)
+                dp += size * span.rank
+            dims[degree] = dz, dp
+        return dims
+
     def chain_vector(self, chain: KoszulChain, alpha) -> dict:
         """Coordinates of a homogeneous chain in the K_t basis at alpha."""
         index = self._key_index(chain.t, self.ring.as_mdeg(alpha))

@@ -316,10 +316,14 @@ def _int_list(value, what) -> tuple:
 def ideal_from_dict(data: dict) -> MonomialIdeal:
     """Load an ideal from the JSON schema:
     {"blocks": [...], "generators": [[e, ...], ...]} or
-    {"blocks": [...], "power": [c1, ..., cd]}, with integer entries only.
+    {"blocks": [...], "power": [c1, ..., cd]}, with integer entries only;
+    any other key is a ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError(f"ideal must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {"blocks", "generators", "power"})
+    if unknown:
+        raise ValueError(f"ideal dict has unknown keys {unknown}")
     if "power" in data and "generators" in data:
         raise ValueError("ideal dict has both 'generators' and 'power'; give one")
     if "blocks" not in data or not ("power" in data or "generators" in data):

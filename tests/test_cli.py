@@ -298,6 +298,14 @@ def test_ideal_given_two_ways_is_a_usage_error(capsys):
         assert out == "" and "both 'generators' and 'power'" in err
 
 
+def test_ideal_with_a_misspelt_key_is_a_usage_error_naming_it(capsys):
+    ideal = '{"blocks": [2], "generator": [[1, 0]], "power": [2]}'
+    for command in ("homology", "cycles"):
+        assert main([command, "--ideal", ideal, "-t", "1", "--degree", "4"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown keys ['generator']" in err
+
+
 def test_ideal_without_blocks_is_a_usage_error_naming_the_key(capsys):
     for command in ("homology", "cycles"):
         code = main([command, "--ideal", '{"power": [2]}', "-t", "1", "--degree", "2"])

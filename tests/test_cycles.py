@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -11,9 +12,9 @@ from koszul_lab.cycles import (
     z1_generator_family,
     z1_products,
 )
-from koszul_lab.exterior import boundary, wedge
+from koszul_lab.exterior import boundary, lowbits, wedge
 from koszul_lab.fields import PrimeField, QQ
-from koszul_lab.homology import InfeasibleError, KoszulComplex
+from koszul_lab.homology import InfeasibleError, KoszulComplex, generates_up_to
 from koszul_lab.linalg import Echelon
 from koszul_lab.rings import RingConfig, component_basis, power_ideal
 
@@ -183,3 +184,64 @@ def test_wedge_of_z1_generators_is_cycle():
     fams = z1_generator_family(I)
     w = wedge(fams[0], fams[3])
     assert boundary(w).is_zero()
+
+
+def _swap_terms(chain, k):
+    """The terms of the chain with x_{k-1} and x_k swapped: generator u_i goes
+    to the generator u_i with those exponents swapped, and each e_T to the
+    sorted wedge of the images, with the sign of the sort."""
+    gens = chain.ideal.gens
+
+    def swap(m):
+        return m[: k - 1] + (m[k], m[k - 1]) + m[k + 1 :]
+
+    image = [gens.index(swap(u)) for u in gens]
+    terms = {}
+    for (T, m), c in chain.terms.items():
+        moved = [image[b.bit_length() - 1] for b in lowbits(T)]
+        inversions = sum(a > b for a, b in combinations(moved, 2))
+        terms[sum(1 << i for i in moved), swap(m)] = (-1) ** inversions * c
+    return terms
+
+
+def _up_to_sign(terms):
+    lead = 1 if terms[min(terms)] > 0 else -1
+    return frozenset((key, lead * c) for key, c in terms.items())
+
+
+@pytest.mark.parametrize(
+    "blocks, c, t",
+    [((n,), (c,), t) for n in (2, 3) for c in (1, 2) for t in (1, 2, 3)] + [((2, 2), (1, 1), 2)],
+)
+def test_z1_products_are_closed_under_the_orbit_swaps(blocks, c, t):
+    # KoszulComplex.orbit_dims sums the span of a family per orbit of the
+    # adjacent swaps of its runs; that is exact because each swap maps the
+    # products of the z_b onto themselves up to sign
+    kz = KoszulComplex(power_ideal(RingConfig(blocks), c))
+    if t > kz.ideal.r:
+        return
+    family = {_up_to_sign(g.terms) for _, g in z1_products(kz, t)}
+    swaps = [k for start, end in kz._runs for k in range(start + 1, end)]
+    assert swaps
+    for k in swaps:
+        assert {_up_to_sign(_swap_terms(g, k)) for _, g in z1_products(kz, t)} == family
+
+
+def test_orbit_dims_needs_a_swap_closed_family():
+    # gen2's n = 2, c = 3 family without its third member is not swap-closed:
+    # per orbit it looks generating at degree 8, where it does not generate
+    kz = KoszulComplex(power_ideal(RingConfig((2,)), 3))
+    family = gen2_families(2, 3)
+    part = family[:2]
+    assert len(family) == 3
+    assert kz.orbit_dims(2, [(g.multidegree(), g) for g in part], [8]) == {8: (3, 3)}
+    assert generates_up_to(kz, part, 2, 8) == (False, (8,))
+    assert generates_up_to(kz, family, 2, 8) == (True, None)
+
+
+def test_orbit_dims_refuses_a_quotient():
+    # a product's term at a face dead in S/J is 0 there, which the count does not drop
+    ring = RingConfig((2,))
+    kz = KoszulComplex(power_ideal(ring, 2), QQ, power_ideal(ring, 3))
+    with pytest.raises(ValueError, match="M = S"):
+        kz.orbit_dims(1, z1_products(kz, 1), [3])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from koszul_lab import homology
 from koszul_lab.exterior import KoszulChain, boundary
 from koszul_lab.fields import QQ, PrimeField
-from koszul_lab.harness import _regb, _sato, random_monomial_ideal
+from koszul_lab.harness import _regb, _sato, _tor_checks, random_monomial_ideal
 from koszul_lab.homology import (
     GradedModule,
     InfeasibleError,
@@ -788,7 +788,8 @@ def test_tor_scan_ranks_each_delta_once_per_fine_degree(monkeypatch):
     kz = KoszulComplex(power_ideal(ring, 2))
     modules = [(homology_module(kz, 1), -1, None), (cycle_module(kz, 1), 1, 2)]
     for seed in range(4):
-        modules += [(M, bound, i_max) for _, M, bound, i_max in _regb(random.Random(seed), QQ)[1]]
+        _, checks = _tor_checks(_regb, random.Random(seed), QQ)
+        modules += [(M, bound, i_max) for _, M, bound, i_max in checks]
     for M, bound, i_max in modules:
         tor_violations(M, bound, i_max)
     assert ranked and len(ranked) == len(set(ranked))
@@ -1091,7 +1092,7 @@ def test_tor_suites_build_only_box_pieces(monkeypatch):
     built = 0
     for build in (_regb, _sato):
         for seed in range(12):
-            _, checks = build(random.Random(seed), QQ)
+            _, checks = _tor_checks(build, random.Random(seed), QQ)
             for _, M, bound, i_max in checks:
                 tor_violations(M, bound, i_max)
                 for gamma, (coords, reps, _) in M._pieces.items():
@@ -1117,7 +1118,7 @@ def test_tor_scan_filters_each_fine_face_list_once(monkeypatch):
     kept = []  # the complexes stay alive, so that no id is reused
     for build in (_regb, _sato):
         for seed in range(12):
-            _, checks = build(random.Random(seed), QQ)
+            _, checks = _tor_checks(build, random.Random(seed), QQ)
             for _, M, bound, i_max in checks:
                 tor_violations(M, bound, i_max)
                 kept.append(M.kz)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 import koszul_lab
@@ -28,3 +31,9 @@ def test_dir_lists_the_lazy_names():
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
         koszul_lab.nosuch
+
+
+def test_readme_suites_line_names_every_suite():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [line] = re.findall(r"^Suites: (.*?)\n\n", readme, re.M | re.S)
+    assert re.findall(r"`(\w+)`", line) == list(koszul_lab.harness.SUITES)

@@ -374,6 +374,15 @@ def test_ideal_from_dict():
         ideal_from_dict({"blocks": [2], "generators": [[1, 0]], "power": [1]})
 
 
+def test_ideal_from_dict_refuses_unknown_keys():
+    # a misspelt key is refused by name, not dropped: read without it, this
+    # dict would be m^2
+    with pytest.raises(ValueError, match=r"unknown keys \['generator'\]"):
+        ideal_from_dict({"blocks": [2], "generator": [[1, 0]], "power": [2]})
+    with pytest.raises(ValueError, match=r"\['c', 'gens'\]"):
+        ideal_from_dict({"blocks": [2], "gens": [[1, 0]], "c": 1})
+
+
 def test_lcm_subsets_consistent():
     ring = RingConfig((3,))
     I = power_ideal(ring, 2)
