@@ -11,36 +11,15 @@ from .fields import QQ, FieldError, PrimeField, RationalField, parse_field
 from .rings import (
     MonomialIdeal,
     RingConfig,
-    borel_closure,
     component_basis,
     component_dim,
     ideal_from_dict,
-    is_strongly_stable,
     monomial_quotient_dim,
     power_containment,
     power_ideal,
     quotient_component_dim,
-    reg_monomial_ideal,
 )
-from .exterior import (
-    KoszulChain,
-    alpha_map,
-    boundary,
-    gamma_map,
-    sign,
-    sort_bracket,
-    wedge,
-)
-from .homology import (
-    GradedModule,
-    InfeasibleError,
-    KoszulComplex,
-    cycle_module,
-    generates_up_to,
-    homology_module,
-    tor_dims,
-    tor_violations,
-)
+from .homology import InfeasibleError, KoszulComplex, generates_up_to
 from .veronese import (
     BettiTable,
     IndexResult,
@@ -101,9 +80,15 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# `cycles` and `harness` load on first use of one of their names (PEP 562), so
-# that a process that computes only tables, indices or homology never compiles them
+# the chain algebra, the Tor layer, the cycle families and the harness load on
+# first use of one of their names (PEP 562), so that a process that computes
+# only tables, indices or homology dimensions never compiles them
 _LAZY = {
+    **dict.fromkeys(("exterior", "KoszulChain", "alpha_map", "boundary", "gamma_map", "sign",
+                     "sort_bracket", "wedge"), "exterior"),
+    **dict.fromkeys(("regularity", "GradedModule", "borel_closure", "cycle_module",
+                     "homology_module", "is_strongly_stable", "reg_monomial_ideal", "tor_dims",
+                     "tor_violations"), "regularity"),
     **dict.fromkeys(("cycles", "gen2_families", "multi2_failures", "symmetrized_cycle",
                      "z1_generator", "z1_generator_family", "z1_products"), "cycles"),
     **dict.fromkeys(("harness", "SuiteReport", "probe_q1", "random_monomial_ideal",

@@ -15,17 +15,7 @@ from functools import reduce
 from itertools import combinations, starmap
 from operator import gt
 
-from .rings import MonomialIdeal, mon_mul
-
-
-def lowbits(T: int) -> list:
-    """The set bits of the bitmask T, lowest first, one step per set bit."""
-    bits = []
-    while T:
-        low = T & -T
-        bits.append(low)
-        T ^= low
-    return bits
+from .rings import MonomialIdeal, lowbits, mon_mul  # lowbits is re-exported
 
 
 def mask_sign(A: int, B: int) -> int:

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
 from functools import reduce
 from itertools import combinations, product
-from typing import Callable
 
 from .cycles import gen2_families, multi2_failures, z1_products
 from .exterior import (
@@ -35,24 +33,16 @@ from .exterior import (
     wedge,
 )
 from .fields import QQ
-from .homology import (
-    GradedModule,
-    InfeasibleError,
-    KoszulComplex,
-    degrees_upto,
-    generates_up_to,
-    tor_violations,
-)
+from .homology import InfeasibleError, KoszulComplex, degrees_upto, generates_up_to
 from .linalg import Echelon
+from .regularity import GradedModule, borel_closure, reg_monomial_ideal, tor_violations
 from .rings import (
     MonomialIdeal,
     RingConfig,
-    borel_closure,
     monomial_quotient_dim,
     power_containment,
     power_ideal,
     quotient_component_dim,
-    reg_monomial_ideal,
     total_deg,
 )
 from .veronese import SegreVeroneseSpec, veronese_betti
@@ -70,14 +60,10 @@ class UnknownSuiteError(ValueError):
     pass
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    size: int
-    field_name: str
-    cases: list
-    summary: dict = dc_field(default_factory=dict)
+    def __init__(self, suite, seed, size, field_name, cases, summary=None):
+        self.suite, self.seed, self.size, self.field_name = suite, seed, size, field_name
+        self.cases, self.summary = cases, {} if summary is None else summary  # a fresh dict
 
     @property
     def verdict(self):
@@ -100,7 +86,6 @@ class SuiteReport:
         }
 
 
-@dataclass(frozen=True)
 class Suite:
     """A verification suite as data.
 
@@ -110,10 +95,8 @@ class Suite:
     summarize(cases) returns counts to add to the report's summary.
     """
 
-    cases: Callable
-    size: int
-    char_floor: float = 3
-    summarize: Callable = lambda cases: {}
+    def __init__(self, cases, size: int, char_floor: float = 3, summarize=lambda cases: {}):
+        self.cases, self.size, self.char_floor, self.summarize = cases, size, char_floor, summarize
 
 
 def _run(name, suite: Suite, seed, size, field) -> SuiteReport:

@@ -10,22 +10,20 @@ fine block alone.  For M = S a block is reduced modulo the closed star of one
 generator v, a cone, is zero unbuilt when the exponents of the generators show
 every t-face outside that star too large for beta - u_v, and is otherwise
 ranked as a Morse complex, zero unranked when that has no t-cell.
-GradedModule represents Z_t(I, M) or H_t(I, M) in the standard grading by its
-fine pieces, whose Betti numbers are computed as Koszul homology against the
-variables; they vanish past the module's stability degree, where nothing is
-built.
+The chain algebra (`exterior`) loads only in `cycle_chains` and
+`generates_up_to`, and the Tor layer built on this engine is `regularity`,
+so that a table or an index compiles neither.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from functools import lru_cache, reduce
-from itertools import combinations, product
+from functools import reduce
+from itertools import product
 from math import factorial, prod
 from operator import add, le, or_, sub
 
-from .exterior import KoszulChain, boundary, lowbits
 from .fields import QQ
 from .linalg import Echelon, kernel_basis
 from .rings import (
@@ -36,6 +34,7 @@ from .rings import (
     _bounded_compositions,
     _component_basis,
     _component_dim,
+    lowbits,
     mon_mul,
 )
 
@@ -432,6 +431,8 @@ class KoszulComplex:
 
     def cycle_chains(self, t: int, alpha) -> list:
         """The basis of Z_t(I, M)_alpha as chains."""
+        from .exterior import KoszulChain
+
         alpha = self.ring.as_mdeg(alpha)
         keys, ideal = self._keys(t, alpha), self.ideal
         return [KoszulChain(ideal, t, {keys[i]: c for i, c in v.items()})
@@ -487,187 +488,6 @@ def _arrangements(values) -> int:
     return out
 
 
-class GradedModule:
-    """Z_t(I, M), or H_t(I, M) = Z_t / B_t, as a graded module (d = 1), built
-    on the box [0, a] of fine degrees, a = `box`.
-
-    The module is positively a-determined (see `tor_dims`), so its Betti
-    numbers read only the fine pieces M_gamma with gamma <= a.  phi_t is
-    block-diagonal by fine degree, and at gamma K_s is spanned by its faces
-    e_T (x) w, w = gamma - u_T, each named by its T bits, read from the
-    complex at gamma (`KoszulComplex._fine_faces`), which keeps them for the
-    ceiling guard and the piece alike.  The piece at gamma is the RREF kernel
-    Z_gamma of phi_t on them, whose free columns give the Z-coordinates of
-    any cycle; for H_t the boundaries B_gamma are echelon rows in those
-    coordinates, and the Z-basis vectors off their pivots represent a basis
-    of H_gamma.  x_k takes the face T at gamma to the face T at gamma + e_k.
-    """
-
-    def __init__(self, kz: KoszulComplex, t: int, quotient: bool):
-        if kz.ring.d != 1:
-            raise ValueError("graded modules use the standard grading")
-        self.kz = kz
-        self.t = t
-        self.quotient = quotient
-        self.ring = kz.ring
-        self.field = kz.field
-        top = t + 1 if quotient else t
-        jgens = kz.J.gens if kz.J else []
-        self.box = tuple(
-            sum(sorted((u[k] for u in kz.ideal.gens), reverse=True)[:top])
-            + max((g[k] for g in jgens), default=0)
-            for k in range(self.ring.n)
-        )
-        self._pieces = {}
-        self._guarded = set()
-
-    @property
-    def stable_degree(self) -> int:
-        """|a|: Tor_i(M, K)_j = 0 for j > |a| (see `tor_dims`)."""
-        return sum(self.box)
-
-    def _guard(self, q: int):
-        """Check the ceiling once per degree q, before any kernel there: the
-        faces over the gamma <= box with |gamma| = q of K_t, of K_{t-1} when
-        K_t has any, and of K_{t+1} for H_t, each level on its own."""
-        if q in self._guarded:
-            return
-        gammas = list(_bounded_compositions(q, self.box))
-
-        def check(s):
-            count = sum(len(self.kz._fine_faces(s, gamma)) for gamma in gammas)
-            self.kz._check_ceiling(count, lambda: f"K_{s} has {count} faces in degree {q} "
-                                   f"inside the box {self.box},")
-            return count
-
-        if check(self.t):
-            check(self.t - 1)
-        if self.quotient:
-            check(self.t + 1)
-        self._guarded.add(q)
-
-    def piece(self, gamma: tuple) -> tuple:
-        """(coordinates, representatives, boundaries) at the fine degree
-        gamma <= box: the Z-coordinate of each free face T of Z_gamma, the
-        Z-basis vectors {T: coefficient} representing a basis of M_gamma (all
-        of them for Z_t, those off the pivots of B_gamma for H_t), and the
-        echelon rows of B_gamma in Z-coordinates (none for Z_t)."""
-        if gamma not in self._pieces:
-            self._guard(sum(gamma))
-            t, kz = self.t, self.kz
-            faces, signs = kz._fine_faces(t, gamma), kz._signs
-            rows = {T: c for c, T in enumerate(kz._fine_faces(t - 1, gamma))}
-            vecs = kernel_basis([_boundary_column(T, rows, signs) for T in faces], self.field)
-            # kernel_basis puts each vector's free column after all its other columns
-            coords = {faces[max(v)]: b for b, v in enumerate(vecs)}
-            bounds = Echelon(self.field)
-            if self.quotient:
-                for T in kz._fine_faces(t + 1, gamma):
-                    bounds.add(_boundary_column(T, coords, signs))
-            reps = [{faces[c]: x for c, x in v.items()} for b, v in enumerate(vecs)
-                    if b not in bounds.rows]
-            self._pieces[gamma] = coords, reps, list(bounds.rows.values())
-        return self._pieces[gamma]
-
-
-def cycle_module(kz: KoszulComplex, t: int) -> GradedModule:
-    """Z_t(I, M) as a graded module over the standard grading."""
-    return GradedModule(kz, t, quotient=False)
-
-
-def homology_module(kz: KoszulComplex, t: int) -> GradedModule:
-    """H_t(I, M) = Z_t / B_t as a graded module."""
-    return GradedModule(kz, t, quotient=True)
-
-
-def _tor_at(M: GradedModule, beta: tuple, lo: int, hi: int) -> list:
-    """[dim Tor_i(M, K)_beta for i = lo..hi] at beta <= box: H_i of the
-    variables-Koszul complex on M, whose i-chains are the e_A (x)
-    M_{beta - e_A} over the i-subsets A of the support of beta.
-
-    The column of e_A (x) z is the sum over k in A of +-e_{A - k} (x) x_k z.
-    For H_t the rank of delta_i is taken with the target blocks first seeded
-    with the rows of their B, whose rank is then subtracted.  delta_i and
-    delta_{i+1} are ranked only where the i-chains are nonzero, and each
-    delta once per call: delta_{i+1} serves both Tor_i and Tor_{i+1}.
-    """
-    f, support = M.field, [k for k, e in enumerate(beta) if e]
-
-    def piece(A):
-        return M.piece(tuple(e - (k in A) for k, e in enumerate(beta)))
-
-    @lru_cache(maxsize=None)
-    def rank(i):
-        if not 1 <= i <= len(support):
-            return 0
-        ech, targets, width = Echelon(f), {}, 0
-        for A in combinations(support, i - 1):
-            coords, _, bounds = piece(A)
-            targets[A] = width, coords
-            for row in bounds:
-                ech.add({width + c: v for c, v in row.items()})
-            width += len(coords)
-        seeded = ech.rank
-        for A in combinations(support, i):
-            for z in piece(A)[1]:
-                col = {}
-                for p, k in enumerate(A):
-                    off, coords = targets[A[:p] + A[p + 1 :]]
-                    # x_k z in Z-coordinates: its entries on the free faces at beta - e_{A - k},
-                    # where a face dead in S/J has none
-                    for T, v in z.items():
-                        if T in coords:
-                            col[off + coords[T]] = f.coerce(-v) if p & 1 else v
-                ech.add(col)
-        return ech.rank - seeded
-
-    dims = []
-    for i in range(lo, hi + 1):
-        chains = sum(len(piece(A)[1]) for A in combinations(support, i))
-        dims.append(chains and chains - rank(i) - rank(i + 1))
-    return dims
-
-
-def tor_dims(M: GradedModule, i: int, j: int) -> int:
-    """dim Tor_i(M, K)_j = H_i of the variables-Koszul complex on M, built on
-    the box [0, a] of fine degrees, a = M.box.
-
-    M is positively a-determined (Miller, J. Algebra 231, 2000): x_k maps
-    M_{gamma - e_k} onto M_gamma isomorphically whenever gamma_k > a_k.  For
-    Z_t this holds on K_t, whose summands S(-u_T) have u_T <= a, and on
-    K_{t-1}, so on the kernel; for H_t also on K_{t+1}, so on B_t and on the
-    quotient; over S/J the exponents of J are added to a.  Take a fine degree
-    beta with some beta_k > a_k.  The variables-Koszul complex on M at beta is
-    the mapping cone of x_k between two copies of the complex on the other
-    variables, at beta - e_k and at beta; its pieces x_k : M_{gamma - e_k} ->
-    M_gamma have gamma_k = beta_k > a_k, so they are isomorphisms, the cone is
-    exact and Tor_i(M, K)_beta = 0.  Hence Tor_i(M, K)_j is the sum over
-    beta <= a with |beta| = j, which is 0 for j > |a| = M.stable_degree,
-    before M is built.  The complex at such a beta is the sum of e_A (x)
-    M_{beta - e_A} over the i-subsets A of the variables (`_tor_at`), and it
-    reads only pieces M_gamma with gamma <= beta <= a: the box pieces.
-    """
-    if not 0 <= i <= M.ring.n or j < i or j > M.stable_degree:
-        return 0
-    return sum(_tor_at(M, beta, i, i)[0] for beta in _bounded_compositions(j, M.box))
-
-
-def tor_violations(M: GradedModule, bound: int, i_max=None):
-    """Every nonzero Tor_i(M, K)_j with j - i > bound and i <= i_max, as
-    (i, j, dim) sorted by (j - i, i): exact, since Tor is 0 past j = |a|
-    (`tor_dims`), so bound >= |a| scans nothing.  Each fine degree beta <= a
-    with |beta| = j > bound is visited once, for every i <= j - bound - 1 at
-    once (`_tor_at`), and the (i, j) sums are read off the visits.
-    """
-    top = M.ring.n if i_max is None else min(i_max, M.ring.n)
-    dims = Counter()
-    for j in range(bound + 1, M.stable_degree + 1):
-        for beta in _bounded_compositions(j, M.box):
-            for i, d in enumerate(_tor_at(M, beta, 0, min(top, j - bound - 1))):
-                dims[i, j] += d
-    return sorted(((i, j, d) for (i, j), d in dims.items() if d), key=lambda e: (e[1] - e[0], e[0]))
-
-
 def degrees_upto(ring: RingConfig, D):
     """All multidegrees 0 <= alpha <= D componentwise, lex order."""
     D = ring.as_mdeg(D)
@@ -677,6 +497,8 @@ def degrees_upto(ring: RingConfig, D):
 def generates_up_to(kz: KoszulComplex, candidates, t: int, D):
     """Whether monomial multiples of the candidate cycles span Z_t(I, S)_alpha
     for every alpha <= D.  Returns (ok, first failing degree or None)."""
+    from .exterior import boundary
+
     for g in candidates:
         if g.t != t or g.ideal != kz.ideal:
             raise ValueError("candidate in the wrong Koszul component")

@@ -7,13 +7,10 @@ of length d (plain ints are accepted for d = 1 and normalized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, groupby, product
 from math import comb
 from operator import add, le
-
-from .fields import QQ
 
 DEFAULT_COMPONENT_CEILING = 50_000
 
@@ -26,34 +23,32 @@ class InfeasibleError(RuntimeError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
 class RingConfig:
-    """Polynomial ring K[x_ij] with deg x_ij = e_i in Z^d."""
+    """Polynomial ring K[x_ij] with deg x_ij = e_i in Z^d; == and hash read
+    the blocks alone."""
 
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(int(m) for m in self.blocks)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, blocks):
+        blocks = tuple(int(m) for m in blocks)
         if len(blocks) < 1 or any(m < 1 for m in blocks):
             raise ValueError(f"invalid block sizes {blocks}")
-        # the slice of each block's variables for `mdeg`, d and n, set once;
-        # they are not fields, so == and hash read the blocks alone
+        # the slice of each block's variables for `mdeg`, d and n, set once
         ends = list(accumulate(blocks))
-        object.__setattr__(self, "_parts", tuple(map(slice, [0] + ends, ends)))
-        object.__setattr__(self, "d", len(blocks))
-        object.__setattr__(self, "n", ends[-1])
+        self.blocks, self.d, self.n = blocks, len(blocks), ends[-1]
+        self._parts = tuple(map(slice, [0] + ends, ends))
+
+    def __eq__(self, other):
+        return isinstance(other, RingConfig) and self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
 
     def block_slices(self):
         return [(part.start, part.stop) for part in self._parts]
 
     def block_of(self, var: int) -> int:
-        start = 0
-        for i, m in enumerate(self.blocks):
-            if var < start + m:
-                return i
-            start += m
-        raise IndexError(f"variable index {var} out of range")
+        if not 0 <= var < self.n:
+            raise IndexError(f"variable index {var} out of range")
+        return next(i for i, part in enumerate(self._parts) if var < part.stop)
 
     def var(self, k: int) -> tuple:
         """Exponent tuple of the k-th variable (0-based)."""
@@ -79,11 +74,8 @@ class RingConfig:
         return alpha
 
     def var_name(self, k: int) -> str:
-        if self.d == 1:
-            return f"x{k + 1}"
         i = self.block_of(k)
-        j = k - sum(self.blocks[:i])
-        return f"x{i + 1}{j + 1}"
+        return f"x{k + 1}" if self.d == 1 else f"x{i + 1}{k - self._parts[i].start + 1}"
 
     def monomial_str(self, m: tuple) -> str:
         if not any(m):
@@ -95,6 +87,16 @@ class RingConfig:
             elif e > 1:
                 parts.append(f"{self.var_name(k)}^{e}")
         return "*".join(parts)
+
+
+def lowbits(T: int) -> list:
+    """The set bits of the bitmask T, lowest first, one step per set bit."""
+    bits = []
+    while T:
+        low = T & -T
+        bits.append(low)
+        T ^= low
+    return bits
 
 
 def total_deg(m: tuple) -> int:
@@ -253,34 +255,6 @@ def power_ideal(ring: RingConfig, c) -> MonomialIdeal:
     return MonomialIdeal(ring, component_basis(ring, c))
 
 
-def is_strongly_stable(I: MonomialIdeal) -> bool:
-    """Whether I is closed under x_i -> x_j exchanges for j < i (d = 1): I
-    equals the Borel closure of its generators."""
-    return borel_closure(I.ring, I.gens) == I
-
-
-def borel_closure(ring: RingConfig, seed) -> MonomialIdeal:
-    """Smallest strongly stable ideal containing the seed monomials (d = 1)."""
-    if ring.d != 1:
-        raise ValueError("Borel closure is defined for the standard grading")
-    seen = {tuple(m) for m in seed}
-    queue = list(seen)
-    while queue:
-        u = queue.pop()
-        for i in range(ring.n):
-            if u[i] == 0:
-                continue
-            for j in range(i):
-                moved = list(u)
-                moved[i] -= 1
-                moved[j] += 1
-                moved = tuple(moved)
-                if moved not in seen:
-                    seen.add(moved)
-                    queue.append(moved)
-    return MonomialIdeal(ring, seen)
-
-
 def quotient_component_dim(I: MonomialIdeal, alpha) -> int:
     """dim [S/I]_alpha: monomials of multidegree alpha outside I."""
     return sum(1 for m in component_basis(I.ring, alpha) if not I.contains(m))
@@ -335,34 +309,3 @@ def ideal_from_dict(data: dict) -> MonomialIdeal:
     if not isinstance(gens, list):
         raise ValueError(f"generators must be a list, got {gens!r}")
     return MonomialIdeal(ring, [_int_list(g, "a generator") for g in gens])
-
-
-@lru_cache(maxsize=None)
-def reg_monomial_ideal(I: MonomialIdeal, field=QQ) -> int:
-    """reg(I) over `field`, memoised.  Strongly stable: max generator degree.
-
-    Otherwise reg(S/I) is computed from Tor_i(S/I, K)_beta = H_i(x; S/I)_beta,
-    the Koszul homology of the variables with coefficients S/I, at fine
-    degrees beta of the LCM lattice of I: the lcms of the nonempty sets T of
-    minimal generators.  The Taylor resolution of S/I is Z^n-graded with a
-    basis element e_T in degree lcm(u_T) and homological degree |T|, so
-    Tor_i(S/I, K)_beta, a subquotient of its degree-beta part tensored with
-    K, vanishes unless beta = lcm(u_T) for some T with |T| = i (Taylor 1966;
-    Gasharov-Peeva-Welker 1999), and for i > n.  The pairs (lcm(u_T), |T|)
-    are built one generator at a time.  reg(S/I) is the largest |beta| - i
-    over the nonzero blocks among them, so they are ranked in decreasing
-    |beta| - i up to the first nonzero one; reg(I) = reg(S/I) + 1.
-    """
-    if I.ring.d != 1:
-        raise ValueError("regularity over the standard grading only")
-    if is_strongly_stable(I):
-        return I.max_gen_degree()
-    from .homology import KoszulComplex
-
-    kz = KoszulComplex(power_ideal(I.ring, 1), field, I)
-    pairs = set()  # (lcm(u_T), |T|)
-    for u in I.gens:
-        pairs |= {(mon_lcm(u, b), k + 1) for b, k in pairs} | {(u, 1)}
-    allowed = sorted(((total_deg(b) - i, b, i) for b, i in pairs if i <= I.ring.n), reverse=True)
-    # Tor_1 is nonzero at each minimal generator, so some block is nonzero
-    return next(gap for gap, beta, i in allowed if kz.homology_dim(i, beta)) + 1

@@ -62,7 +62,6 @@ Below the bound the orbit sum is the one rank, as for the index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, comb
 
 from .fields import QQ
@@ -70,32 +69,29 @@ from .homology import KoszulComplex
 from .rings import RingConfig, component_dim, power_ideal
 
 
-@dataclass(frozen=True)
 class SegreVeroneseSpec:
-    blocks: tuple
-    c: tuple
+    """m^c over the ring with the given blocks, its ring built once; == and
+    hash read (blocks, c), which fix the other attributes."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(int(m) for m in self.blocks))
-        ring = RingConfig(self.blocks)
-        object.__setattr__(self, "c", ring.as_mdeg(self.c))
+    def __init__(self, blocks, c):
+        self.ring = RingConfig(blocks)
+        self.blocks, self.c = self.ring.blocks, self.ring.as_mdeg(c)
         if any(ci < 1 for ci in self.c):
             raise ValueError("every c_i must be >= 1")
+        self.min_c = min(self.c)
 
-    @property
-    def ring(self):
-        return RingConfig(self.blocks)
+    def __eq__(self, other):
+        return isinstance(other, SegreVeroneseSpec) and vars(self) == vars(other)
 
-    @property
-    def min_c(self):
-        return min(self.c)
+    def __hash__(self):
+        return hash((self.blocks, self.c))
 
 
-@dataclass
 class BettiTable:
-    entries: dict  # (i, j) -> dim
-    i_max: int
-    windows: dict  # i -> (j_lo, j_cut)
+    def __init__(self, entries: dict, i_max: int, windows: dict):
+        self.entries = entries  # (i, j) -> dim
+        self.i_max = i_max
+        self.windows = windows  # i -> (j_lo, j_cut)
 
     def entry(self, i, j):
         """Entry with window semantics: beyond the window the value is 0."""
@@ -164,13 +160,17 @@ def veronese_betti(spec: SegreVeroneseSpec, i_max: int, field=QQ) -> BettiTable:
     return BettiTable(entries, i_max, windows)
 
 
-@dataclass
 class IndexResult:
-    """Green-Lazarsfeld index: exact with a witness, or a range-exhausted bound."""
+    """Green-Lazarsfeld index: exact with a witness, or a range-exhausted bound;
+    == compares (exact, value, witness)."""
 
-    exact: bool
-    value: int  # the index when exact, else the verified lower bound i_max
-    witness: tuple | None  # violating (i, j) when exact
+    def __init__(self, exact: bool, value: int, witness: tuple | None):
+        self.exact = exact
+        self.value = value  # the index when exact, else the verified lower bound i_max
+        self.witness = witness  # violating (i, j) when exact
+
+    def __eq__(self, other):
+        return isinstance(other, IndexResult) and vars(self) == vars(other)
 
     def satisfies(self, p: int) -> bool:
         return self.value >= p

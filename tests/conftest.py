@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from koszul_lab.rings import reg_monomial_ideal
+from koszul_lab.regularity import reg_monomial_ideal
 
 # property tests replay the same examples on every run and have no time limit;
 # each test sets its own max_examples

@@ -48,6 +48,18 @@ def test_ideal_params_roundtrip():
     assert all(len(g) == 4 for g in params["generators"])
 
 
+def test_suite_rows_and_reports_are_plain_values():
+    suite = harness.Suite(harness._signs, 1)
+    assert (suite.size, suite.char_floor, suite.summarize([])) == (1, 3, {})
+    a = SuiteReport("signs", 1, 1, "rat", [])
+    b = SuiteReport("signs", 1, 1, "rat", [])
+    a.summary["redrawn"] = 0
+    assert b.summary == {} and a.summary is not b.summary
+    assert a.verdict == "infeasible" and a.to_dict()["summary"] == {"redrawn": 0}
+    summary = {"redrawn": 2}
+    assert SuiteReport("signs", 1, 1, "rat", [], summary).summary is summary
+
+
 def test_unknown_suite():
     with pytest.raises(UnknownSuiteError):
         run_suite("nope")

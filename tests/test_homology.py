@@ -8,22 +8,19 @@ from operator import le, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul_lab import homology
+from koszul_lab import homology, regularity
 from koszul_lab.exterior import KoszulChain, boundary
 from koszul_lab.fields import QQ, PrimeField
 from koszul_lab.harness import _regb, _sato, _tor_checks, random_monomial_ideal
-from koszul_lab.homology import (
+from koszul_lab.homology import InfeasibleError, KoszulComplex, degrees_upto, generates_up_to
+from koszul_lab.linalg import Echelon, kernel_basis
+from koszul_lab.regularity import (
     GradedModule,
-    InfeasibleError,
-    KoszulComplex,
     cycle_module,
-    degrees_upto,
-    generates_up_to,
     homology_module,
     tor_dims,
     tor_violations,
 )
-from koszul_lab.linalg import Echelon, kernel_basis
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
@@ -783,7 +780,7 @@ def test_tor_scan_ranks_each_delta_once_per_fine_degree(monkeypatch):
                 outer = outer.f_back
             ranked.append((id(outer.f_locals["M"]), outer.f_locals["beta"], i))
 
-    monkeypatch.setattr(homology, "Echelon", Spy)
+    monkeypatch.setattr(regularity, "Echelon", Spy)
     ring = RingConfig((3,))
     kz = KoszulComplex(power_ideal(ring, 2))
     modules = [(homology_module(kz, 1), -1, None), (cycle_module(kz, 1), 1, 2)]
@@ -977,7 +974,7 @@ def test_tor_vanishes_past_the_stability_degree(n, data, quotient, over_sj):
     top = M.stable_degree
     kernels = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "kernel_basis", lambda cols, field: kernels.append(cols))
+        mp.setattr(regularity, "kernel_basis", lambda cols, field: kernels.append(cols))
         for j in range(top + 1, top + 4):
             for i in range(0, n + 1):
                 assert tor_dims(M, i, j) == 0
@@ -1137,7 +1134,7 @@ def test_box_piece_checks_the_ceiling_before_any_kernel():
     gamma = (2, 2)  # a fine degree of degree 4 in the box, where Z_1 is nonzero
     kernels = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(homology, "kernel_basis", lambda cols, field: kernels.append(cols))
+        mp.setattr(regularity, "kernel_basis", lambda cols, field: kernels.append(cols))
         M = GradedModule(KoszulComplex(I, ceiling=keys - 1), 1, False)
         with pytest.raises(InfeasibleError) as exc:
             M.piece(gamma)

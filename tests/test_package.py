@@ -21,10 +21,14 @@ def test_star_import_binds_every_public_name():
 def test_a_lazy_name_is_its_submodule_object():
     assert koszul_lab.run_suite is koszul_lab.harness.run_suite
     assert koszul_lab.z1_products is koszul_lab.cycles.z1_products
+    assert koszul_lab.tor_violations is koszul_lab.regularity.tor_violations
+    assert koszul_lab.KoszulChain is koszul_lab.exterior.KoszulChain
 
 
 def test_dir_lists_the_lazy_names():
     assert {"run_suite", "SuiteReport", "z1_products", "harness", "cycles"} <= set(dir(koszul_lab))
+    assert {"exterior", "KoszulChain", "wedge", "regularity", "tor_violations", "GradedModule",
+            "reg_monomial_ideal"} <= set(dir(koszul_lab))
     assert set(koszul_lab.__all__) <= set(dir(koszul_lab))
 
 

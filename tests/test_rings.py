@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from koszul_lab import rings
 from koszul_lab.fields import QQ, PrimeField
 from koszul_lab.homology import KoszulComplex
+from koszul_lab.regularity import borel_closure, is_strongly_stable, reg_monomial_ideal
 from koszul_lab.rings import (
     MonomialIdeal,
     RingConfig,
     _bounded_compositions,
-    borel_closure,
     component_basis,
     component_dim,
     ideal_from_dict,
-    is_strongly_stable,
     mon_divides,
     mon_key,
     mon_lcm,
@@ -26,7 +25,6 @@ from koszul_lab.rings import (
     power_containment,
     power_ideal,
     quotient_component_dim,
-    reg_monomial_ideal,
     total_deg,
 )
 
@@ -44,6 +42,25 @@ def test_ring_config_basics():
     with pytest.raises(ValueError):
         ring.as_mdeg(3)
     assert RingConfig((4,)).as_mdeg(3) == (3,)
+
+
+def test_ring_config_compares_and_hashes_by_its_blocks():
+    ring = RingConfig([2, "3"])
+    assert ring.blocks == (2, 3) and ring == RingConfig((2, 3)) and ring != RingConfig((3, 2))
+    assert hash(ring) == hash(RingConfig((2, 3))) and len({ring, RingConfig((2, 3))}) == 1
+    assert ring != (2, 3) and RingConfig((5,)) == RingConfig((5,))
+    with pytest.raises(ValueError, match="invalid block sizes"):
+        RingConfig((2, 0))
+
+
+@pytest.mark.parametrize("blocks", [(3,), (2, 3)])
+def test_a_variable_index_out_of_range_is_an_index_error(blocks):
+    ring = RingConfig(blocks)
+    assert [ring.var_name(k) for k in range(ring.n)][-1] == ("x3" if ring.d == 1 else "x23")
+    for k in (-1, -ring.n, ring.n):
+        for call in (ring.block_of, ring.var_name, ring.var):
+            with pytest.raises(IndexError, match=f"variable index {k} out of range"):
+                call(k)
 
 
 def test_monomial_ops():

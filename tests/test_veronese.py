@@ -9,6 +9,7 @@ from koszul_lab.homology import DEFAULT_COMPONENT_CEILING, InfeasibleError, Kosz
 from koszul_lab.rings import RingConfig, component_dim, power_ideal
 from koszul_lab.veronese import (
     BettiTable,
+    IndexResult,
     SegreVeroneseSpec,
     _balanced,
     green_lazarsfeld_index,
@@ -27,6 +28,26 @@ def test_spec_validation():
     spec = SegreVeroneseSpec((2, 3), (2, 1))
     assert spec.min_c == 1
     assert spec.ring.n == 5
+
+
+def test_spec_ring_is_built_once_and_specs_compare_by_blocks_and_c():
+    spec = SegreVeroneseSpec([2, 3], [2, 1])
+    assert spec.ring is spec.ring and spec.ring == RingConfig((2, 3))
+    assert (spec.blocks, spec.c) == ((2, 3), (2, 1))
+    same = SegreVeroneseSpec((2, 3), (2, 1))
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != SegreVeroneseSpec((2, 3), (1, 2)) and spec != SegreVeroneseSpec((3, 2), (2, 1))
+    assert SegreVeroneseSpec((3,), 2) == SegreVeroneseSpec((3,), (2,))
+
+
+def test_index_results_compare_by_value_and_tables_keep_their_fields():
+    assert IndexResult(True, 2, (3, 5)) == IndexResult(True, 2, (3, 5))
+    assert IndexResult(True, 2, (3, 5)) != IndexResult(True, 2, (3, 6))
+    assert IndexResult(False, 4, None) != IndexResult(True, 4, None) != (True, 4, None)
+    assert green_lazarsfeld_index(VERONESE_SURFACE, 3) == IndexResult(False, 3, None)
+    table = BettiTable({(0, 0): 1}, 0, {0: (0, 1)})
+    assert (table.entries, table.i_max, table.windows) == ({(0, 0): 1}, 0, {0: (0, 1)})
+    assert table.entry(0, 5) == 0 and table.index() == IndexResult(False, 0, None)
 
 
 def test_quadric_oracle_values():
